@@ -55,7 +55,9 @@ def as_bloch(r) -> np.ndarray:
     if vec.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if norm > 1.0 + NORM_EPS:
+    if not norm <= 1.0 + NORM_EPS:
+        if norm != norm:  # a NaN entry
+            raise ValueError(f"Bloch vector must be finite, got {vec.tolist()}")
         raise NormViolation(f"Bloch vector norm {norm:.17g} exceeds 1")
     return vec
 

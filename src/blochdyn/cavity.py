@@ -8,8 +8,9 @@ conserves the excitation number a'a + (sigma_z + 1)/2, so on a Fock space
 truncated at n_max the propagator V(t) factorizes over 2x2 blocks
 span{|e,n>, |g,n+1>} for n = 0 .. n_max-1, plus the uncoupled |g,0> and
 |e,n_max>. Each block is solved in closed form at the generalized Rabi
-frequency sqrt(detuning^2 / 4 + g^2 (n+1)); a nonzero detuning shifts the
-qubit splitting to omega0 + detuning while the mode stays at omega0.
+frequency Om_n = sqrt(detuning^2 / 4 + g^2 (n+1)); a nonzero detuning
+shifts the qubit splitting to omega0 + detuning while the mode stays at
+omega0.
 
 For a pure initial field |psi> = sum_n c_n |n> the reduced qubit state is
 
@@ -19,6 +20,26 @@ with n = 0 .. n_max. Because V(t) is unitary on the truncated joint space
 this Kraus family is complete to machine precision; fidelity to the
 untruncated model is the field constructors' job, which reject cutoffs
 whose analytic photon-number tail reaches 1e-10.
+
+Time series (reduced_series) skip the Kraus operators. With
+S_n = sin(Om_n t), C_n = cos(Om_n t), y_n = g sqrt(n+1) / Om_n and
+r_n = (detuning / 2) / Om_n, block n propagates as
+[[C_n - i r_n S_n, -i y_n S_n], [-i y_n S_n, C_n + i r_n S_n]] times the
+free phase exp(-i omega0 (n + 1/2) t). In every product of two Kraus
+entries that enters rho_S the free phases cancel:
+
+* the populations pair each block with itself, so rho_ee and rho_gg are
+  constants plus sums over n of S_n^2 and S_n C_n against real weights
+  built from |c_n|^2, c_n conj(c_{n+1}), y_n, r_n and rho_S(0);
+* the coherence rho_eg pairs block m with block m-1, so it is a sum of
+  C_m S_{m-1}, S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1} against complex
+  weights, plus two edge terms from the uncoupled |g,0> and |e,n_max>
+  that carry exp(-i detuning t / 2); in the lab frame all of rho_eg then
+  carries the one common phase exp(-i omega0 t) left over from adjacent
+  free phases.
+
+Each sum is a real matrix product of the (times, blocks) trig arrays with
+weights fixed per call.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -30,6 +51,7 @@ Qubit basis: |e> = |0> is the +z pole of the Bloch ball.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -81,18 +103,22 @@ class CavityConfig:
     frame: str = "lab"
 
     def __post_init__(self):
-        if not self.omega0 > 0.0:
-            raise ValueError("omega0 must be positive")
-        g = self.omega0 / 20.0 if self.g is None else float(self.g)
-        if not g > 0.0:
-            raise ValueError("g must be positive")
+        omega0 = float(self.omega0)
+        if not 0.0 < omega0 < math.inf:
+            raise ValueError(f"omega0 must be positive and finite, got {omega0!r}")
+        g = omega0 / 20.0 if self.g is None else float(self.g)
+        if not 0.0 < g < math.inf:
+            raise ValueError(f"g must be positive and finite, got {g!r}")
+        detuning = float(self.detuning)
+        if not math.isfinite(detuning):
+            raise ValueError(f"detuning must be finite, got {detuning!r}")
         if int(self.n_max) < 1:
             raise ValueError("n_max must be at least 1")
         if self.frame not in ("lab", "rotating"):
             raise ValueError(f'frame must be "lab" or "rotating", got {self.frame!r}')
-        object.__setattr__(self, "omega0", float(self.omega0))
+        object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "detuning", float(self.detuning))
+        object.__setattr__(self, "detuning", detuning)
         object.__setattr__(self, "n_max", int(self.n_max))
 
 
@@ -267,20 +293,27 @@ def _check_field(field: FieldState, cfg: CavityConfig) -> None:
         )
 
 
+def _block_rates(cfg: CavityConfig):
+    # Block n = 0 .. n_max-1 has M_n = [[d/2, g_n], [g_n, -d/2]] with
+    # g_n = g sqrt(n+1) and d the detuning. Returns Om_n = sqrt(d^2/4 + g_n^2),
+    # y_n = g_n / Om_n and r_n = (d/2) / Om_n.
+    gn = cfg.g * np.sqrt(np.arange(cfg.n_max) + 1.0)
+    half_d = 0.5 * cfg.detuning
+    om = np.hypot(half_d, gn)
+    return om, gn / om, half_d / om
+
+
 def _block_coefficients(cfg: CavityConfig, times: np.ndarray):
-    # Closed-form entries of exp(-i t M_n) on block n = 0 .. n_max-1, with
-    # M_n = [[d/2, g_n], [g_n, -d/2]], g_n = g sqrt(n+1), d the detuning:
-    #   u = cos(Om t) - i (d / 2 Om) sin(Om t),  v = -i (g_n / Om) sin(Om t)
+    # Closed-form entries of exp(-i t M_n) on block n = 0 .. n_max-1:
+    #   u = cos(Om t) - i r sin(Om t),  v = -i y sin(Om t)
     # so the block propagator is [[u, v], [v, conj(u)]] times a free phase.
     t = np.asarray(times, dtype=float).reshape(-1, 1)
     n = np.arange(cfg.n_max)
-    gn = cfg.g * np.sqrt(n + 1.0)
-    half_d = 0.5 * cfg.detuning
-    om = np.hypot(half_d, gn)
+    om, y, r = _block_rates(cfg)
     st = np.sin(om * t)
     ct = np.cos(om * t)
-    u = ct - 1j * (half_d / om) * st
-    v = -1j * (gn / om) * st
+    u = ct - 1j * r * st
+    v = -1j * y * st
 
     tcol = t[:, 0]
     wq = cfg.omega0 + cfg.detuning  # qubit splitting
@@ -342,43 +375,150 @@ def _check_physical(ee, eg, gg) -> None:
     tr_dev = np.abs(ee + gg - 1.0)
     # smallest eigenvalue of [[ee, eg], [conj(eg), gg]]
     lo = 0.5 * (ee + gg - np.sqrt((ee - gg) ** 2 + 4.0 * np.abs(eg) ** 2))
-    if tr_dev.max() > _PHYS_TOL or lo.min() < -_PHYS_TOL:
+    worst, low = tr_dev.max(initial=0.0), lo.min(initial=0.0)
+    # written so that a NaN anywhere fails the test
+    if not (worst <= _PHYS_TOL and low >= -_PHYS_TOL):
         raise NonphysicalOutput(
-            f"reduced state broke physicality: |tr-1| up to {tr_dev.max():.3e}, "
-            f"min eigenvalue {lo.min():.3e}"
+            f"reduced state broke physicality: |tr-1| up to {worst:.3e}, "
+            f"min eigenvalue {low:.3e}"
         )
+
+
+def _re_im(z) -> np.ndarray:
+    # complex weights as (re, im) columns, so real trig arrays meet real BLAS
+    return np.column_stack([z.real, z.imag])
+
+
+@dataclass(frozen=True, eq=False)
+class _SweepWeights:
+    """Per-call weights of the real trig contractions in reduced_series.
+
+    Block rows run over n = 0 .. n_max-1, pair rows over m = 1 .. n_max-1.
+    pairs holds the (re, im) columns of rho_eg against C_m S_{m-1},
+    S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1}; edges the complex
+    coefficients of C_0 and S_0 (from |g,0>) and of C_{n_max-1} and
+    S_{n_max-1} (from |e,n_max>).
+    """
+
+    om: np.ndarray  # Om_n
+    ee0: float  # p sum |c_n|^2
+    gg0: float  # q sum |c_n|^2
+    diag_ss: np.ndarray  # (n_max, 2): (ee, gg) columns against S_n^2
+    diag_sc: np.ndarray  # (n_max, 2): (ee, gg) columns against S_n C_n
+    pairs: tuple  # four (n_max-1, 2) arrays
+    edges: tuple  # four complex scalars
+
+
+def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
+    c = field.amplitudes
+    a2 = np.abs(c) ** 2
+    om, y, r = _block_rates(cfg)
+    p, q, b = rho0[0, 0].real, rho0[1, 1].real, rho0[0, 1]
+    norm = float(np.sum(a2))
+
+    # populations: |u_n|^2 = 1 - y_n^2 S_n^2, |v_n|^2 = y_n^2 S_n^2,
+    # u_n conj(v_n) = y_n (r_n S_n^2 + i S_n C_n)
+    lo2 = a2[:-1] * y * y  # |c_n|^2 y_n^2
+    hi2 = a2[1:] * y * y  # |c_{n+1}|^2 y_n^2
+    bw = b * c[:-1] * np.conj(c[1:]) * y  # b c_n conj(c_{n+1}) y_n
+    ee_ss = q * hi2 - p * lo2 + 2.0 * r * bw.real
+    gg_ss = p * lo2 - q * hi2 - 2.0 * r * bw.real
+    diag_ss = np.column_stack([ee_ss, gg_ss])
+    diag_sc = np.column_stack([-2.0 * bw.imag, 2.0 * bw.imag])
+
+    # coherence, adjacent blocks m and m-1 for m = 1 .. n_max-1
+    cm, cl, ch = c[1:-1], c[:-2], c[2:]  # c_m, c_{m-1}, c_{m+1}
+    am = a2[1:-1]
+    ym, yl, rm, rl = y[1:], y[:-1], r[1:], r[:-1]
+    p_ml = p * cm * np.conj(cl)  # p c_m conj(c_{m-1})
+    q_hm = q * ch * np.conj(cm)  # q c_{m+1} conj(c_m)
+    b_m = b * am  # b |c_m|^2
+    pairs = (
+        _re_im(1j * (p_ml * yl - b_m * rl)),  # C_m S_{m-1}
+        _re_im(-1j * (q_hm * ym + b_m * rm)),  # S_m C_{m-1}
+        _re_im(b_m),  # C_m C_{m-1}
+        _re_im(  # S_m S_{m-1}
+            p_ml * rm * yl - q_hm * ym * rl - b_m * rm * rl
+            + np.conj(b) * ch * np.conj(cl) * ym * yl
+        ),
+    )
+
+    # edges: q B_0 conj(D_0) + b A_0 conj(D_0) on block 0 and
+    # p A_top conj(C_top) + b A_top conj(D_top) on block n_max-1
+    b0, bt = b * a2[0], b * a2[-1]
+    edges = (
+        b0,
+        -1j * (q * c[1] * np.conj(c[0]) * y[0] + b0 * r[0]),
+        bt,
+        1j * (p * c[-1] * np.conj(c[-2]) * y[-1] - bt * r[-1]),
+    )
+    return _SweepWeights(om, p * norm, q * norm, diag_ss, diag_sc, pairs, edges)
+
+
+def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg) -> None:
+    # Fills ee, eg, gg (views of the output at t) from real trig products.
+    arg = np.multiply.outer(t, w.om)
+    S = np.sin(arg)
+    C = np.cos(arg, out=arg)
+    prod = np.multiply(S, S)
+    diag = prod @ w.diag_ss
+    np.multiply(S, C, out=prod)
+    diag += prod @ w.diag_sc
+    ee[:] = w.ee0 + diag[:, 0]
+    gg[:] = w.gg0 + diag[:, 1]
+
+    adj = prod[:, 1:]  # reused for each adjacent-block product
+    coh = np.zeros((t.size, 2))
+    for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
+        np.multiply(hi[:, 1:], lo[:, :-1], out=adj)
+        coh += adj @ weight
+    c0, s0, ct, st = w.edges
+    edge = C[:, 0] * c0 + S[:, 0] * s0 + C[:, -1] * ct + S[:, -1] * st
+    eg[:] = coh[:, 0] + 1j * coh[:, 1] + edge * np.exp(-0.5j * cfg.detuning * t)
+    if cfg.frame == "lab":
+        eg *= np.exp(-1j * cfg.omega0 * t)
 
 
 def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: int = 1):
     """Reduced qubit states at the given times, shape (len(times), 2, 2).
 
-    Evaluation is chunked; with workers > 1 the fixed-size chunks are
-    fanned out to a thread pool and reassembled in order, so the output
-    is bit-identical for any worker count.
+    Each chunk of times evaluates S_n = sin(Om_n t) and C_n = cos(Om_n t)
+    once as real (chunk, n_max) arrays and contracts their products with
+    weights built once per call (see the module docstring): rho_ee and
+    rho_gg from S_n^2 and S_n C_n, rho_eg from the four products of
+    adjacent blocks plus the |g,0> and |e,n_max> edge terms, times
+    exp(-i omega0 t) in the lab frame.
+
+    Chunks have a fixed size; with workers > 1 they are fanned out to a
+    thread pool (never larger than the number of chunks) and each writes
+    its own slice of the output, so the output is bit-identical for any
+    worker count.
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
     tgrid = np.asarray(times, dtype=float)
     if tgrid.ndim != 1:
         raise ValueError("times must be one-dimensional")
-    if tgrid.size and float(tgrid.min()) < 0.0:
-        raise ValueError("times must be nonnegative")
+    if not np.all((tgrid >= 0.0) & (tgrid < math.inf)):
+        raise ValueError("times must be finite and nonnegative")
 
-    def eval_chunk(lo: int):
-        hi = min(lo + _CHUNK, tgrid.size)
-        A, B, C, D = _kraus_entries(field, cfg, tgrid[lo:hi])
-        return _reduced_entries(A, B, C, D, rho0)
+    w = _sweep_weights(field, cfg, rho0)
+    ee = np.empty(tgrid.size)
+    gg = np.empty(tgrid.size)
+    eg = np.empty(tgrid.size, dtype=complex)
+
+    def eval_chunk(lo: int) -> None:
+        sl = slice(lo, lo + _CHUNK)
+        _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl])
 
     starts = range(0, tgrid.size, _CHUNK)
-    if workers and int(workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            parts = list(pool.map(eval_chunk, starts))
+    pool_size = min(int(workers or 1), len(starts))
+    if pool_size > 1:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            list(pool.map(eval_chunk, starts))  # re-raises any chunk's error
     else:
-        parts = [eval_chunk(lo) for lo in starts]
-
-    ee = np.concatenate([p[0] for p in parts]) if parts else np.empty(0)
-    eg = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, complex)
-    gg = np.concatenate([p[2] for p in parts]) if parts else np.empty(0)
+        for lo in starts:
+            eval_chunk(lo)
     _check_physical(ee, eg, gg)
 
     out = np.empty((tgrid.size, 2, 2), dtype=complex)
@@ -399,8 +539,8 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     A, B, C, D = _kraus_entries(field, cfg, [float(t)])
     ops = np.empty((cfg.n_max + 1, 2, 2), dtype=complex)
     ops[:, 0, 0] = A[0]
@@ -416,8 +556,8 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
 def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1e-12):
     """Indices n with operator norm ||E_n(t)|| > tol, ascending."""
     _check_field(field, cfg)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     A, B, C, D = _kraus_entries(field, cfg, [float(t)])
     ops = np.empty((cfg.n_max + 1, 2, 2), dtype=complex)
     ops[:, 0, 0] = A[0]
@@ -472,13 +612,12 @@ def perr_series(
     (0, 1/2). Deterministic for fixed inputs and any worker count.
     """
     r0 = as_bloch(qubit_r)
-    if t_max is None:
-        t_max = 100.0 / cfg.omega0
-    if float(t_max) <= 0.0:
-        raise ValueError("t_max must be positive")
+    t_max = 100.0 / cfg.omega0 if t_max is None else float(t_max)
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if int(steps) < 2:
         raise ValueError("steps must be at least 2")
-    times = np.linspace(0.0, float(t_max), int(steps))
+    times = np.linspace(0.0, t_max, int(steps))
     rho = reduced_series(field, bloch_to_density(r0), cfg, times, workers=workers)
 
     dx = 2.0 * rho[:, 0, 1].real - r0[0]

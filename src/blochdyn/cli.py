@@ -212,6 +212,9 @@ def _resolve_cavity_params(args) -> dict:
             raise ValueError("scenario file must hold a JSON object")
     else:
         loaded = {}
+    for key in ("field", "qubit"):
+        if not isinstance(loaded.get(key, {}), dict):
+            raise ValueError(f"scenario {key} must be a JSON object")
 
     p = {}
     for key, default in _CAVITY_DEFAULTS.items():
@@ -236,28 +239,43 @@ def _resolve_cavity_params(args) -> dict:
     return p
 
 
+def _number(value, name: str, integer: bool = False):
+    """A finite scenario value as float (or int), else ValueError naming its key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if integer:
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+        return int(value)
+    return float(value)
+
+
 def cmd_cavity(args) -> int:
     p = _resolve_cavity_params(args)
+    fp, qp = p["field"], p["qubit"]
     cfg = CavityConfig(
-        omega0=float(p["omega0"]),
-        g=p["g"],
-        detuning=float(p["detuning"]),
-        n_max=int(p["n_max"]),
+        omega0=_number(p["omega0"], "omega0"),
+        g=None if p["g"] is None else _number(p["g"], "g"),
+        detuning=_number(p["detuning"], "detuning"),
+        n_max=_number(p["n_max"], "n_max", integer=True),
         frame=str(p["frame"]),
     )
     if p["t_max"] is None:
         p["t_max"] = 100.0 / cfg.omega0
     p["g"] = cfg.g
-    alpha = complex(float(p["field"]["alpha_re"]), float(p["field"]["alpha_im"]))
-    fld = make_field(str(p["field"]["label"]), alpha, cfg.n_max)
-    qubit_r = (p["qubit"]["rx"], p["qubit"]["ry"], p["qubit"]["rz"])
+    alpha = complex(_number(fp["alpha_re"], "field.alpha_re"),
+                    _number(fp["alpha_im"], "field.alpha_im"))
+    fld = make_field(str(fp["label"]), alpha, cfg.n_max)
+    qubit_r = tuple(_number(qp[k], f"qubit.{k}") for k in ("rx", "ry", "rz"))
 
     series = perr_series(
         fld,
         qubit_r,
         cfg,
-        t_max=float(p["t_max"]),
-        steps=int(p["steps"]),
+        t_max=_number(p["t_max"], "t_max"),
+        steps=_number(p["steps"], "steps", integer=True),
         workers=_worker_count(args.workers),
     )
     scn = Scenario(command="cavity", params=p, output=args.out, fmt="csv")

@@ -5,6 +5,7 @@ import pytest
 from blochdyn import (
     CavityConfig,
     DistinguishabilitySeries,
+    NonphysicalOutput,
     NormViolation,
     TruncationTooSmall,
     cat_field,
@@ -22,10 +23,12 @@ from blochdyn import (
     photon_number_expectation,
     reduced_series,
 )
+from blochdyn import cavity
 from oracles import coherent_amps_direct, dense_reduced
 
 
 EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+MIXED = np.array([[0.62, 0.18 - 0.27j], [0.18 + 0.27j, 0.38]])
 
 
 # ---------------------------------------------------------------- fields
@@ -165,6 +168,13 @@ def test_config_defaults_and_validation():
         CavityConfig(frame="interaction")
 
 
+@pytest.mark.parametrize("key", ["omega0", "g", "detuning"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_config_rejects_non_finite_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        CavityConfig(**{key: value})
+
+
 # ---------------------------------------------------------------- propagation
 
 
@@ -284,6 +294,104 @@ def test_time_and_grid_validation():
         reduced_series(f, EXCITED, cfg, [[0.0, 1.0]])
     with pytest.raises(ValueError):
         reduced_series(f, EXCITED, cfg, [-1.0, 0.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            reduced_series(f, EXCITED, cfg, [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            jc_propagate(f, EXCITED, cfg, bad)
+        with pytest.raises(ValueError, match="finite"):
+            kraus_support(f, cfg, bad)
+    assert reduced_series(f, EXCITED, cfg, []).shape == (0, 2, 2)
+
+
+def test_physicality_check_fails_on_nan():
+    half = np.array([0.5, 0.5])
+    cavity._check_physical(half, np.zeros(2, complex), half)
+    with pytest.raises(NonphysicalOutput):
+        cavity._check_physical(np.array([0.5, np.nan]), np.zeros(2, complex), half)
+    with pytest.raises(NonphysicalOutput):
+        cavity._check_physical(half, np.array([0.0, np.nan + 0j]), half)
+
+
+# ---------------------------------------------------------------- time series
+
+
+def _edge_field():
+    # nonzero c_0 and c_n_max, so the |g,0> and |e,n_max> terms both count
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+    return custom_field(amps / np.linalg.norm(amps))
+
+
+SERIES_FIELDS = {
+    "edges": _edge_field,
+    "e0_gaps": lambda: e0_field(2.0, n_max=24),
+    "single_block": lambda: custom_field(np.array([0.6, 0.8j])),  # no adjacent pairs
+}
+
+
+def _lab_to_rotating(rho, omega0, t):
+    ph = np.exp(0.5j * omega0 * t)
+    u = np.diag([ph, np.conj(ph)])
+    return u @ rho @ u.conj().T
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_FIELDS))
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize("detuning", [0.0, 0.03])
+def test_reduced_series_matches_dense_oracle(name, frame, detuning):
+    f = SERIES_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
+    times = np.linspace(0.0, 160.0, cavity._CHUNK + 1500)  # two chunks
+    rho = reduced_series(f, MIXED, cfg, times)
+    worst = 0.0
+    for i in np.linspace(0, times.size - 1, 24).astype(int):
+        t = times[i]
+        ref = dense_reduced(f.amplitudes, MIXED, f.n_max, 1.3, 0.07, t, detuning=detuning)
+        if frame == "rotating":
+            ref = _lab_to_rotating(ref, 1.3, t)
+        worst = max(worst, np.abs(rho[i] - ref).max())
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_reduced_series_agrees_with_jc_propagate(frame):
+    for f in (_edge_field(), coherent_field(2.0 * np.exp(0.4j), n_max=40)):
+        cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.02, n_max=f.n_max, frame=frame)
+        times = np.linspace(0.0, 160.0, cavity._CHUNK + 700)
+        rho = reduced_series(f, MIXED, cfg, times)
+        for i in np.linspace(0, times.size - 1, 20).astype(int):
+            got, _ = jc_propagate(f, MIXED, cfg, times[i])
+            npt.assert_allclose(rho[i], got, rtol=0, atol=1e-12)
+
+
+def test_single_chunk_runs_without_a_thread_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool started for a single chunk")
+
+    monkeypatch.setattr(cavity, "ThreadPoolExecutor", no_pool)
+    f = coherent_field(1.0, n_max=12)
+    cfg = CavityConfig(n_max=12)
+    times = np.linspace(0.0, 50.0, cavity._CHUNK)
+    a = reduced_series(f, MIXED, cfg, times, workers=2)
+    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
+
+
+def test_thread_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    sizes = []
+    real_pool = cavity.ThreadPoolExecutor
+
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cavity, "ThreadPoolExecutor", spy)
+    f = coherent_field(1.0, n_max=12)
+    cfg = CavityConfig(n_max=12)
+    times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
+    a = reduced_series(f, MIXED, cfg, times, workers=8)
+    assert sizes == [3]
+    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
 
 
 # ---------------------------------------------------------------- support
@@ -353,6 +461,9 @@ def test_perr_series_validation():
         perr_series(f, (0, 0, 1), cfg, steps=1)
     with pytest.raises(NormViolation):
         perr_series(f, (0, 0, 2), cfg)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="t_max"):
+            perr_series(f, (0, 0, 1), cfg, t_max=bad)
 
 
 def test_perr_series_default_horizon_scales_with_frequency():

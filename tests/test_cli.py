@@ -64,6 +64,14 @@ def test_qsl_malformed_vector_exits_1(capsys):
     assert exc.value.code == 1
 
 
+def test_qsl_nan_bloch_vector_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, ["qsl", "--axis", "0,0,1", "--bloch", "nan,0,0",
+                                      "--delta", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "finite" in err
+
+
 def test_qsl_raw_twins_and_scaling(capsys):
     code, out, _ = run_cli(capsys, ["qsl", "--axis", "0,0,1", "--bloch", "1,0,0",
                                     "--delta", "0.1", "--omega0", "2"])
@@ -209,6 +217,55 @@ def test_cavity_bad_scenario_file(tmp_path, capsys):
     assert "JSON object" in err
     code, _, err = run_cli(capsys, ["cavity", "--scenario", str(tmp_path / "nope")])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", [
+    ["--detuning", "nan"],
+    ["--t-max", "inf"],
+    ["--t-max", "nan"],
+    ["--omega0", "inf"],
+    ["--g", "nan"],
+])
+def test_cavity_non_finite_flags_exit_1(tmp_path, capsys, flag):
+    dest = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, ["cavity", "--field", "fock", "--alpha", "1",
+                                      "--n-max", "8", "--steps", "64", *flag,
+                                      "--out", str(dest)])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "finite" in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"field": {"label": "coherent", "alpha_re": None, "alpha_im": 0.0}},
+     "field.alpha_re must be a number, got null"),
+    ({"field": {"label": "coherent", "alpha_re": 1.0, "alpha_im": "0"}},
+     'field.alpha_im must be a number, got "0"'),
+    ({"qubit": {"rx": 0.0, "ry": None, "rz": 1.0}}, "qubit.ry must be a number, got null"),
+    ({"n_max": None}, "n_max must be a number, got null"),
+    ({"steps": 64.5}, "steps must be an integer, got 64.5"),
+    ({"omega0": True}, "omega0 must be a number, got true"),
+    ({"detuning": float("nan")}, "detuning must be finite"),
+    ({"field": {"label": "coherent", "alpha_re": float("inf"), "alpha_im": 0.0}},
+     "field.alpha_re must be finite"),
+    ({"qubit": {"rx": float("nan"), "ry": 0.0, "rz": 0.0}}, "qubit.rx must be finite"),
+    ({"qubit": [0.0, 0.0, 1.0]}, "scenario qubit must be a JSON object"),
+])
+def test_cavity_scenario_values_are_checked(tmp_path, capsys, patch, message):
+    scn = {"n_max": 30, "steps": 64,
+           "field": {"label": "coherent", "alpha_re": 1.0, "alpha_im": 0.0}}
+    scn.update(patch)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    dest = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, ["cavity", "--scenario", str(path), "--out", str(dest)])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert message in err
+    assert not dest.exists()
 
 
 def test_cavity_number_filtered_field_revives_earlier_and_larger(tmp_path, capsys):
