@@ -11,6 +11,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,13 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
 
 
+def _positive_finite(value, name: str) -> float:
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
 def as_bloch(r) -> np.ndarray:
     """Validate r as a real 3-vector inside the closed unit ball."""
     vec = np.asarray(r, dtype=float)
@@ -79,20 +87,18 @@ class HamiltonianSpec:
         axis = np.asarray(self.axis, dtype=float)
         if axis.shape != (3,):
             raise ValueError("axis must be a 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > NORM_EPS:
-            raise ValueError("axis must be a unit vector; see from_axis()")
-        if not self.omega0 > 0.0:
-            raise ValueError("omega0 must be positive")
+        if not abs(np.linalg.norm(axis) - 1.0) <= NORM_EPS:  # NaN fails too
+            raise ValueError("axis must be a finite unit vector; see from_axis()")
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "omega0", float(self.omega0))
+        object.__setattr__(self, "omega0", _positive_finite(self.omega0, "omega0"))
 
     @classmethod
     def from_axis(cls, axis, omega0: float = 1.0, identity_shift: bool = False):
         """Build a spec from a not-necessarily-normalized axis."""
         vec = np.asarray(axis, dtype=float)
         norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError("axis must be nonzero")
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"axis must be nonzero and finite, got {vec.tolist()}")
         return cls(vec / norm, omega0, identity_shift)
 
     def matrix(self) -> np.ndarray:
@@ -136,15 +142,20 @@ def density_to_bloch(rho) -> np.ndarray:
     )
 
 
-def pure_state_bloch(psi) -> np.ndarray:
-    """Bloch vector of a normalized 2-component state vector."""
+def _unit_state(psi) -> np.ndarray:
+    """A 2-component state vector normalized within 1e-10, renormalized exactly."""
     vec = np.asarray(psi, dtype=complex)
     if vec.shape != (2,):
         raise ValueError("state vector must have 2 components")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError("state vector must be normalized")
-    vec = vec / norm
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
+        raise ValueError("state vector must be finite and normalized")
+    return vec / norm
+
+
+def pure_state_bloch(psi) -> np.ndarray:
+    """Bloch vector of a normalized 2-component state vector."""
+    vec = _unit_state(psi)
     off = vec[0] * np.conj(vec[1])
     return np.array(
         [2.0 * off.real, -2.0 * off.imag, abs(vec[0]) ** 2 - abs(vec[1]) ** 2]
@@ -219,6 +230,25 @@ class SLDResult:
     fisher: float
 
 
+def _perp(axis, r):
+    """n x r and the orbit radius |n x r|, for one r or an (N, 3) stack.
+
+    np.linalg.norm rounds one vector (BLAS dot) and the rows of a stack (a
+    plain sum) apart in the last bit; each keeps what qsl and scan print.
+    """
+    x = np.cross(axis, r)
+    return x, np.linalg.norm(x, axis=None if x.ndim == 1 else -1)
+
+
+def _fisher(s, omega0):
+    """QFI of an orbit of radius s = |n x r| at rate omega0; floats or arrays.
+
+    A float squares through pow and an array by multiplication; the two
+    can differ in the last bit, and each keeps what qsl and scan print.
+    """
+    return 4.0 * (omega0 * s) ** 2
+
+
 def sld(r, ham: HamiltonianSpec) -> SLDResult:
     """SLD of the orbit through r: v = 2*omega0*(n x r), F = |v|^2.
 
@@ -226,11 +256,10 @@ def sld(r, ham: HamiltonianSpec) -> SLDResult:
     |n x r|. The zero vector is a legal result for states that commute
     with the Hamiltonian.
     """
-    vec = as_bloch(r)
-    v = 2.0 * ham.omega0 * np.cross(ham.axis, vec)
-    return SLDResult(v=v, fisher=float(v @ v))
+    perp, s = _perp(ham.axis, as_bloch(r))
+    return SLDResult(v=2.0 * ham.omega0 * perp, fisher=float(_fisher(s, ham.omega0)))
 
 
 def qfi(r, ham: HamiltonianSpec) -> float:
-    """Quantum Fisher information 4 * omega0^2 * |n x r|^2."""
+    """Quantum Fisher information F = 4 * omega0^2 * |n x r|^2."""
     return sld(r, ham).fisher

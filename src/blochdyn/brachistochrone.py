@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch
+from .bloch import _fisher, _positive_finite, _unit_state, as_bloch
 from .errors import CollinearInput, LinearlyDependent, OverlapNotReal, RadiusMismatch
 
 __all__ = ["BrachResult", "brach_hamiltonian", "brach_time", "pure_brach"]
@@ -62,8 +62,7 @@ def brach_hamiltonian(r1, r2, omega0: float = 1.0) -> BrachResult:
     """
     a = as_bloch(r1)
     b = as_bloch(r2)
-    if not omega0 > 0.0:
-        raise ValueError("omega0 must be positive")
+    omega0 = _positive_finite(omega0, "omega0")
     ra = float(np.linalg.norm(a))
     rb = float(np.linalg.norm(b))
     if abs(ra - rb) > RADIUS_TOL:
@@ -92,23 +91,13 @@ def brach_hamiltonian(r1, r2, omega0: float = 1.0) -> BrachResult:
         axis=axis,
         duration=0.5 * phi12 / omega0,
         phi12=phi12,
-        fisher_on_path=4.0 * (omega0 * ra) ** 2,
+        fisher_on_path=_fisher(ra, omega0),
     )
 
 
 def brach_time(r1, r2, omega0: float = 1.0) -> float:
     """Minimal arrival time arcsin(|r1 - r2| / (2 |r1|)) / omega0."""
     return brach_hamiltonian(r1, r2, omega0).duration
-
-
-def _normalized_state(psi) -> np.ndarray:
-    vec = np.asarray(psi, dtype=complex)
-    if vec.shape != (2,):
-        raise ValueError("state vector must have 2 components")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError("state vector must be normalized")
-    return vec / norm
 
 
 def pure_brach(psi1, psi2, omega0: float = 1.0) -> np.ndarray:
@@ -126,10 +115,9 @@ def pure_brach(psi1, psi2, omega0: float = 1.0) -> np.ndarray:
     orthogonalizes to (z |psi1> - |psi2>)/sqrt(1 - z^2) at
     omega0 * t = pi/2.
     """
-    if not omega0 > 0.0:
-        raise ValueError("omega0 must be positive")
-    a = _normalized_state(psi1)
-    b = _normalized_state(psi2)
+    omega0 = _positive_finite(omega0, "omega0")
+    a = _unit_state(psi1)
+    b = _unit_state(psi2)
     z = complex(np.vdot(a, b))
     if abs(z.imag) > 1e-12:
         raise OverlapNotReal(

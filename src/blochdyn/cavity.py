@@ -56,9 +56,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
-from .bloch import as_bloch, bloch_to_density, check_density
+from .bloch import _positive_finite, as_bloch, bloch_to_density, check_density
 from .errors import NonphysicalOutput, TruncationTooSmall
 from .speedlimits import check_delta
 
@@ -103,12 +102,8 @@ class CavityConfig:
     frame: str = "lab"
 
     def __post_init__(self):
-        omega0 = float(self.omega0)
-        if not 0.0 < omega0 < math.inf:
-            raise ValueError(f"omega0 must be positive and finite, got {omega0!r}")
-        g = omega0 / 20.0 if self.g is None else float(self.g)
-        if not 0.0 < g < math.inf:
-            raise ValueError(f"g must be positive and finite, got {g!r}")
+        omega0 = _positive_finite(self.omega0, "omega0")
+        g = omega0 / 20.0 if self.g is None else _positive_finite(self.g, "g")
         detuning = float(self.detuning)
         if not math.isfinite(detuning):
             raise ValueError(f"detuning must be finite, got {detuning!r}")
@@ -134,8 +129,10 @@ class FieldState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-d array with n_max >= 1")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError(f"{self.label} amplitudes must be finite")
         if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
-            raise ValueError("amplitudes must have unit norm")
+            raise ValueError(f"{self.label} amplitudes must be normalized within 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -149,6 +146,13 @@ def mean_photon(field: FieldState) -> float:
     return float(np.sum(n * np.abs(field.amplitudes) ** 2))
 
 
+def _finite_alpha(alpha) -> complex:
+    alpha = complex(alpha)
+    if not abs(alpha) * abs(alpha) < math.inf:  # NaN, inf and an overflowing |alpha|^2
+        raise ValueError(f"field amplitude alpha must be finite (|alpha|^2 too), got {alpha!r}")
+    return alpha
+
+
 def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     # log-domain magnitudes keep alpha^n / sqrt(n!) finite for any cutoff
     n = np.arange(n_max + 1)
@@ -157,32 +161,57 @@ def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return amps
-    logmag = -0.5 * mag2 + 0.5 * (n * np.log(mag2) - gammaln(n + 1.0))
+    log_fact = np.fromiter(map(math.lgamma, range(1, n_max + 2)), float, n_max + 1)  # log n!
+    logmag = -0.5 * mag2 + 0.5 * (n * np.log(mag2) - log_fact)
     return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
 
 
 def coherent_tail(alpha: complex, n_max: int) -> float:
     """Photon-number mass above n_max of the untruncated coherent state.
 
-    This is the upper tail of a Poisson(|alpha|^2) distribution, written
-    through the regularized incomplete gamma function, so no cancellation
-    occurs even when the tail is far below machine epsilon.
+    This is the Poisson(m = |alpha|^2) tail P(N > n_max). The sum starts at
+    its largest term, taken in the log domain, and runs away from the mean
+    by the term ratio: upward over N > n_max when n_max + 1 > m, so a tail
+    far below machine epsilon keeps its relative precision, else downward
+    over N <= n_max, the tail (then about 1/2 or more) being 1 minus it.
     """
-    return float(gammainc(n_max + 1, abs(alpha) ** 2))
+    mag2 = abs(_finite_alpha(alpha)) ** 2
+    if mag2 == 0.0:
+        return 0.0
+    k = int(n_max) + 1
+    upper = k > mag2
+    j = first = k if upper else k - 1
+    total = term = 1.0  # in units of p_first
+    while term > total * 1e-17 and (upper or j > 0):
+        term *= mag2 / (j + 1) if upper else j / mag2
+        j += 1 if upper else -1
+        total += term
+    log_p = -mag2 + first * math.log(mag2) - math.lgamma(first + 1.0)
+    mass = math.exp(log_p + math.log(total))
+    return mass if upper else max(0.0, 1.0 - mass)
 
 
-def _check_tail(tail: float, detail: str) -> float:
+def _check_tail(tail: float, detail: str) -> None:
     if tail >= TAIL_LIMIT:
         raise TruncationTooSmall(tail, detail)
-    return tail
 
 
 def coherent_field(alpha, n_max: int = 100) -> FieldState:
     """Coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!), truncated, renormalized."""
-    alpha = complex(alpha)
+    alpha = _finite_alpha(alpha)
     _check_tail(coherent_tail(alpha, n_max), f"coherent alpha={alpha}")
     amps = _coherent_amplitudes(alpha, n_max)
     return FieldState("coherent", amps / np.linalg.norm(amps), alpha)
+
+
+def _phase_sum_field(label, alpha, n_max, k, residue, total) -> FieldState:
+    # k c_n on n = residue mod k and zero elsewhere, as the cat and e0 phase
+    # sums leave it; total is its untruncated norm^2, the tail 1 - kept / total
+    n = np.arange(n_max + 1)
+    amps = np.where(n % k == residue, k * _coherent_amplitudes(alpha, n_max), 0.0 + 0.0j)
+    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)) / total)
+    _check_tail(tail, f"{label} alpha={alpha}")
+    return FieldState(label, amps / np.linalg.norm(amps), alpha)
 
 
 def cat_field(alpha, n_max: int = 100, parity: str = "even") -> FieldState:
@@ -191,23 +220,16 @@ def cat_field(alpha, n_max: int = 100, parity: str = "even") -> FieldState:
     Support sits on even (odd) photon numbers only, so adjacent Fock
     amplitudes never coexist; the zeros are exact by construction.
     """
-    alpha = complex(alpha)
+    alpha = _finite_alpha(alpha)
     if parity not in ("even", "odd"):
         raise ValueError(f'parity must be "even" or "odd", got {parity!r}')
     if parity == "odd" and alpha == 0:
         raise ValueError("the odd cat state vanishes at alpha = 0")
-    base = _coherent_amplitudes(alpha, n_max)
-    n = np.arange(n_max + 1)
-    mask = n % 2 == 0 if parity == "even" else n % 2 == 1
-    amps = np.where(mask, 2.0 * base, 0.0 + 0.0j)
-    mag2 = abs(alpha) ** 2
+    even = parity == "even"
     # untruncated norm^2 of the masked 2*c_n vector: 4 e^-m cosh(m) or 4 e^-m sinh(m)
-    total = 2.0 * (1.0 + np.exp(-2.0 * mag2)) if parity == "even" else 2.0 * (
-        1.0 - np.exp(-2.0 * mag2)
-    )
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)) / total)
-    _check_tail(tail, f"cat_{parity} alpha={alpha}")
-    return FieldState(f"cat_{parity}", amps / np.linalg.norm(amps), alpha)
+    e2m = np.exp(-2.0 * abs(alpha) ** 2)
+    total = 2.0 * (1.0 + e2m) if even else 2.0 * (1.0 - e2m)
+    return _phase_sum_field(f"cat_{parity}", alpha, n_max, 2, 0 if even else 1, total)
 
 
 def e0_field(alpha, n_max: int = 100) -> FieldState:
@@ -216,16 +238,11 @@ def e0_field(alpha, n_max: int = 100) -> FieldState:
     The four quarter-turn phases add to 4 on photon numbers divisible by
     4 and cancel exactly elsewhere, so the support is n = 0 mod 4.
     """
-    alpha = complex(alpha)
-    base = _coherent_amplitudes(alpha, n_max)
-    n = np.arange(n_max + 1)
-    amps = np.where(n % 4 == 0, 4.0 * base, 0.0 + 0.0j)
+    alpha = _finite_alpha(alpha)
     mag2 = abs(alpha) ** 2
     # untruncated norm^2: 16 e^-m sum_{4|n} m^n/n! = 4 (1 + e^-2m + 2 e^-m cos m)
     total = 4.0 * (1.0 + np.exp(-2.0 * mag2) + 2.0 * np.exp(-mag2) * np.cos(mag2))
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)) / total)
-    _check_tail(tail, f"e0 alpha={alpha}")
-    return FieldState("e0", amps / np.linalg.norm(amps), alpha)
+    return _phase_sum_field("e0", alpha, n_max, 4, 0, total)
 
 
 def fock_field(n, n_max: int = 100) -> FieldState:
@@ -242,13 +259,8 @@ def fock_field(n, n_max: int = 100) -> FieldState:
 
 def custom_field(amplitudes) -> FieldState:
     """Wrap raw Fock amplitudes (normalized within 1e-10) as a field state."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim != 1 or amps.size < 2:
-        raise ValueError("amplitudes must be a 1-d array with n_max >= 1")
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError("custom amplitudes must be normalized within 1e-10")
-    return FieldState("custom", amps / norm, None)
+    amps = FieldState("custom", amplitudes).amplitudes  # validated, then renormalized
+    return FieldState("custom", amps / np.linalg.norm(amps), None)
 
 
 def make_field(label: str, alpha=0j, n_max: int = 100) -> FieldState:
@@ -262,7 +274,7 @@ def make_field(label: str, alpha=0j, n_max: int = 100) -> FieldState:
     if label == "e0":
         return e0_field(alpha, n_max)
     if label == "fock":
-        alpha = complex(alpha)
+        alpha = _finite_alpha(alpha)
         if alpha.imag != 0.0 or alpha.real != round(alpha.real):
             raise ValueError("the fock label needs an integer occupation in alpha")
         return fock_field(int(alpha.real), n_max)
@@ -303,72 +315,44 @@ def _block_rates(cfg: CavityConfig):
     return om, gn / om, half_d / om
 
 
-def _block_coefficients(cfg: CavityConfig, times: np.ndarray):
-    # Closed-form entries of exp(-i t M_n) on block n = 0 .. n_max-1:
+def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
+    # E_m(t) for m = 0 .. n_max at one time t, shape (n_max+1, 2, 2), with
+    # <e|E|e>, <e|E|g>, <g|E|e>, <g|E|g> from the closed-form block entries
     #   u = cos(Om t) - i r sin(Om t),  v = -i y sin(Om t)
-    # so the block propagator is [[u, v], [v, conj(u)]] times a free phase.
-    t = np.asarray(times, dtype=float).reshape(-1, 1)
-    n = np.arange(cfg.n_max)
+    # (block propagator [[u, v], [v, conj(u)]] times a free phase) and the
+    # uncoupled |g,0> and |e,n_max>.
+    _check_field(field, cfg)
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
+    c, n_max = field.amplitudes, cfg.n_max
     om, y, r = _block_rates(cfg)
     st = np.sin(om * t)
-    ct = np.cos(om * t)
-    u = ct - 1j * r * st
+    u = np.cos(om * t) - 1j * r * st
     v = -1j * y * st
-
-    tcol = t[:, 0]
     wq = cfg.omega0 + cfg.detuning  # qubit splitting
     if cfg.frame == "lab":
-        ph = np.exp(-1j * cfg.omega0 * (n + 0.5) * t)
-        ph_g0 = np.exp(0.5j * wq * tcol)
-        ph_etop = np.exp(-1j * (cfg.n_max * cfg.omega0 + 0.5 * wq) * tcol)
+        ph = np.exp(-1j * cfg.omega0 * (np.arange(n_max) + 0.5) * t)
+        ph_g0 = np.exp(0.5j * wq * t)
+        ph_etop = np.exp(-1j * (n_max * cfg.omega0 + 0.5 * wq) * t)
     else:
-        ph = np.ones_like(u)
-        ph_g0 = np.exp(0.5j * cfg.detuning * tcol)
-        ph_etop = np.exp(-0.5j * cfg.detuning * tcol)
-    return u, v, ph, ph_g0, ph_etop
+        ph = 1.0
+        ph_g0 = np.exp(0.5j * cfg.detuning * t)
+        ph_etop = np.exp(-0.5j * cfg.detuning * t)
+    ops = np.zeros((n_max + 1, 2, 2), dtype=complex)
+    ops[:n_max, 0, 0] = c[:n_max] * ph * u
+    ops[n_max, 0, 0] = c[n_max] * ph_etop
+    ops[:n_max, 0, 1] = c[1:] * ph * v
+    ops[1:, 1, 0] = c[:n_max] * ph * v
+    ops[0, 1, 1] = c[0] * ph_g0
+    ops[1:, 1, 1] = c[1:] * ph * np.conj(u)
+    return ops
 
 
-def _kraus_entries(field: FieldState, cfg: CavityConfig, times):
-    # Entries of E_m(t), stacked over times; column m runs over 0 .. n_max.
-    # A = <e|E|e>, B = <e|E|g>, C = <g|E|e>, D = <g|E|g>.
-    c = field.amplitudes
-    u, v, ph, ph_g0, ph_etop = _block_coefficients(cfg, times)
-    nt = u.shape[0]
-    n_max = cfg.n_max
-    A = np.zeros((nt, n_max + 1), dtype=complex)
-    B = np.zeros_like(A)
-    C = np.zeros_like(A)
-    D = np.zeros_like(A)
-    A[:, :n_max] = c[:n_max] * ph * u
-    A[:, n_max] = c[n_max] * ph_etop
-    B[:, :n_max] = c[1:] * ph * v
-    C[:, 1:] = c[:n_max] * ph * v
-    D[:, 0] = c[0] * ph_g0
-    D[:, 1:] = c[1:] * ph * np.conj(u)
-    return A, B, C, D
-
-
-def _reduced_entries(A, B, C, D, rho0):
-    p = rho0[0, 0].real
-    q = rho0[1, 1].real
-    b = rho0[0, 1]
-    ee = (
-        p * np.sum(np.abs(A) ** 2, axis=1)
-        + q * np.sum(np.abs(B) ** 2, axis=1)
-        + 2.0 * np.real(b * np.sum(A * np.conj(B), axis=1))
-    )
-    gg = (
-        p * np.sum(np.abs(C) ** 2, axis=1)
-        + q * np.sum(np.abs(D) ** 2, axis=1)
-        + 2.0 * np.real(b * np.sum(C * np.conj(D), axis=1))
-    )
-    eg = (
-        p * np.sum(A * np.conj(C), axis=1)
-        + q * np.sum(B * np.conj(D), axis=1)
-        + b * np.sum(A * np.conj(D), axis=1)
-        + np.conj(b) * np.sum(B * np.conj(C), axis=1)
-    )
-    return ee, eg, gg
+def _reduced_entries(ops: np.ndarray, rho0):
+    # rho_S[i, j] = sum_n sum_l (<i|E_n rho0)_l conj(<j|E_n)_l, over the Kraus index n
+    e, g = ops[:, 0, :], ops[:, 1, :]  # rows <e|E_n and <g|E_n
+    e_rho, g_rho = e @ rho0, g @ rho0
+    return np.sum(e_rho * e.conj()).real, np.sum(e_rho * g.conj()), np.sum(g_rho * g.conj()).real
 
 
 def _check_physical(ee, eg, gg) -> None:
@@ -538,34 +522,16 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
     numerically broken amplitude vector, not roundoff.
     """
     rho0 = check_density(qubit)
-    _check_field(field, cfg)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    A, B, C, D = _kraus_entries(field, cfg, [float(t)])
-    ops = np.empty((cfg.n_max + 1, 2, 2), dtype=complex)
-    ops[:, 0, 0] = A[0]
-    ops[:, 0, 1] = B[0]
-    ops[:, 1, 0] = C[0]
-    ops[:, 1, 1] = D[0]
-    ee, eg, gg = _reduced_entries(A, B, C, D, rho0)
+    ops = _kraus_ops(field, cfg, t)
+    ee, eg, gg = _reduced_entries(ops, rho0)
     _check_physical(ee, eg, gg)
-    rho_t = np.array([[ee[0], eg[0]], [np.conj(eg[0]), gg[0]]])
+    rho_t = np.array([[ee, eg], [np.conj(eg), gg]])
     return rho_t, KrausSet(t=float(t), operators=ops)
 
 
 def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1e-12):
     """Indices n with operator norm ||E_n(t)|| > tol, ascending."""
-    _check_field(field, cfg)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    A, B, C, D = _kraus_entries(field, cfg, [float(t)])
-    ops = np.empty((cfg.n_max + 1, 2, 2), dtype=complex)
-    ops[:, 0, 0] = A[0]
-    ops[:, 0, 1] = B[0]
-    ops[:, 1, 0] = C[0]
-    ops[:, 1, 1] = D[0]
-    norms = np.linalg.svd(ops, compute_uv=False)[:, 0]
-    return np.flatnonzero(norms > tol)
+    return np.flatnonzero(KrausSet(float(t), _kraus_ops(field, cfg, t)).norms() > tol)
 
 
 def photon_number_expectation(kraus: KrausSet, qubit) -> float:

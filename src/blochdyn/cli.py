@@ -16,11 +16,12 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -35,16 +36,12 @@ __all__ = ["Scenario", "entrypoint", "main"]
 
 _COMMANDS = ("qsl", "brach", "cavity", "scan")
 
+# CavityConfig and perr_series own their defaults; field and qubit are the CLI's
 _CAVITY_DEFAULTS = {
-    "omega0": 1.0,
-    "g": None,
-    "detuning": 0.0,
-    "n_max": 100,
-    "frame": "lab",
+    **{f.name: f.default for f in fields(CavityConfig)},
+    **{k: inspect.signature(perr_series).parameters[k].default for k in ("t_max", "steps")},
     "field": {"label": "coherent", "alpha_re": 3.0, "alpha_im": 0.0},
     "qubit": {"rx": 0.0, "ry": 0.0, "rz": 1.0},
-    "t_max": None,
-    "steps": 10_000,
 }
 
 
@@ -66,14 +63,16 @@ class Scenario:
         if self.fmt not in ("csv", "json"):
             raise ValueError(f'format must be "csv" or "json", got {self.fmt!r}')
 
-    def to_json(self) -> str:
-        payload = {
+    def _payload(self) -> dict:
+        return {
             "command": self.command,
             "format": self.fmt,
             "output": self.output,
             "params": self.params,
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self._payload(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -262,8 +261,6 @@ def cmd_cavity(args) -> int:
         n_max=_number(p["n_max"], "n_max", integer=True),
         frame=str(p["frame"]),
     )
-    if p["t_max"] is None:
-        p["t_max"] = 100.0 / cfg.omega0
     p["g"] = cfg.g
     alpha = complex(_number(fp["alpha_re"], "field.alpha_re"),
                     _number(fp["alpha_im"], "field.alpha_im"))
@@ -274,10 +271,12 @@ def cmd_cavity(args) -> int:
         fld,
         qubit_r,
         cfg,
-        t_max=_number(p["t_max"], "t_max"),
+        t_max=None if p["t_max"] is None else _number(p["t_max"], "t_max"),
         steps=_number(p["steps"], "steps", integer=True),
         workers=_worker_count(args.workers),
     )
+    if p["t_max"] is None:
+        p["t_max"] = float(series.times[-1])  # the grid ends on perr_series' default
     scn = Scenario(command="cavity", params=p, output=args.out, fmt="csv")
 
     w = cfg.omega0
@@ -293,7 +292,7 @@ def cmd_cavity(args) -> int:
         "min_p_err": float(series.p_err[i_min]),
         "argmin_t_omega0": float(series.times[i_min] * w),
         "tau_omega0": taus,
-        "scenario": json.loads(scn.to_json()),
+        "scenario": scn._payload(),
     }
     if w != 1.0:
         summary["argmin_t_raw"] = float(series.times[i_min])
@@ -384,3 +383,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

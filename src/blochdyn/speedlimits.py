@@ -15,11 +15,12 @@ Margolus-Levitin (mean energy) lower bounds, a reachability report, the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import NORM_EPS, HamiltonianSpec, as_bloch, qfi
+from .bloch import NORM_EPS, HamiltonianSpec, _fisher, _perp, as_bloch, qfi
 from .errors import DegenerateOrbit, GroundState, NotReachable
 
 __all__ = [
@@ -51,7 +52,24 @@ def check_delta(delta) -> float:
 
 def perp_norm(r, ham: HamiltonianSpec) -> float:
     """|n x r|, the radius of the orbit around the rotation axis."""
-    return float(np.linalg.norm(np.cross(ham.axis, as_bloch(r))))
+    return float(_perp(ham.axis, as_bloch(r))[1])
+
+
+# The three times as functions of s = |n x r|, c = n . r, target = 1 - 2*delta
+# and omega0. Each works on floats and on arrays; callers keep their own
+# domain checks (s > 0 and target <= s, F > 0, c + 1 > 0).
+
+
+def _exact_time(s, target, omega0):
+    return np.arcsin(np.minimum(target / s, 1.0)) / omega0
+
+
+def _mt_time(fisher, target):
+    return 2.0 * np.arcsin(target) / np.sqrt(fisher)
+
+
+def _ml_time(c, target, omega0):
+    return np.pi * (1.0 - np.sqrt(1.0 - target * target)) / (2.0 * omega0 * (c + 1.0))
 
 
 def tau_exact(r, ham: HamiltonianSpec, delta) -> float:
@@ -72,7 +90,7 @@ def tau_exact(r, ham: HamiltonianSpec, delta) -> float:
         raise NotReachable(
             f"delta={d:.17g} needs |n x r| >= {target:.17g}, orbit has {s:.17g}"
         )
-    return float(np.arcsin(min(target / s, 1.0)) / ham.omega0)
+    return float(_exact_time(s, target, ham.omega0))
 
 
 def tau_mt(r, ham: HamiltonianSpec, delta) -> float:
@@ -87,7 +105,7 @@ def tau_mt(r, ham: HamiltonianSpec, delta) -> float:
     fisher = qfi(r, ham)
     if fisher <= (2.0 * ham.omega0 * _DEGENERATE_TOL) ** 2:
         raise DegenerateOrbit("zero quantum Fisher information on this orbit")
-    return float(2.0 * np.arcsin(1.0 - 2.0 * d) / np.sqrt(fisher))
+    return float(_mt_time(fisher, 1.0 - 2.0 * d))
 
 
 def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
@@ -108,11 +126,9 @@ def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
     c = float(np.dot(ham.axis, as_bloch(r)))
     if symmetrized:
         c = abs(c)
-    denom = c + 1.0
-    if denom <= 1e-12:
+    if c + 1.0 <= 1e-12:
         raise GroundState("state sits at the bottom of the spectrum")
-    x = 1.0 - 2.0 * d
-    return float(np.pi * (1.0 - np.sqrt(1.0 - x * x)) / (2.0 * ham.omega0 * denom))
+    return float(_ml_time(c, 1.0 - 2.0 * d, ham.omega0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +160,7 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
     d = check_delta(delta)
     vec = as_bloch(r)
     s = perp_norm(vec, ham)
-    fisher = 4.0 * (ham.omega0 * s) ** 2
+    fisher = _fisher(s, ham.omega0)
     target = 1.0 - 2.0 * d
     reachable = target <= s + REACH_SLACK
     min_perr = max(0.0, 0.5 - 0.5 * s)
@@ -154,23 +170,12 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
         t_mt = 0.0
         t_ml = 0.0
     else:
-        if reachable:
-            t_exact = float(np.arcsin(min(target / max(s, 1e-300), 1.0)) / ham.omega0)
-        else:
-            t_exact = None
-        if s > _DEGENERATE_TOL:
-            t_mt = float(2.0 * np.arcsin(target) / np.sqrt(fisher))
-        else:
-            t_mt = float("inf")
+        t_exact = float(_exact_time(max(s, 1e-300), target, ham.omega0)) if reachable else None
+        t_mt = float(_mt_time(fisher, target)) if s > _DEGENERATE_TOL else math.inf
         c = float(np.dot(ham.axis, vec))
         if ml_symmetrized:
             c = abs(c)
-        if c + 1.0 > 1e-12:
-            t_ml = float(
-                np.pi * (1.0 - np.sqrt(1.0 - target * target)) / (2.0 * ham.omega0 * (c + 1.0))
-            )
-        else:
-            t_ml = float("inf")
+        t_ml = float(_ml_time(c, target, ham.omega0)) if c + 1.0 > 1e-12 else math.inf
 
     return ReachabilityReport(
         reachable=bool(reachable),
@@ -232,17 +237,16 @@ def scan_ring(ham: HamiltonianSpec, theta_psi: float, grid: int) -> RingScan:
     inside = np.einsum("ij,ij->i", pts, pts) <= (1.0 + NORM_EPS) ** 2
     pts = pts[inside]
 
-    s = np.linalg.norm(np.cross(pts, np.broadcast_to(ham.axis, pts.shape)), axis=1)
+    s = _perp(ham.axis, pts)[1]
     sin_ref = float(np.sin(theta))
     keep = (s >= sin_ref - 1e-12) & (s > _DEGENERATE_TOL)
     pts, s = pts[keep], s[keep]
 
     delta = 0.5 * (1.0 - sin_ref)
-    x = np.clip((1.0 - 2.0 * delta) / s, 0.0, 1.0)
     return RingScan(
         points=pts,
-        tau_exact=np.arcsin(x) / ham.omega0,
-        fisher=4.0 * (ham.omega0 * s) ** 2,
+        tau_exact=_exact_time(s, 1.0 - 2.0 * delta, ham.omega0),
+        fisher=_fisher(s, ham.omega0),
         theta_psi=theta,
         delta=delta,
     )

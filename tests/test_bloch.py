@@ -119,6 +119,18 @@ def test_hamiltonian_spec_validation():
     npt.assert_allclose(shifted.matrix(), 2.0 * (SY + np.eye(2)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_hamiltonian_spec_rejects_non_finite_inputs(bad):
+    with pytest.raises(ValueError, match="omega0"):
+        HamiltonianSpec(axis=np.array([0.0, 0.0, 1.0]), omega0=bad)
+    with pytest.raises(ValueError, match="omega0"):
+        HamiltonianSpec.from_axis((0, 0, 1), omega0=bad)
+    with pytest.raises(ValueError, match="axis"):
+        HamiltonianSpec.from_axis((bad, 0, 1))
+    with pytest.raises(ValueError, match="state vector"):
+        pure_state_bloch([bad, 1.0])
+
+
 def test_unitary_shift_is_global_phase():
     ham = HamiltonianSpec.from_axis((0.3, -1.2, 0.4), omega0=0.8)
     sham = HamiltonianSpec(axis=ham.axis, omega0=0.8, identity_shift=True)

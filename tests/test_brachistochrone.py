@@ -243,3 +243,16 @@ def test_pure_brach_input_validation():
         pure_brach(psi1, -psi1)  # overlap -1 is real but parallel
     with pytest.raises(ValueError):
         pure_brach(psi1 * 2.0, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_rate_must_be_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="omega0"):
+        brach_hamiltonian((0.6, 0, 0), (0, 0.6, 0), omega0=bad)
+    with pytest.raises(ValueError, match="omega0"):
+        pure_brach(np.array([1.0, 0.0]), np.array([0.6, 0.8]), omega0=bad)
+
+
+def test_non_finite_state_vector_is_rejected():
+    with pytest.raises(ValueError, match="state vector"):
+        pure_brach(np.array([np.nan, 1.0]), np.array([0.6, 0.8]))

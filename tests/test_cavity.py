@@ -147,6 +147,66 @@ def test_field_state_rejects_bad_amplitudes():
         FieldState("custom", np.array([1.0]))
 
 
+def test_non_finite_amplitudes_are_rejected_at_the_input():
+    from blochdyn import FieldState
+
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        FieldState("custom", np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        custom_field([np.nan, 1.0])
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        custom_field([1.0, np.inf])
+    for bad in (np.nan, np.inf, complex(1.0, np.nan), 1e200):  # 1e200: |alpha|^2 overflows
+        for make in (coherent_field, cat_field, e0_field, coherent_tail):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                make(bad, 20)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            make_field("fock", bad, 20)
+
+
+# ------------------------------------------ stdlib special functions vs scipy
+
+# alpha in [0.1, 30], every cutoff from mean - 3 sd to mean + 12 sd of the
+# photon number (mean |alpha|^2, sd |alpha|)
+POISSON_GRID = [
+    (a, np.arange(max(0, int(a * a - 3 * a)), int(a * a + 12 * a) + 2))
+    for a in np.linspace(0.1, 30.0, 60)
+]
+
+
+def test_coherent_tail_matches_regularized_incomplete_gamma():
+    from scipy.special import gammainc
+
+    worst = 0.0
+    for a, cutoffs in POISSON_GRID:
+        ref = gammainc(cutoffs + 1, a * a)
+        got = np.array([coherent_tail(a, int(n)) for n in cutoffs])
+        assert np.all(ref > 0.0)
+        worst = max(worst, float(np.max(np.abs(got / ref - 1.0))))
+    assert worst <= 1e-11
+
+
+def test_truncation_decisions_match_incomplete_gamma():
+    from scipy.special import gammainc
+
+    for a, cutoffs in POISSON_GRID:
+        rejected = gammainc(cutoffs + 1, a * a) >= cavity.TAIL_LIMIT
+        assert [coherent_tail(a, int(n)) >= cavity.TAIL_LIMIT for n in cutoffs] == list(rejected)
+        # the constructor itself at the largest rejected and smallest accepted cutoff
+        if np.any(rejected) and cutoffs[rejected].max() >= 1:
+            with pytest.raises(TruncationTooSmall):
+                coherent_field(a, int(cutoffs[rejected].max()))
+        if not np.all(rejected):
+            coherent_field(a, int(cutoffs[~rejected].min()))
+
+
+def test_coherent_amplitudes_match_log_gamma_form():
+    for a in (0.1, 1.0, 3.0 + 1.0j, 7.5, 30.0):
+        n_max = int(abs(a) ** 2 + 12 * abs(a)) + 2
+        got = cavity._coherent_amplitudes(complex(a), n_max)
+        npt.assert_allclose(got, coherent_amps_direct(a, n_max), rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------- config
 
 

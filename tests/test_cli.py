@@ -1,12 +1,15 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import blochdyn
 from blochdyn import __version__
 from blochdyn.cli import Scenario, main
 from oracles import windowed_amplitude
@@ -391,6 +394,33 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["qsl", "--axis", "0,0,1", "--bloch", "1,0,0", "--delta", "0.1", "--omega0", "inf"],
+    ["qsl", "--axis", "0,0,1", "--bloch", "1,0,0", "--delta", "0.1", "--omega0", "nan"],
+    ["brach", "--r1", "0.6,0,0", "--r2", "0,0.6,0", "--omega0", "inf"],
+    ["brach", "--r1", "0.6,0,0", "--r2", "0,0.6,0", "--omega0", "nan"],
+    ["qsl", "--axis", "nan,0,1", "--bloch", "1,0,0", "--delta", "0.1"],
+], ids=["qsl-inf", "qsl-nan", "brach-inf", "brach-nan", "qsl-nan-axis"])
+def test_non_finite_rate_or_axis_exits_1_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("blochdyn: error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(blochdyn.__file__).parents[1]))
+    run = [sys.executable, "-m", "blochdyn.cli"]
+    r = subprocess.run(run + ["brach", "--r1", "0.6,0,0", "--r2", "0,0.6,0"],
+                       capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["T_omega0"] == pytest.approx(np.pi / 4)
+    r = subprocess.run(run, capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and "error" in r.stderr
 
 
 # ------------------------------------------------------------- end to end

@@ -1,0 +1,104 @@
+"""Property tests: every speed-limit path evaluates the same formula.
+
+classify, the scalar tau_* functions, qfi and scan_ring share one
+expression per time and one Fisher information, so wherever two of them
+answer the same question their floats are identical, not merely close.
+The one exception, numpy's rounding of arrays against floats in the
+scan, is spelled out in the scan's test.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from blochdyn import (
+    BlochDynError,
+    HamiltonianSpec,
+    classify,
+    perp_norm,
+    qfi,
+    scan_ring,
+    tau_exact,
+    tau_ml,
+    tau_mt,
+)
+
+# derandomized: a tier-1 run checks the same examples every time
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+coord = st.floats(-1.0, 1.0, allow_nan=False)
+vec3 = st.tuples(coord, coord, coord).map(np.array)
+bloch = vec3.map(lambda v: v / max(1.0, float(np.linalg.norm(v))))
+axis = vec3.filter(lambda v: np.linalg.norm(v) > 1e-3)
+omega0 = st.floats(0.05, 20.0)
+delta = st.one_of(st.floats(0.0, 0.5), st.sampled_from([0.0, 0.5]))
+
+
+def _or_raise(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except BlochDynError:
+        return None
+
+
+@SETTINGS
+@given(r=bloch, n=axis, w=omega0, d=delta, sym=st.booleans())
+def test_classify_matches_scalar_functions_bit_for_bit(r, n, w, d, sym):
+    ham = HamiltonianSpec.from_axis(n, omega0=w, identity_shift=True)
+    rep = classify(r, ham, d, ml_symmetrized=sym)
+    assert rep.perp_norm == perp_norm(r, ham)
+    assert rep.fisher == qfi(r, ham)
+    exact = _or_raise(tau_exact, r, ham, d)
+    if exact is not None:
+        assert rep.reachable and rep.tau_exact == exact
+    mt = _or_raise(tau_mt, r, ham, d)
+    if mt is not None:
+        assert rep.tau_mt == mt
+    ml = _or_raise(tau_ml, r, ham, d, symmetrized=sym)
+    if ml is not None:
+        assert rep.tau_ml == ml
+
+
+@SETTINGS
+@given(r=bloch, n=axis, w=omega0, d=delta)
+def test_bound_ordering(r, n, w, d):
+    ham = HamiltonianSpec.from_axis(n, omega0=w, identity_shift=True)
+    exact = _or_raise(tau_exact, r, ham, d)
+    if exact is None:
+        return
+    mt = tau_mt(r, ham, d)
+    ml = tau_ml(r, ham, d, symmetrized=True)
+    assert ml <= mt * (1 + 1e-12) + 1e-300
+    assert mt <= exact * (1 + 1e-12) + 1e-300
+
+
+@SETTINGS
+@given(r=bloch, n=axis, w=omega0, d=delta)
+def test_symmetrized_ml_bound_is_even_in_r(r, n, w, d):
+    ham = HamiltonianSpec.from_axis(n, omega0=w, identity_shift=True)
+    assert _or_raise(tau_ml, r, ham, d, symmetrized=True) == _or_raise(
+        tau_ml, -r, ham, d, symmetrized=True
+    )
+    assert classify(r, ham, d, ml_symmetrized=True).tau_ml == classify(
+        -r, ham, d, ml_symmetrized=True
+    ).tau_ml
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=axis, w=omega0, theta=st.floats(0.0, np.pi / 2), grid=st.integers(2, 9))
+def test_scan_points_match_scalar_queries(n, w, theta, grid):
+    ham = HamiltonianSpec.from_axis(n, omega0=w)
+    scan = scan_ring(ham, theta, grid)
+    # The scan evaluates the same formulas on arrays. numpy rounds two
+    # steps of that apart from the scalar path in the last bit, and each
+    # path keeps the rounding its CLI output always had: the orbit radius
+    # of a stack is a row sum where np.linalg.norm of one vector is a BLAS
+    # dot, and an array squares by multiplication where a float calls pow.
+    stacked = np.linalg.norm(np.cross(ham.axis, scan.points), axis=-1)
+    for p, t, f, s in zip(scan.points, scan.tau_exact, scan.fisher, stacked):
+        radius, fisher = perp_norm(p, ham), qfi(p, ham)
+        assert abs(s - radius) <= 1e-15 * radius  # a few ulps
+        if s == radius:
+            assert t == tau_exact(p, ham, scan.delta)
+            assert abs(f - fisher) <= np.spacing(fisher)  # pow against x * x
+        else:  # the radius difference, squared
+            assert abs(f - fisher) <= 4e-15 * fisher
