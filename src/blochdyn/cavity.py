@@ -62,6 +62,7 @@ from .errors import NonphysicalOutput, TruncationTooSmall
 from .speedlimits import check_delta
 
 __all__ = [
+    "N_MAX_LIMIT",
     "TAIL_LIMIT",
     "CavityConfig",
     "DistinguishabilitySeries",
@@ -84,6 +85,9 @@ __all__ = [
 ]
 
 TAIL_LIMIT = 1e-10
+# Largest Fock cutoff CavityConfig accepts: a 4096-step chunk then holds three
+# real (4096, n_max) arrays of about 330 MB each, per worker.
+N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
 _CHUNK = 4096
 
@@ -93,6 +97,7 @@ class CavityConfig:
     """Mode frequency, coupling, detuning, Fock cutoff, and frame choice.
 
     g defaults to omega0 / 20 when omitted. frame is "lab" or "rotating".
+    n_max lies in [1, N_MAX_LIMIT].
     """
 
     omega0: float = 1.0
@@ -107,8 +112,8 @@ class CavityConfig:
         detuning = float(self.detuning)
         if not math.isfinite(detuning):
             raise ValueError(f"detuning must be finite, got {detuning!r}")
-        if int(self.n_max) < 1:
-            raise ValueError("n_max must be at least 1")
+        if not 1 <= int(self.n_max) <= N_MAX_LIMIT:
+            raise ValueError(f"n_max must lie in [1, {N_MAX_LIMIT}], got {self.n_max!r}")
         if self.frame not in ("lab", "rotating"):
             raise ValueError(f'frame must be "lab" or "rotating", got {self.frame!r}')
         object.__setattr__(self, "omega0", omega0)

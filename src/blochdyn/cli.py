@@ -8,7 +8,8 @@ Conventions shared by every subcommand:
 * CSV cells use 15 significant digits and LF line endings
 * JSON objects are emitted with sorted keys; non-finite floats become null
 * exit status: 0 success (and "reachable" for qsl), 2 the qsl level is
-  not reachable, 1 malformed input or domain errors
+  not reachable, 1 malformed input, domain errors or a stdout closed by
+  its reader (CSVs go out in blocks of rows, so that happens mid-series)
 * identical invocations produce byte-identical outputs; the QSL_THREADS
   environment variable caps --workers without affecting results
 """
@@ -16,7 +17,9 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -35,6 +38,7 @@ from .speedlimits import classify, scan_ring
 __all__ = ["Scenario", "entrypoint", "main"]
 
 _COMMANDS = ("qsl", "brach", "cavity", "scan")
+_BLOCK_ROWS = 8192  # CSV rows per formatted block in _write_csv
 
 # CavityConfig and perr_series own their defaults; field and qubit are the CLI's
 _CAVITY_DEFAULTS = {
@@ -134,15 +138,32 @@ def _emit_json(obj, stream=None) -> None:
     print(json.dumps(_jsonable(obj), sort_keys=True), file=stream or sys.stdout)
 
 
-def _write_csv(dest: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join("%.15g" % v for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", newline="") as fh:
-            fh.write(text)
+def _write_csv(dest: str, header: str, columns) -> None:
+    """Write equal-length 1-D columns as CSV rows under header.
+
+    A float column prints with %.15g; an object column holds its cells
+    already formatted as strings. Rows go out _BLOCK_ROWS at a time, each
+    block through one %-operation on a repeated row template, so the text
+    held at once stays bounded however long the series.
+    """
+    row = ",".join("%s" if c.dtype == object else "%.15g" for c in columns) + "\n"
+    n = len(columns[0])
+    sink = contextlib.nullcontext(sys.stdout) if dest == "-" else open(dest, "w", newline="")
+    with sink as fh:
+        fh.write(header + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+
+
+def _lattice_labels(points: np.ndarray) -> np.ndarray:
+    """%.15g text of each lattice coordinate, formatting each distinct value once.
+
+    Values are told apart by their bits: 0.0 and -0.0 compare equal but print apart.
+    """
+    bits, where = np.unique(points.view(np.int64), return_inverse=True)
+    labels = np.array(["%.15g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return labels[where.reshape(points.shape)]
 
 
 def _worker_count(requested: int) -> int:
@@ -180,10 +201,8 @@ def cmd_qsl(args) -> int:
     if args.csv is not None:
         r0 = as_bloch(args.bloch)
         times = np.linspace(0.0, np.pi / w, 1001)
-        rows = (
-            (t * w, p_err_bloch(r0, evolve_bloch(r0, ham, t))) for t in times
-        )
-        _write_csv(args.csv, "t_omega0,p_err", rows)
+        p_err = np.array([p_err_bloch(r0, evolve_bloch(r0, ham, t)) for t in times])
+        _write_csv(args.csv, "t_omega0,p_err", [times * w, p_err])
     return 0 if rep.reachable else 2
 
 
@@ -280,8 +299,7 @@ def cmd_cavity(args) -> int:
     scn = Scenario(command="cavity", params=p, output=args.out, fmt="csv")
 
     w = cfg.omega0
-    rows = zip((series.times * w).tolist(), series.p_err.tolist())
-    _write_csv(args.out, "t_omega0,p_err", rows)
+    _write_csv(args.out, "t_omega0,p_err", [series.times * w, series.p_err])
 
     i_min = int(np.argmin(series.p_err))
     taus = {}
@@ -308,11 +326,9 @@ def cmd_scan(args) -> int:
     ham = HamiltonianSpec.from_axis(args.axis, omega0=args.omega0)
     res = scan_ring(ham, args.theta_psi, args.grid)
     w = ham.omega0
-    rows = (
-        (p[0], p[1], p[2], t * w, f)
-        for p, t, f in zip(res.points, res.tau_exact, res.fisher)
-    )
-    _write_csv(args.out, "rx,ry,rz,tau_exact,fisher", rows)
+    coords = _lattice_labels(res.points)
+    _write_csv(args.out, "rx,ry,rz,tau_exact,fisher",
+               [*coords.T, res.tau_exact * w, res.fisher])
     return 0
 
 
@@ -375,9 +391,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (BlochDynError, ValueError, OSError, json.JSONDecodeError) as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left early is reported here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # stdout's reader is gone; point stdout at devnull so that the flush
+        # at interpreter exit does not raise again (see the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"blochdyn: error: {exc}", file=sys.stderr)
+        return 1
+    except (BlochDynError, ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+        print(f"blochdyn: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

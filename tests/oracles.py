@@ -234,3 +234,9 @@ def first_revival_time(centers, amp, a0, low=0.15, high=0.35):
     if after.size == 0:
         return None
     return float(centers[after[0]])
+
+
+def csv_text(header, rows):
+    """CSV text the CLI writes for rows: one row at a time, %.15g per cell, LF endings."""
+    lines = [header] + [",".join("%.15g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"

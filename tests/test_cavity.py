@@ -226,6 +226,12 @@ def test_config_defaults_and_validation():
         CavityConfig(n_max=0)
     with pytest.raises(ValueError):
         CavityConfig(frame="interaction")
+    assert CavityConfig(n_max=cavity.N_MAX_LIMIT).n_max == cavity.N_MAX_LIMIT
+    # rejected before anything is allocated (a 1e11 cutoff would ask for ~1.5 TB)
+    with pytest.raises(ValueError, match="n_max"):
+        CavityConfig(n_max=10**11)
+    with pytest.raises(ValueError, match="n_max"):
+        CavityConfig(n_max=cavity.N_MAX_LIMIT + 1)
 
 
 @pytest.mark.parametrize("key", ["omega0", "g", "detuning"])

@@ -10,15 +10,20 @@ import numpy.testing as npt
 import pytest
 
 import blochdyn
-from blochdyn import __version__
+from blochdyn import CavityConfig, HamiltonianSpec, __version__, make_field, perr_series, scan_ring
+from blochdyn import cli
 from blochdyn.cli import Scenario, main
-from oracles import windowed_amplitude
+from oracles import csv_text, windowed_amplitude
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def module_env():
+    return dict(os.environ, PYTHONPATH=str(Path(blochdyn.__file__).parents[1]))
 
 
 def load_csv(path):
@@ -271,6 +276,26 @@ def test_cavity_scenario_values_are_checked(tmp_path, capsys, patch, message):
     assert not dest.exists()
 
 
+def test_cavity_cutoff_above_the_ceiling_exits_1(tmp_path, capsys):
+    dest = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, ["cavity", "--n-max", "100000000000", "--out", str(dest)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("blochdyn: error: n_max") and err.count("\n") == 1
+    assert not dest.exists()
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_field", exhausted)
+    dest = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, ["cavity", "--out", str(dest)])
+    assert (code, out, err) == (1, "", "blochdyn: error: MemoryError\n")
+    assert not dest.exists()
+
+
 def test_cavity_number_filtered_field_revives_earlier_and_larger(tmp_path, capsys):
     # support on every fourth photon number rephases four times sooner, so
     # within 0.3 of the coherent revival time the filtered field has already
@@ -352,6 +377,98 @@ def test_scan_angle_domain(capsys):
     assert "theta_psi" in err
 
 
+# ------------------------------------------------------------ CSV writer
+
+
+@pytest.mark.parametrize("theta, grid, block", [
+    (np.pi / 2, 4, None),
+    (0.5, 12, lambda n: n),
+    (0.5, 12, lambda n: n - 1),
+    (0.5, 12, lambda n: n // 4),
+    (0.3, 7, None),
+    (0.0, 36, None),
+], ids=["no-rows", "one-block", "one-block-plus-a-row", "several-blocks",
+        "odd-grid", "several-full-blocks"])
+def test_scan_csv_matches_per_row_oracle(tmp_path, capsys, monkeypatch, theta, grid, block):
+    ham = HamiltonianSpec.from_axis((0.3, -0.5, 0.8), omega0=1.7)
+    res = scan_ring(ham, theta, grid)
+    n = len(res.points)
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block(n))
+    if grid % 2:
+        assert np.any(res.points == 0.0)  # the middle tick
+    want = csv_text("rx,ry,rz,tau_exact,fisher",
+                    ((*p, t * ham.omega0, f)
+                     for p, t, f in zip(res.points, res.tau_exact, res.fisher)))
+    assert want.count("\n") - 1 == n
+    if theta == 0.0:
+        assert n > 2 * cli._BLOCK_ROWS
+
+    argv = ["scan", "--theta-psi", repr(theta), "--grid", str(grid),
+            "--axis", "0.3,-0.5,0.8", "--omega0", "1.7"]
+    dest = tmp_path / "ring.csv"
+    assert run_cli(capsys, argv + ["--out", str(dest)]) == (0, "", "")
+    assert dest.read_bytes() == want.encode()
+    assert run_cli(capsys, argv + ["--out", "-"]) == (0, want, "")
+
+
+def test_cavity_csv_longer_than_one_block_matches_per_row_oracle(tmp_path, capsys):
+    steps = cli._BLOCK_ROWS + 1000
+    dest = tmp_path / "series.csv"
+    code, _, _ = run_cli(capsys, ["cavity", "--field", "fock", "--alpha", "1", "--n-max", "4",
+                                  "--qubit", "0.6,0,0.8", "--omega0", "1.3",
+                                  "--t-max", "30", "--steps", str(steps), "--out", str(dest)])
+    assert code == 0
+    cfg = CavityConfig(omega0=1.3, n_max=4)
+    series = perr_series(make_field("fock", 1, 4), (0.6, 0.0, 0.8), cfg,
+                         t_max=30.0, steps=steps)
+    assert series.times.size > cli._BLOCK_ROWS
+    want = csv_text("t_omega0,p_err", zip(series.times * cfg.omega0, series.p_err))
+    assert dest.read_bytes() == want.encode()
+
+
+def stdout_env(unbuffered=False):
+    env = module_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as from a shell
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_1_with_one_line(tmp_path, unbuffered):
+    # about 3 MB of CSV, far more than a pipe buffer holds
+    err = tmp_path / "stderr"
+    with open(err, "wb") as sink:
+        proc = subprocess.Popen([sys.executable, "-m", "blochdyn.cli", "scan",
+                                 "--theta-psi", "0", "--grid", "40"],
+                                stdout=subprocess.PIPE, stderr=sink,
+                                env=stdout_env(unbuffered), cwd=tmp_path)
+        try:
+            assert proc.stdout.readline() == b"rx,ry,rz,tau_exact,fisher\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+    assert err.read_bytes() == b"blochdyn: error: [Errno 32] Broken pipe\n"
+
+
+def test_output_to_a_pipe_without_reader_exits_1_with_one_line(tmp_path):
+    # the report stays in stdout's buffer until the flush fails, so the
+    # flush at interpreter exit would fail again unless stdout is redirected
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "blochdyn.cli", "brach",
+                            "--r1", "0.6,0,0", "--r2", "0,0.6,0"],
+                           stdout=write_end, stderr=subprocess.PIPE,
+                           env=stdout_env(), cwd=tmp_path, timeout=60)
+    finally:
+        os.close(write_end)
+    assert r.returncode == 1
+    assert r.stderr == b"blochdyn: error: [Errno 32] Broken pipe\n"
+
+
 # ------------------------------------------------------- env and scenarios
 
 
@@ -362,6 +479,10 @@ def test_worker_cap_does_not_change_bytes(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.csv"
     code, _, _ = run_cli(capsys, argv + ["--workers", "1", "--out", str(a)])
     assert code == 0
+    two = tmp_path / "two.csv"
+    code, _, _ = run_cli(capsys, argv + ["--workers", "2", "--out", str(two)])
+    assert code == 0
+    assert a.read_bytes() == two.read_bytes()
     monkeypatch.setenv("QSL_THREADS", "2")
     b = tmp_path / "b.csv"
     code, _, _ = run_cli(capsys, argv + ["--workers", "8", "--out", str(b)])
@@ -412,7 +533,7 @@ def test_non_finite_rate_or_axis_exits_1_with_one_line(capsys, argv):
 
 
 def test_module_entry_point(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(blochdyn.__file__).parents[1]))
+    env = module_env()
     run = [sys.executable, "-m", "blochdyn.cli"]
     r = subprocess.run(run + ["brach", "--r1", "0.6,0,0", "--r2", "0,0.6,0"],
                        capture_output=True, text=True, env=env, cwd=tmp_path)

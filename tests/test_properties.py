@@ -4,7 +4,8 @@ classify, the scalar tau_* functions, qfi and scan_ring share one
 expression per time and one Fisher information, so wherever two of them
 answer the same question their floats are identical, not merely close.
 The one exception, numpy's rounding of arrays against floats in the
-scan, is spelled out in the scan's test.
+scan, is spelled out in the scan's test. The cavity sweep, likewise,
+gives the same bits for any worker count.
 """
 
 import numpy as np
@@ -12,9 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from blochdyn import (
     BlochDynError,
+    CavityConfig,
     HamiltonianSpec,
     classify,
+    custom_field,
     perp_norm,
+    perr_series,
     qfi,
     scan_ring,
     tau_exact,
@@ -102,3 +106,22 @@ def test_scan_points_match_scalar_queries(n, w, theta, grid):
             assert abs(f - fisher) <= np.spacing(fisher)  # pow against x * x
         else:  # the radius difference, squared
             assert abs(f - fisher) <= 4e-15 * fisher
+
+
+amplitude = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).map(lambda z: complex(*z))
+fock_amplitudes = (st.lists(amplitude, min_size=2, max_size=7)
+                   .map(np.array).filter(lambda c: np.linalg.norm(c) > 0.1)
+                   .map(lambda c: c / np.linalg.norm(c)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(c=fock_amplitudes, r=bloch, g=st.floats(0.01, 0.5), d=st.floats(-0.2, 0.2),
+       frame=st.sampled_from(["lab", "rotating"]), t_max=st.floats(1.0, 200.0),
+       steps=st.integers(4097, 3 * 4096 + 5))
+def test_worker_count_does_not_change_p_err(c, r, g, d, frame, t_max, steps):
+    # the grids span two to four 4096-step chunks, so two workers really split them
+    field = custom_field(c)
+    cfg = CavityConfig(g=g, detuning=d, n_max=field.n_max, frame=frame)
+    one = perr_series(field, r, cfg, t_max=t_max, steps=steps, workers=1)
+    two = perr_series(field, r, cfg, t_max=t_max, steps=steps, workers=2)
+    assert np.array_equal(one.p_err, two.p_err)
