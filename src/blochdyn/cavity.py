@@ -52,6 +52,7 @@ Qubit basis: |e> = |0> is the +z pole of the Bloch ball.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -479,9 +480,9 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     exp(-i omega0 t) in the lab frame.
 
     Chunks have a fixed size; with workers > 1 they are fanned out to a
-    thread pool (never larger than the number of chunks) and each writes
-    its own slice of the output, so the output is bit-identical for any
-    worker count.
+    thread pool (never larger than the number of chunks or than
+    os.cpu_count()) and each writes its own slice of the output, so the
+    output is bit-identical for any worker count.
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
@@ -501,7 +502,7 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
         _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl])
 
     starts = range(0, tgrid.size, _CHUNK)
-    pool_size = min(int(workers or 1), len(starts))
+    pool_size = min(int(workers or 1), len(starts), os.cpu_count() or 1)
     if pool_size > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(eval_chunk, starts))  # re-raises any chunk's error

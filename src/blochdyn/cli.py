@@ -33,7 +33,7 @@ from .bloch import HamiltonianSpec, as_bloch, evolve_bloch, p_err_bloch
 from .brachistochrone import brach_hamiltonian
 from .cavity import CavityConfig, make_field, nonunitary_tau, perr_series
 from .errors import BlochDynError
-from .speedlimits import classify, scan_ring
+from .speedlimits import _ring_slabs, classify
 
 __all__ = ["Scenario", "entrypoint", "main"]
 
@@ -138,32 +138,24 @@ def _emit_json(obj, stream=None) -> None:
     print(json.dumps(_jsonable(obj), sort_keys=True), file=stream or sys.stdout)
 
 
-def _write_csv(dest: str, header: str, columns) -> None:
-    """Write equal-length 1-D columns as CSV rows under header.
+def _write_csv(dest: str, header: str, blocks) -> None:
+    """Write CSV rows under header from an iterable of column blocks.
 
-    A float column prints with %.15g; an object column holds its cells
-    already formatted as strings. Rows go out _BLOCK_ROWS at a time, each
-    block through one %-operation on a repeated row template, so the text
-    held at once stays bounded however long the series.
+    Each block is a sequence of equal-length 1-D columns. A float column
+    prints with %.15g; an object column holds its cells already formatted
+    as strings. Rows go out _BLOCK_ROWS at a time, each through one
+    %-operation on a repeated row template, so the text held at once stays
+    bounded however long the series; a lazy iterable of blocks bounds the
+    numbers held as well.
     """
-    row = ",".join("%s" if c.dtype == object else "%.15g" for c in columns) + "\n"
-    n = len(columns[0])
     sink = contextlib.nullcontext(sys.stdout) if dest == "-" else open(dest, "w", newline="")
     with sink as fh:
         fh.write(header + "\n")
-        for start in range(0, n, _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
-            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
-
-
-def _lattice_labels(points: np.ndarray) -> np.ndarray:
-    """%.15g text of each lattice coordinate, formatting each distinct value once.
-
-    Values are told apart by their bits: 0.0 and -0.0 compare equal but print apart.
-    """
-    bits, where = np.unique(points.view(np.int64), return_inverse=True)
-    labels = np.array(["%.15g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return labels[where.reshape(points.shape)]
+        for columns in blocks:
+            row = ",".join("%s" if c.dtype == object else "%.15g" for c in columns) + "\n"
+            for start in range(0, len(columns[0]), _BLOCK_ROWS):
+                block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
+                fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _worker_count(requested: int) -> int:
@@ -202,7 +194,7 @@ def cmd_qsl(args) -> int:
         r0 = as_bloch(args.bloch)
         times = np.linspace(0.0, np.pi / w, 1001)
         p_err = np.array([p_err_bloch(r0, evolve_bloch(r0, ham, t)) for t in times])
-        _write_csv(args.csv, "t_omega0,p_err", [times * w, p_err])
+        _write_csv(args.csv, "t_omega0,p_err", [[times * w, p_err]])
     return 0 if rep.reachable else 2
 
 
@@ -299,7 +291,7 @@ def cmd_cavity(args) -> int:
     scn = Scenario(command="cavity", params=p, output=args.out, fmt="csv")
 
     w = cfg.omega0
-    _write_csv(args.out, "t_omega0,p_err", [series.times * w, series.p_err])
+    _write_csv(args.out, "t_omega0,p_err", [[series.times * w, series.p_err]])
 
     i_min = int(np.argmin(series.p_err))
     taus = {}
@@ -324,11 +316,13 @@ def cmd_cavity(args) -> int:
 
 def cmd_scan(args) -> int:
     ham = HamiltonianSpec.from_axis(args.axis, omega0=args.omega0)
-    res = scan_ring(ham, args.theta_psi, args.grid)
+    ticks, _, slabs = _ring_slabs(ham, args.theta_psi, args.grid)
+    labels = np.array(["%.15g" % t for t in ticks.tolist()], dtype=object)
+    shape = (ticks.size,) * 3
     w = ham.omega0
-    coords = _lattice_labels(res.points)
-    _write_csv(args.out, "rx,ry,rz,tau_exact,fisher",
-               [*coords.T, res.tau_exact * w, res.fisher])
+    blocks = ([*labels[np.stack(np.unravel_index(flat, shape))], tau * w, fisher]
+              for flat, _, tau, fisher in slabs)
+    _write_csv(args.out, "rx,ry,rz,tau_exact,fisher", blocks)
     return 0
 
 

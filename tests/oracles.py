@@ -240,3 +240,29 @@ def csv_text(header, rows):
     """CSV text the CLI writes for rows: one row at a time, %.15g per cell, LF endings."""
     lines = [header] + [",".join("%.15g" % v for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def whole_lattice_ring(axis, omega0, theta_psi, grid):
+    """Ring scan over the whole grid^3 meshgrid at once: points, tau, fisher, delta.
+
+    The scan_ring arithmetic as it stood before the lattice was walked in
+    slabs, with its helpers written out: np.cross and a row-wise
+    np.linalg.norm for |n x r|, the 1e-12 norm and degeneracy slacks, and
+    the array forms of the crossing time and the QFI. axis must be a unit
+    vector. Every step is per row, so a slab-wise scan must match it bit
+    for bit.
+    """
+    ticks = np.linspace(-1.0, 1.0, grid)
+    gx, gy, gz = np.meshgrid(ticks, ticks, ticks, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    inside = np.einsum("ij,ij->i", pts, pts) <= (1.0 + 1e-12) ** 2
+    pts = pts[inside]
+
+    s = np.linalg.norm(np.cross(axis, pts), axis=-1)
+    sin_ref = float(np.sin(theta_psi))
+    keep = (s >= sin_ref - 1e-12) & (s > 1e-12)
+    pts, s = pts[keep], s[keep]
+
+    delta = 0.5 * (1.0 - sin_ref)
+    tau = np.arcsin(np.minimum((1.0 - 2.0 * delta) / s, 1.0)) / omega0
+    return pts, tau, 4.0 * (omega0 * s) ** 2, delta

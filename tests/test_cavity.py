@@ -452,11 +452,39 @@ def test_thread_pool_is_no_larger_than_the_chunk_count(monkeypatch):
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(cavity, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(cavity.os, "cpu_count", lambda: 8)  # the chunk count binds
     f = coherent_field(1.0, n_max=12)
     cfg = CavityConfig(n_max=12)
     times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
     a = reduced_series(f, MIXED, cfg, times, workers=8)
     assert sizes == [3]
+    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
+
+
+@pytest.mark.parametrize("cpus", [2, None], ids=["two-cpus", "cpu-count-unknown"])
+def test_thread_pool_is_no_larger_than_the_cpu_count(monkeypatch, cpus):
+    sizes = []
+
+    class SerialPool:  # stands in for the pool, so no thread is ever started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cavity, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(cavity.os, "cpu_count", lambda: cpus)
+    f = coherent_field(1.0, n_max=12)
+    cfg = CavityConfig(n_max=12)
+    times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
+    a = reduced_series(f, MIXED, cfg, times, workers=5000)
+    assert sizes == ([2] if cpus == 2 else [])  # an unknown count runs inline
     assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
 
 

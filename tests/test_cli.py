@@ -10,10 +10,10 @@ import numpy.testing as npt
 import pytest
 
 import blochdyn
-from blochdyn import CavityConfig, HamiltonianSpec, __version__, make_field, perr_series, scan_ring
-from blochdyn import cli
+from blochdyn import CavityConfig, HamiltonianSpec, __version__, make_field, perr_series
+from blochdyn import cli, speedlimits
 from blochdyn.cli import Scenario, main
-from oracles import csv_text, windowed_amplitude
+from oracles import csv_text, whole_lattice_ring, windowed_amplitude
 
 
 def run_cli(capsys, argv):
@@ -363,43 +363,52 @@ def test_scan_zero_angle_excludes_only_the_axis(tmp_path, capsys):
                                   "--out", str(dest)])
     assert code == 0
     data = load_csv(dest)
-    ticks = np.linspace(-1, 1, 5)
-    gx, gy, gz = np.meshgrid(ticks, ticks, ticks, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    inside = np.einsum("ij,ij->i", pts, pts) <= 1 + 1e-9
-    off_axis = np.hypot(pts[:, 0], pts[:, 1]) > 1e-12
-    assert data.shape[0] == int(np.count_nonzero(inside & off_axis))
+    pts = whole_lattice_ring(np.array([0.0, 0.0, 1.0]), 1.0, 0.0, 5)[0]
+    assert np.all(np.hypot(pts[:, 0], pts[:, 1]) > 1e-12)
+    npt.assert_array_equal(data[:, :3], pts)
 
 
-def test_scan_angle_domain(capsys):
-    code, _, err = run_cli(capsys, ["scan", "--theta-psi", "2.0", "--grid", "5"])
+@pytest.mark.parametrize("theta, grid, name", [
+    ("2.0", "5", "theta_psi"),
+    ("0.5", "1", "grid"),
+    ("0.5", "1000000000", "grid"),  # above the ceiling; the ticks alone would take 8 GB
+], ids=["theta-psi", "grid-1", "grid-above-ceiling"])
+def test_scan_angle_domain(tmp_path, capsys, theta, grid, name):
+    dest = tmp_path / "ring.csv"
+    code, out, err = run_cli(capsys, ["scan", "--theta-psi", theta, "--grid", grid,
+                                      "--out", str(dest)])
     assert code == 1
-    assert "theta_psi" in err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("blochdyn: error:") and name in err
+    assert not dest.exists()
 
 
 # ------------------------------------------------------------ CSV writer
 
 
-@pytest.mark.parametrize("theta, grid, block", [
-    (np.pi / 2, 4, None),
-    (0.5, 12, lambda n: n),
-    (0.5, 12, lambda n: n - 1),
-    (0.5, 12, lambda n: n // 4),
-    (0.3, 7, None),
-    (0.0, 36, None),
+@pytest.mark.parametrize("theta, grid, block, slab", [
+    (np.pi / 2, 4, None, None),
+    (0.5, 12, lambda n: n, None),
+    (0.5, 12, lambda n: n - 1, None),
+    (0.5, 12, lambda n: n // 4, None),
+    (0.3, 7, None, None),
+    (0.0, 36, None, None),
+    (0.3, 13, lambda n: n // 5, 3 * 13 * 13 + 5),  # 5 slabs, the last one partial
 ], ids=["no-rows", "one-block", "one-block-plus-a-row", "several-blocks",
-        "odd-grid", "several-full-blocks"])
-def test_scan_csv_matches_per_row_oracle(tmp_path, capsys, monkeypatch, theta, grid, block):
+        "odd-grid", "several-full-blocks", "several-slabs"])
+def test_scan_csv_matches_per_row_oracle(tmp_path, capsys, monkeypatch, theta, grid, block,
+                                         slab):
     ham = HamiltonianSpec.from_axis((0.3, -0.5, 0.8), omega0=1.7)
-    res = scan_ring(ham, theta, grid)
-    n = len(res.points)
+    pts, tau, fisher, _ = whole_lattice_ring(ham.axis, ham.omega0, theta, grid)
+    n = len(pts)
     if block is not None:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block(n))
+    if slab is not None:
+        monkeypatch.setattr(speedlimits, "_SLAB_POINTS", slab)
     if grid % 2:
-        assert np.any(res.points == 0.0)  # the middle tick
+        assert np.any(pts == 0.0)  # the middle tick
     want = csv_text("rx,ry,rz,tau_exact,fisher",
-                    ((*p, t * ham.omega0, f)
-                     for p, t, f in zip(res.points, res.tau_exact, res.fisher)))
+                    ((*p, t * ham.omega0, f) for p, t, f in zip(pts, tau, fisher)))
     assert want.count("\n") - 1 == n
     if theta == 0.0:
         assert n > 2 * cli._BLOCK_ROWS
@@ -425,6 +434,29 @@ def test_cavity_csv_longer_than_one_block_matches_per_row_oracle(tmp_path, capsy
     assert series.times.size > cli._BLOCK_ROWS
     want = csv_text("t_omega0,p_err", zip(series.times * cfg.omega0, series.p_err))
     assert dest.read_bytes() == want.encode()
+
+
+# Runs argv in a grandchild and prints its exit code and peak RSS in kB. On
+# Linux a child's ru_maxrss also counts the peak of the process it was
+# spawned from, so a bare interpreter spawns it in place of the test process.
+PEAK_RSS = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_scan_memory_does_not_grow_with_the_lattice(tmp_path):
+    # 4.1 million lattice points; held whole they took about 300 MB
+    dest = tmp_path / "ring.csv"
+    r = subprocess.run([sys.executable, "-c", PEAK_RSS, "-m", "blochdyn.cli", "scan",
+                        "--theta-psi", "1.5", "--grid", "160", "--out", str(dest)],
+                       capture_output=True, env=module_env(), cwd=tmp_path, timeout=60)
+    assert r.returncode == 0 and r.stderr == b""
+    code, peak_kb = map(int, r.stdout.split())
+    assert code == 0
+    assert dest.read_bytes().startswith(b"rx,ry,rz,tau_exact,fisher\n")
+    assert peak_kb < 100 * 1024
 
 
 def stdout_env(unbuffered=False):

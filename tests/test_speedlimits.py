@@ -20,6 +20,7 @@ from blochdyn import (
     tau_ml,
     tau_mt,
 )
+from blochdyn import speedlimits
 from oracles import (
     SCAN_CHUNK,
     conj_evolve,
@@ -27,10 +28,12 @@ from oracles import (
     grid_scan_tau,
     perr_curve,
     rho_of,
+    whole_lattice_ring,
 )
 
 Z = HamiltonianSpec.from_axis((0, 0, 1))
 Z_SHIFT = HamiltonianSpec.from_axis((0, 0, 1), identity_shift=True)
+TILTED = HamiltonianSpec.from_axis((0.3, -0.5, 0.8), omega0=1.7)
 
 
 def random_reachable(rng, n, u_lo=0.01, u_hi=0.99, rmax=1.0, s_min=0.01):
@@ -344,6 +347,39 @@ def test_scan_ring_deterministic_and_validated():
         scan_ring(Z, 2.0, 10)
     with pytest.raises(ValueError):
         scan_ring(Z, 0.3, 1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, np.pi / 2], ids=["zero", "interior", "equator"])
+@pytest.mark.parametrize("grid, budget, n_slabs", [
+    (2, None, 1),
+    (3, None, 1),
+    (7, None, 1),
+    (12, None, 1),
+    (40, None, 1),
+    (13, 3 * 13 * 13 + 5, 5),  # runs of 3 x ticks, the last one partial
+])
+def test_scan_ring_matches_whole_lattice_oracle_bit_for_bit(monkeypatch, theta, grid, budget,
+                                                           n_slabs):
+    if budget is not None:
+        monkeypatch.setattr(speedlimits, "_SLAB_POINTS", budget)
+    assert len(list(speedlimits._ring_slabs(TILTED, theta, grid)[2])) == n_slabs
+    got = scan_ring(TILTED, theta, grid)
+    pts, tau, fisher, delta = whole_lattice_ring(TILTED.axis, TILTED.omega0, theta, grid)
+    assert same_bits(got.points, pts)
+    assert same_bits(got.tau_exact, tau)
+    assert same_bits(got.fisher, fisher)
+    assert got.delta == delta and got.theta_psi == theta
+
+
+@pytest.mark.parametrize("grid", [speedlimits.GRID_LIMIT + 1, 10**9])
+def test_scan_ring_rejects_a_grid_above_the_ceiling(grid):
+    # checked before the ticks are built: 10**9 of them would need 8 GB
+    with pytest.raises(ValueError, match="grid"):
+        scan_ring(Z, 0.3, grid)
 
 
 def test_perp_norm_helper():
