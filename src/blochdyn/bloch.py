@@ -20,6 +20,7 @@ from .errors import NormViolation
 
 __all__ = [
     "NORM_EPS",
+    "RATE_LIMIT",
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 NORM_EPS = 1e-12
+# Rates (omega0, a cavity's g) lie in [1 / RATE_LIMIT, RATE_LIMIT], so every
+# time, bound and Fisher information derived from them is a finite float.
+RATE_LIMIT = 1e100
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -50,10 +54,12 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
 
 
-def _positive_finite(value, name: str) -> float:
+def _rate(value, name: str) -> float:
+    """A rate in [1 / RATE_LIMIT, RATE_LIMIT], as float."""
     x = float(value)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    if not 1.0 / RATE_LIMIT <= x <= RATE_LIMIT:  # NaN fails too
+        raise ValueError(
+            f"{name} must be finite and lie in [{1.0 / RATE_LIMIT:g}, {RATE_LIMIT:g}], got {x!r}")
     return x
 
 
@@ -72,7 +78,7 @@ def as_bloch(r) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
-    """Fixed rotation axis (unit 3-vector), rate omega0 > 0, optional +I shift.
+    """Fixed rotation axis (unit 3-vector), rate omega0 (see RATE_LIMIT), optional +I shift.
 
     The shift adds omega0 * I so the spectrum is {0, 2 * omega0}. It only
     contributes a global phase to the dynamics but is required by the
@@ -90,7 +96,7 @@ class HamiltonianSpec:
         if not abs(np.linalg.norm(axis) - 1.0) <= NORM_EPS:  # NaN fails too
             raise ValueError("axis must be a finite unit vector; see from_axis()")
         object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "omega0", _positive_finite(self.omega0, "omega0"))
+        object.__setattr__(self, "omega0", _rate(self.omega0, "omega0"))
 
     @classmethod
     def from_axis(cls, axis, omega0: float = 1.0, identity_shift: bool = False):
@@ -178,7 +184,7 @@ def p_err(rho, sigma) -> float:
 def p_err_bloch(r1, r2) -> float:
     """p_err via the qubit identity ||rho - sigma||_1 = |r1 - r2|."""
     d = float(np.linalg.norm(as_bloch(r1) - as_bloch(r2)))
-    return float(np.clip(0.5 - 0.25 * d, 0.0, 0.5))
+    return max(0.0, min(0.5, 0.5 - 0.25 * d))  # d is finite: as_bloch checked both
 
 
 def unitary(ham: HamiltonianSpec, t: float) -> np.ndarray:
@@ -206,7 +212,7 @@ def evolve_bloch(r, ham: HamiltonianSpec, t: float) -> np.ndarray:
     phi = 2.0 * ham.omega0 * t
     return (
         np.cos(phi) * vec
-        - np.sin(phi) * np.cross(vec, n)
+        - np.sin(phi) * _cross(vec, n)
         + (1.0 - np.cos(phi)) * np.dot(n, vec) * n
     )
 
@@ -230,13 +236,30 @@ class SLDResult:
     fisher: float
 
 
+def _cross(a, b):
+    """a x b for 3-vectors or (N, 3) stacks, in either order; numpy's bits.
+
+    Each component is two products and their difference, each rounded on
+    its own, as numpy's cross computes them, without the axis bookkeeping
+    that is most of numpy's cost on one vector. Two vectors go through
+    Python floats, anything else through columns.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        a0, a1, a2 = a.tolist()
+        b0, b1, b2 = b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _perp(axis, r):
     """n x r and the orbit radius |n x r|, for one r or an (N, 3) stack.
 
     np.linalg.norm rounds one vector (BLAS dot) and the rows of a stack (a
     plain sum) apart in the last bit; each keeps what qsl and scan print.
     """
-    x = np.cross(axis, r)
+    x = _cross(axis, r)
     return x, np.linalg.norm(x, axis=None if x.ndim == 1 else -1)
 
 
@@ -261,5 +284,5 @@ def sld(r, ham: HamiltonianSpec) -> SLDResult:
 
 
 def qfi(r, ham: HamiltonianSpec) -> float:
-    """Quantum Fisher information F = 4 * omega0^2 * |n x r|^2."""
-    return sld(r, ham).fisher
+    """Quantum Fisher information F = 4 * omega0^2 * |n x r|^2; sld's bits, no SLD."""
+    return float(_fisher(_perp(ham.axis, as_bloch(r))[1], ham.omega0))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _fisher, _positive_finite, _unit_state, as_bloch
+from .bloch import _cross, _fisher, _rate, _unit_state, as_bloch
 from .errors import CollinearInput, LinearlyDependent, OverlapNotReal, RadiusMismatch
 
 __all__ = ["BrachResult", "brach_hamiltonian", "brach_time", "pure_brach"]
@@ -62,7 +62,7 @@ def brach_hamiltonian(r1, r2, omega0: float = 1.0) -> BrachResult:
     """
     a = as_bloch(r1)
     b = as_bloch(r2)
-    omega0 = _positive_finite(omega0, "omega0")
+    omega0 = _rate(omega0, "omega0")
     ra = float(np.linalg.norm(a))
     rb = float(np.linalg.norm(b))
     if abs(ra - rb) > RADIUS_TOL:
@@ -70,7 +70,7 @@ def brach_hamiltonian(r1, r2, omega0: float = 1.0) -> BrachResult:
             f"|r1| = {ra:.17g}, |r2| = {rb:.17g}: rotations preserve the radius"
         )
 
-    cross = np.cross(a, b)
+    cross = _cross(a, b)
     cross_norm = float(np.linalg.norm(cross))
     phi12 = float(np.arctan2(cross_norm, float(a @ b)))
 
@@ -115,7 +115,7 @@ def pure_brach(psi1, psi2, omega0: float = 1.0) -> np.ndarray:
     orthogonalizes to (z |psi1> - |psi2>)/sqrt(1 - z^2) at
     omega0 * t = pi/2.
     """
-    omega0 = _positive_finite(omega0, "omega0")
+    omega0 = _rate(omega0, "omega0")
     a = _unit_state(psi1)
     b = _unit_state(psi2)
     z = complex(np.vdot(a, b))

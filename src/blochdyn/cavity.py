@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _positive_finite, as_bloch, bloch_to_density, check_density
+from .bloch import _rate, as_bloch, bloch_to_density, check_density
 from .errors import NonphysicalOutput, TruncationTooSmall
 from .speedlimits import check_delta
 
@@ -97,8 +97,9 @@ _CHUNK = 4096
 class CavityConfig:
     """Mode frequency, coupling, detuning, Fock cutoff, and frame choice.
 
-    g defaults to omega0 / 20 when omitted. frame is "lab" or "rotating".
-    n_max lies in [1, N_MAX_LIMIT].
+    g defaults to omega0 / 20 when omitted; omega0 and g lie within
+    bloch.RATE_LIMIT. frame is "lab" or "rotating". n_max lies in [1,
+    N_MAX_LIMIT].
     """
 
     omega0: float = 1.0
@@ -108,8 +109,8 @@ class CavityConfig:
     frame: str = "lab"
 
     def __post_init__(self):
-        omega0 = _positive_finite(self.omega0, "omega0")
-        g = omega0 / 20.0 if self.g is None else _positive_finite(self.g, "g")
+        omega0 = _rate(self.omega0, "omega0")
+        g = omega0 / 20.0 if self.g is None else _rate(self.g, "g")
         detuning = float(self.detuning)
         if not math.isfinite(detuning):
             raise ValueError(f"detuning must be finite, got {detuning!r}")

@@ -91,9 +91,9 @@ class Scenario:
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; this artifact reserves 2 for "level
-    # not reachable", so usage errors are remapped to 1.
+    # not reachable", so usage errors are remapped to 1, with the one-line
+    # diagnostic every failure gets (--help shows the usage).
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -233,8 +233,9 @@ def _resolve_cavity_params(args) -> dict:
         flag = getattr(args, key)
         p[key] = flag if flag is not None else loaded.get(key, default)
 
+    # like unknown top-level keys, unknown field and qubit keys are ignored
     fld = dict(_CAVITY_DEFAULTS["field"])
-    fld.update(loaded.get("field", {}))
+    fld.update((k, v) for k, v in loaded.get("field", {}).items() if k in fld)
     if args.field is not None:
         fld["label"] = args.field
     if args.alpha is not None:
@@ -242,7 +243,7 @@ def _resolve_cavity_params(args) -> dict:
     p["field"] = fld
 
     qb = dict(_CAVITY_DEFAULTS["qubit"])
-    qb.update(loaded.get("qubit", {}))
+    qb.update((k, v) for k, v in loaded.get("qubit", {}).items() if k in qb)
     if args.qubit is not None:
         qb["rx"], qb["ry"], qb["rz"] = args.qubit
     p["qubit"] = qb
@@ -253,13 +254,17 @@ def _number(value, name: str, integer: bool = False):
     """A finite scenario value as float (or int), else ValueError naming its key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
-    if not math.isfinite(value):
+    try:
+        x = float(value)
+    except OverflowError:  # an integer no float holds
+        raise ValueError(f"{name} must be finite, got {len(str(value))} digits") from None
+    if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if integer:
-        if not float(value).is_integer():
+        if not x.is_integer():
             raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
         return int(value)
-    return float(value)
+    return x
 
 
 def cmd_cavity(args) -> int:
@@ -291,13 +296,13 @@ def cmd_cavity(args) -> int:
     scn = Scenario(command="cavity", params=p, output=args.out, fmt="csv")
 
     w = cfg.omega0
+    taus = {}
+    for d in args.delta or []:  # a bad level fails here, before any output
+        t = nonunitary_tau(series, d)
+        taus["%g" % d] = None if t is None else t * w
     _write_csv(args.out, "t_omega0,p_err", [[series.times * w, series.p_err]])
 
     i_min = int(np.argmin(series.p_err))
-    taus = {}
-    for d in args.delta or []:
-        t = nonunitary_tau(series, d)
-        taus["%g" % d] = None if t is None else t * w
     summary = {
         "min_p_err": float(series.p_err[i_min]),
         "argmin_t_omega0": float(series.times[i_min] * w),
@@ -385,7 +390,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        # every value is checked where it matters, so numpy's floating-point
+        # warnings would only add lines to the one-line diagnostic
+        with np.errstate(all="ignore"):
+            code = args.fn(args)
         sys.stdout.flush()  # a reader that left early is reported here, not at exit
         return code
     except BrokenPipeError as exc:

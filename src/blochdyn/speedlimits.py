@@ -162,7 +162,7 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
     """
     d = check_delta(delta)
     vec = as_bloch(r)
-    s = perp_norm(vec, ham)
+    s = float(_perp(ham.axis, vec)[1])
     fisher = _fisher(s, ham.omega0)
     target = 1.0 - 2.0 * d
     reachable = target <= s + REACH_SLACK

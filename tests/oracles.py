@@ -266,3 +266,73 @@ def whole_lattice_ring(axis, omega0, theta_psi, grid):
     delta = 0.5 * (1.0 - sin_ref)
     tau = np.arcsin(np.minimum((1.0 - 2.0 * delta) / s, 1.0)) / omega0
     return pts, tau, 4.0 * (omega0 * s) ** 2, delta
+
+
+def scalar_orbit_reference(axis, omega0, r, delta, ml_symmetrized=False):
+    """The scalar orbit queries through np.cross and np.clip, as plain formulas.
+
+    axis must be a unit vector. Returns a dict with perp_norm, fisher (the
+    float classify reports), qfi (the float qfi returns), tau_exact and
+    tau_mt (None where the scalar functions raise), and classify's report
+    fields as classify_*: reachable, tau_exact, tau_mt, tau_ml, min_perr.
+    Slacks are the package's 1e-12. Roundings are the ones the CLI's
+    output was recorded with: a float radius squares through pow, a numpy
+    scalar radius through numpy's power.
+    """
+    n = np.asarray(axis, dtype=float)
+    vec = np.asarray(r, dtype=float)
+    s_np = np.linalg.norm(np.cross(n, vec))
+    s = float(s_np)
+    fisher = 4.0 * (omega0 * s) ** 2
+    qfi = float(4.0 * (omega0 * s_np) ** 2)
+    target = 1.0 - 2.0 * delta
+    out = {"perp_norm": s, "fisher": fisher, "qfi": qfi}
+
+    if delta == 0.5:
+        out["tau_exact"] = out["tau_mt"] = 0.0
+    else:
+        reach = s > 1e-12 and target <= s + 1e-12
+        out["tau_exact"] = (float(np.arcsin(np.minimum(target / s, 1.0)) / omega0)
+                            if reach else None)
+        out["tau_mt"] = (float(2.0 * np.arcsin(target) / np.sqrt(qfi))
+                         if qfi > (2.0 * omega0 * 1e-12) ** 2 else None)
+
+    reachable = target <= s + 1e-12
+    out["classify_reachable"] = bool(reachable)
+    out["classify_min_perr"] = max(0.0, 0.5 - 0.5 * s)
+    if delta == 0.5:
+        out["classify_tau_exact"] = out["classify_tau_mt"] = out["classify_tau_ml"] = 0.0
+        return out
+    out["classify_tau_exact"] = (
+        float(np.arcsin(np.minimum(target / max(s, 1e-300), 1.0)) / omega0) if reachable else None)
+    out["classify_tau_mt"] = (float(2.0 * np.arcsin(target) / np.sqrt(fisher))
+                              if s > 1e-12 else np.inf)
+    c = float(np.dot(n, vec))
+    if ml_symmetrized:
+        c = abs(c)
+    out["classify_tau_ml"] = (
+        float(np.pi * (1.0 - np.sqrt(1.0 - target * target)) / (2.0 * omega0 * (c + 1.0)))
+        if c + 1.0 > 1e-12 else np.inf)
+    return out
+
+
+def evolve_reference(axis, omega0, r, t):
+    """Rotated Bloch vector cos(phi) r - sin(phi) (r x n) + (1 - cos(phi)) (n . r) n."""
+    n = np.asarray(axis, dtype=float)
+    vec = np.asarray(r, dtype=float)
+    phi = 2.0 * omega0 * t
+    return (np.cos(phi) * vec - np.sin(phi) * np.cross(vec, n)
+            + (1.0 - np.cos(phi)) * np.dot(n, vec) * n)
+
+
+def p_err_bloch_reference(r1, r2):
+    """Helstrom error 1/2 - |r1 - r2| / 4, clipped to [0, 1/2] by np.clip."""
+    d = float(np.linalg.norm(np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)))
+    return float(np.clip(0.5 - 0.25 * d, 0.0, 0.5))
+
+
+def brach_axis_reference(r1, r2):
+    """Unit axis r1 x r2 / |r1 x r2| via np.cross, or None when the pair is collinear."""
+    cross = np.cross(np.asarray(r1, dtype=float), np.asarray(r2, dtype=float))
+    norm = float(np.linalg.norm(cross))
+    return cross / norm if norm > 1e-12 else None

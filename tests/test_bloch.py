@@ -18,6 +18,7 @@ from blochdyn import (
     sld,
     unitary,
 )
+from blochdyn.bloch import RATE_LIMIT, _cross
 from oracles import SX, SY, SZ, conj_evolve, dense_p_err, rho_of, sld_fd
 
 
@@ -129,6 +130,18 @@ def test_hamiltonian_spec_rejects_non_finite_inputs(bad):
         HamiltonianSpec.from_axis((bad, 0, 1))
     with pytest.raises(ValueError, match="state vector"):
         pure_state_bloch([bad, 1.0])
+
+
+def test_rates_lie_within_the_rate_limit():
+    for w in (1.0 / RATE_LIMIT, RATE_LIMIT):
+        assert HamiltonianSpec.from_axis((0, 0, 1), omega0=w).omega0 == w
+    for w in (0.5 / RATE_LIMIT, 2.0 * RATE_LIMIT, 1e308, 5e-324, -1.0):
+        with pytest.raises(ValueError, match="omega0 must be finite and lie in"):
+            HamiltonianSpec.from_axis((0, 0, 1), omega0=w)
+    # at the limits every derived float stays finite and nonzero
+    for w in (1.0 / RATE_LIMIT, RATE_LIMIT):
+        ham = HamiltonianSpec.from_axis((0, 0, 1), omega0=w)
+        assert 0.0 < qfi((1e-12, 0, 0), ham) and qfi((1, 0, 0), ham) < np.inf
 
 
 def test_unitary_shift_is_global_phase():
@@ -253,3 +266,43 @@ def test_qfi_pure_state_variance_form():
         obs = n[0] * SX + n[1] * SY + n[2] * SZ
         var = np.trace(rho @ obs @ obs).real - np.trace(rho @ obs).real ** 2
         assert qfi(r, ham) == pytest.approx(4 * w**2 * var, abs=1e-12)
+
+
+def _log_uniform(rng, shape):
+    # signed magnitudes spread over 1e-300..1e300, so products underflow and overflow
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+
+
+def _cross_pairs(rng):
+    a = _log_uniform(rng, (4000, 3))
+    b = _log_uniform(rng, (4000, 3))
+    special = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, -0.0, 0.0], [-0.0, -0.0, -1.0],
+                        [0.3, -0.4, 0.5], [1e-300, 1e300, -1e-300], [1e300, 1e300, 1e300]])
+    # every special row against every special row, itself, a multiple and its negative
+    sa = np.repeat(special, len(special), axis=0)
+    sb = np.tile(special, (len(special), 1))
+    par = a[:200] * rng.uniform(0.1, 10.0, size=(200, 1))
+    return (np.concatenate([a, sa, special, special, a[:200], a[:200]]),
+            np.concatenate([b, sb, 3.0 * special, -special, par, -par]))
+
+
+def _same_array(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got, want, equal_nan=True)
+            and got.tobytes() == want.tobytes())  # the sign of every zero too
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(71)
+    a, b = _cross_pairs(rng)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for x, y in zip(a, b):
+            assert _same_array(_cross(x, y), np.cross(x, y))
+        assert _same_array(_cross(a, b), np.cross(a, b))
+        for x in a[::97]:
+            assert _same_array(_cross(x, b), np.cross(x, b))
+            assert _same_array(_cross(b, x), np.cross(b, x))
+        empty = np.empty((0, 3))
+        assert _same_array(_cross(empty, empty), np.cross(empty, empty))
+        assert _same_array(_cross(a[0], empty), np.cross(a[0], empty))
+        assert _same_array(_cross(empty, a[0]), np.cross(empty, a[0]))

@@ -70,6 +70,8 @@ def test_qsl_malformed_vector_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["qsl", "--axis", "0,0", "--bloch", "1,0,0", "--delta", "0"])
     assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("blochdyn qsl: error: argument --axis") and err.count("\n") == 1
 
 
 def test_qsl_nan_bloch_vector_is_an_input_error(capsys):
@@ -211,6 +213,29 @@ def test_cavity_scenario_file_with_flag_override(tmp_path, capsys):
     assert echoed["field"]["label"] == "fock"
 
 
+def test_cavity_scenario_drops_unknown_field_and_qubit_keys(tmp_path, capsys):
+    scn = {"n_max": 8, "steps": 16, "extra": float("nan"),
+           "field": {"label": "fock", "alpha_re": 1, "extra": float("nan")},
+           "qubit": {"rx": 0.0, "ry": 0.0, "rz": 1.0, "extra": None}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scn))
+    code, out, _ = run_cli(capsys, ["cavity", "--scenario", str(path),
+                                    "--out", str(tmp_path / "series.csv")])
+    assert code == 0
+    params = json.loads(out)["scenario"]["params"]
+    assert "extra" not in params
+    assert set(params["field"]) == {"label", "alpha_re", "alpha_im"}
+    assert set(params["qubit"]) == {"rx", "ry", "rz"}
+
+
+def test_cavity_bad_level_exits_1_before_any_output(capsys):
+    code, out, err = run_cli(capsys, ["cavity", "--field", "fock", "--alpha", "1", "--n-max", "8",
+                                      "--steps", "64", "--delta", "0.1", "--delta", "nan"])
+    assert code == 1
+    assert out == ""  # the CSV would go to stdout
+    assert err.startswith("blochdyn: error: delta") and err.count("\n") == 1
+
+
 def test_cavity_truncation_error_reports_tail(capsys):
     code, _, err = run_cli(capsys, ["cavity", "--alpha", "3", "--n-max", "10"])
     assert code == 1
@@ -260,6 +285,8 @@ def test_cavity_non_finite_flags_exit_1(tmp_path, capsys, flag):
      "field.alpha_re must be finite"),
     ({"qubit": {"rx": float("nan"), "ry": 0.0, "rz": 0.0}}, "qubit.rx must be finite"),
     ({"qubit": [0.0, 0.0, 1.0]}, "scenario qubit must be a JSON object"),
+    ({"n_max": 10**400}, "n_max must be finite, got 401 digits"),  # no float holds it
+    ({"omega0": 1e101}, "omega0 must be finite and lie in [1e-100, 1e+100]"),
 ])
 def test_cavity_scenario_values_are_checked(tmp_path, capsys, patch, message):
     scn = {"n_max": 30, "steps": 64,
@@ -555,13 +582,30 @@ def test_version_flag(capsys):
     ["brach", "--r1", "0.6,0,0", "--r2", "0,0.6,0", "--omega0", "inf"],
     ["brach", "--r1", "0.6,0,0", "--r2", "0,0.6,0", "--omega0", "nan"],
     ["qsl", "--axis", "nan,0,1", "--bloch", "1,0,0", "--delta", "0.1"],
-], ids=["qsl-inf", "qsl-nan", "brach-inf", "brach-nan", "qsl-nan-axis"])
+    # finite, but the QFI 4 omega0^2 s^2 would overflow
+    ["qsl", "--axis", "0,0,1", "--bloch", "1,0,0", "--delta", "0.1", "--omega0", "1e200"],
+    ["scan", "--theta-psi", "0.5", "--grid", "5", "--omega0", "1e200"],
+], ids=["qsl-inf", "qsl-nan", "brach-inf", "brach-nan", "qsl-nan-axis", "qsl-huge", "scan-huge"])
 def test_non_finite_rate_or_axis_exits_1_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 1
     assert out == ""
     assert err.startswith("blochdyn: error:") and err.count("\n") == 1
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qsl", "--axis=1e200,0,1", "--bloch=1,0,0", "--delta=0.1"],
+    ["qsl", "--axis=0,0,1", "--bloch=1e200,0,0", "--delta=0.1"],
+    ["brach", "--r1=0.6,0,0", "--r2=1e308,1e308,0"],
+], ids=["axis", "bloch", "brach"])
+def test_overflowing_norm_exits_1_with_one_line(tmp_path, argv):
+    # a norm that overflows is rejected; numpy's overflow warning must not
+    # add lines to the diagnostic, so this runs in its own interpreter
+    r = subprocess.run([sys.executable, "-m", "blochdyn.cli", *argv], capture_output=True,
+                       text=True, env=module_env(), cwd=tmp_path)
+    assert r.returncode == 1 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1, r.stderr
 
 
 def test_module_entry_point(tmp_path):

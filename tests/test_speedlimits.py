@@ -4,10 +4,12 @@ import pytest
 
 from blochdyn import (
     DegenerateOrbit,
+    BlochDynError,
     GroundState,
     HamiltonianSpec,
     NotReachable,
     bloch_to_density,
+    brach_hamiltonian,
     classify,
     evolve_bloch,
     evolve_density,
@@ -15,6 +17,7 @@ from blochdyn import (
     p_err,
     p_err_bloch,
     perp_norm,
+    qfi,
     scan_ring,
     tau_exact,
     tau_ml,
@@ -23,11 +26,15 @@ from blochdyn import (
 from blochdyn import speedlimits
 from oracles import (
     SCAN_CHUNK,
+    brach_axis_reference,
     conj_evolve,
     dense_p_err,
+    evolve_reference,
     grid_scan_tau,
+    p_err_bloch_reference,
     perr_curve,
     rho_of,
+    scalar_orbit_reference,
     whole_lattice_ring,
 )
 
@@ -385,3 +392,77 @@ def test_scan_ring_rejects_a_grid_above_the_ceiling(grid):
 def test_perp_norm_helper():
     assert perp_norm((0.8, 0, 0.6), Z) == pytest.approx(0.8, abs=1e-15)
     assert perp_norm((0, 0, 0.5), Z) == pytest.approx(0.0, abs=1e-15)
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except BlochDynError:
+        return None
+
+
+def _orbit_draws(rng, n):
+    """(axis, omega0, r, delta, t) with on-axis, centre, pure and boundary cases mixed in."""
+    for i in range(n):
+        axis = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)
+        unit = axis / np.linalg.norm(axis)
+        kind = i % 6
+        if kind == 0:
+            r = rng.normal(size=3)
+            r *= rng.uniform() ** (1 / 3) / np.linalg.norm(r)
+        elif kind == 1:
+            r = rng.normal(size=3)
+            r /= np.linalg.norm(r)  # pure
+        elif kind == 2:
+            r = unit * rng.uniform(-1.0, 1.0)  # on the axis: a degenerate orbit
+        elif kind == 3:
+            r = np.zeros(3)
+        else:
+            r = rng.uniform(-0.57, 0.57, size=3)
+        s = float(np.linalg.norm(np.cross(unit, r)))
+        delta = [rng.uniform(0.0, 0.5), 0.0, 0.5, 0.5 * (1.0 - s)][i % 4]  # last: the boundary
+        yield axis, unit, 10.0 ** rng.uniform(-1.3, 1.3), r, delta, rng.uniform(-5.0, 5.0)
+
+
+def test_scalar_queries_match_numpy_reference_bit_for_bit():
+    # Guards the qsl and brach bytes beyond the golden cases: every scalar
+    # query gives the bits of its plain np.cross / np.clip formula.
+    rng = np.random.default_rng(20251)
+    for axis, unit, w, r, delta, t in _orbit_draws(rng, 3000):
+        ham = HamiltonianSpec.from_axis(axis, omega0=w, identity_shift=True)
+        ref = scalar_orbit_reference(unit, w, r, delta, ml_symmetrized=bool(t > 0))
+        rep = classify(r, ham, delta, ml_symmetrized=bool(t > 0))
+        assert _bits(perp_norm(r, ham)) == _bits(rep.perp_norm) == _bits(ref["perp_norm"])
+        assert _bits(rep.fisher) == _bits(ref["fisher"])
+        assert _bits(qfi(r, ham)) == _bits(ref["qfi"])
+        assert rep.reachable == ref["classify_reachable"]
+        for key in ("tau_exact", "tau_mt", "tau_ml", "min_perr"):
+            assert _bits(getattr(rep, key)) == _bits(ref["classify_" + key]), key
+        assert _bits(_or_none(tau_exact, r, ham, delta)) == _bits(ref["tau_exact"])
+        assert _bits(_or_none(tau_mt, r, ham, delta)) == _bits(ref["tau_mt"])
+
+        moved = evolve_bloch(r, ham, t)
+        assert _bits(moved) == _bits(evolve_reference(unit, w, r, t))
+        assert _bits(p_err_bloch(r, moved)) == _bits(p_err_bloch_reference(r, moved))
+        other = -r if t > 0 else r  # the clip edges: d = 2 |r| and d = 0
+        assert _bits(p_err_bloch(r, other)) == _bits(p_err_bloch_reference(r, other))
+
+        r2 = moved * (np.linalg.norm(r) / max(np.linalg.norm(moved), 1e-300))
+        want = brach_axis_reference(r, r2)
+        got = _or_none(brach_hamiltonian, r, r2)
+        if want is not None and got is not None:
+            assert _bits(got.axis) == _bits(want)
+
+
+@pytest.mark.parametrize("r1, r2, expect", [
+    ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), 0.0),  # d = 2
+    ((0.6, 0.0, 0.8), (-0.6, 0.0, -0.8), 0.0),  # d = 2, up to rounding
+    ((0.3, -0.2, 0.1), (0.3, -0.2, 0.1), 0.5),  # d = 0
+])
+def test_p_err_bloch_clip_edges(r1, r2, expect):
+    assert p_err_bloch(r1, r2) == expect
+    assert _bits(p_err_bloch(r1, r2)) == _bits(p_err_bloch_reference(r1, r2))
