@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _rate, as_bloch, bloch_to_density, check_density
+from .bloch import RATE_LIMIT, _rate, as_bloch, bloch_to_density, check_density
 from .errors import NonphysicalOutput, TruncationTooSmall
 from .speedlimits import check_delta
 
@@ -98,8 +98,8 @@ class CavityConfig:
     """Mode frequency, coupling, detuning, Fock cutoff, and frame choice.
 
     g defaults to omega0 / 20 when omitted; omega0 and g lie within
-    bloch.RATE_LIMIT. frame is "lab" or "rotating". n_max lies in [1,
-    N_MAX_LIMIT].
+    bloch.RATE_LIMIT, and |detuning| is at most RATE_LIMIT. frame is "lab"
+    or "rotating". n_max lies in [1, N_MAX_LIMIT].
     """
 
     omega0: float = 1.0
@@ -112,8 +112,9 @@ class CavityConfig:
         omega0 = _rate(self.omega0, "omega0")
         g = omega0 / 20.0 if self.g is None else _rate(self.g, "g")
         detuning = float(self.detuning)
-        if not math.isfinite(detuning):
-            raise ValueError(f"detuning must be finite, got {detuning!r}")
+        if not abs(detuning) <= RATE_LIMIT:  # NaN fails too
+            raise ValueError(f"detuning must be finite and lie in "
+                             f"[{-RATE_LIMIT:g}, {RATE_LIMIT:g}], got {detuning!r}")
         if not 1 <= int(self.n_max) <= N_MAX_LIMIT:
             raise ValueError(f"n_max must lie in [1, {N_MAX_LIMIT}], got {self.n_max!r}")
         if self.frame not in ("lab", "rotating"):
@@ -322,6 +323,17 @@ def _block_rates(cfg: CavityConfig):
     return om, gn / om, half_d / om
 
 
+def _check_phases(cfg: CavityConfig, t_end: float, name: str) -> None:
+    # A sweep to t_end takes sin and cos of Om_n t up to the top block, whose
+    # rate bounds the detuning edge phase too, and of omega0 t in the lab
+    # frame; past the largest float these are NaN, so refuse such a grid.
+    rate = math.hypot(0.5 * cfg.detuning, cfg.g * math.sqrt(cfg.n_max))
+    if cfg.frame == "lab":
+        rate = max(rate, cfg.omega0)
+    if not math.isfinite(t_end * rate):
+        raise ValueError(f"{name} = {t_end!r} overflows the largest phase, {name} * {rate:g}")
+
+
 def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     # E_m(t) for m = 0 .. n_max at one time t, shape (n_max+1, 2, 2), with
     # <e|E|e>, <e|E|g>, <g|E|e>, <g|E|g> from the closed-form block entries
@@ -492,6 +504,7 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
         raise ValueError("times must be one-dimensional")
     if not np.all((tgrid >= 0.0) & (tgrid < math.inf)):
         raise ValueError("times must be finite and nonnegative")
+    _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)")
 
     w = _sweep_weights(field, cfg, rho0)
     ee = np.empty(tgrid.size)
@@ -590,6 +603,7 @@ def perr_series(
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if int(steps) < 2:
         raise ValueError("steps must be at least 2")
+    _check_phases(cfg, t_max, "t_max")
     times = np.linspace(0.0, t_max, int(steps))
     rho = reduced_series(field, bloch_to_density(r0), cfg, times, workers=workers)
 

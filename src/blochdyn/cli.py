@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
-import itertools
 import json
 import math
 import os
@@ -39,6 +39,9 @@ __all__ = ["Scenario", "entrypoint", "main"]
 
 _COMMANDS = ("qsl", "brach", "cavity", "scan")
 _BLOCK_ROWS = 8192  # CSV rows per formatted block in _write_csv
+_SIG = 15  # significant digits of a CSV cell
+_G15_BYTES = "\0e+-0123456789"  # the constant bytes of a %.15g cell, NUL first
+_WIDE = np.longdouble  # precision of the CSV formatter's scaling (see _format_cells)
 
 # CavityConfig and perr_series own their defaults; field and qubit are the CLI's
 _CAVITY_DEFAULTS = {
@@ -138,24 +141,135 @@ def _emit_json(obj, stream=None) -> None:
     print(json.dumps(_jsonable(obj), sort_keys=True), file=stream or sys.stdout)
 
 
+def _g15_template(x: int) -> list:
+    """Source columns of %.15g for a number with decimal exponent x.
+
+    Columns 0 .. 14 are the significant digits, then come the sign and the
+    decimal point (each NUL when absent), then the bytes of _G15_BYTES. %g
+    prints fixed point for -4 <= x < 15 and otherwise a mantissa with a
+    signed exponent of at least two digits.
+    """
+    const = {ch: _SIG + 2 + i for i, ch in enumerate(_G15_BYTES)}
+    sign, point = _SIG, _SIG + 1
+    if 0 <= x < _SIG:
+        body = [*range(x + 1), point, *range(x + 1, _SIG)]
+    elif -4 <= x < 0:
+        body = [const["0"], point, *[const["0"]] * (-x - 1), *range(_SIG)]
+    else:
+        body = [0, point, *range(1, _SIG), *(const[ch] for ch in "e%+03d" % x)]
+    return [sign, *body]
+
+
+@functools.cache
+def _g15_tables(wide):
+    # Built on first use, so that importing the CLI stays cheap. tens holds
+    # the powers of ten that the type wide represents exactly, so a scaling
+    # rounds once, to within margin / 2 of the exact product.
+    info = np.finfo(wide)
+    kmax = max(j for j in range(64) if 5 ** j < 2 ** (info.nmant + 1))
+    tens = np.cumprod(np.full(kmax + 1, 10, dtype=wide)) / 10
+    margin = float(info.eps) * 10.0 ** _SIG
+    xs = range(_SIG - 1 - kmax, _SIG + 1)
+    rows = [_g15_template(x) for x in xs]
+    width = max(map(len, rows))
+    pad = _SIG + 2  # the NUL of _G15_BYTES
+    templates = np.array([r + [pad] * (width - len(r)) for r in rows], dtype=np.intp)
+    for shared in (tens, templates):  # every call gets these same arrays
+        shared.setflags(write=False)
+    return tens, margin, xs.start, templates
+
+
+def _format_cells(values) -> np.ndarray:
+    """'%.15g' % v for each double v, as a (len(values), width) uint8 ASCII matrix.
+
+    Bytes that are no character are NUL, and may sit inside a cell. The
+    fast path takes the decimal exponent from log10, scales |v| by an
+    exact power of ten in _WIDE (longdouble), rounds to a 15-digit integer
+    and lays its digits out by %g's rules (_g15_template), with trailing
+    fraction zeros and a bare point blanked.
+
+    The fast path is certified. A scaling rounds once, so it misses the
+    exact product by at most half an ulp of _WIDE, which np.finfo gives;
+    margin is twice that bound. A cell goes to '%.15g' itself when its
+    scaled value lies within margin of a rounding tie, when its integer
+    does not come out with 15 digits, or when its power of ten is not
+    exact. So does every 0, -0, NaN and inf. Where longdouble is double
+    the margin is wide and about two cells in five take that way, with
+    the same bytes.
+    """
+    tens, margin, xlo, templates = _g15_tables(_WIDE)
+    v = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):
+        mag = np.abs(v)
+        k = (_SIG - 1) - np.floor(np.log10(mag))
+        fast = (k >= 0) & (k < tens.size)  # False for 0, NaN and inf
+        k = np.where(fast, k, 0).astype(np.intp)
+        m = tens[k] * mag.astype(_WIDE)
+        n = m.astype(np.int64)
+        frac = (m - n).astype(float)  # exact in longdouble, rounded by far less than margin
+    fast &= (n >= 10 ** (_SIG - 1)) & (n < 10 ** _SIG) & (np.abs(frac - 0.5) > margin)
+    n = np.where(fast, n + (frac > 0.5), 10 ** (_SIG - 1))
+    carry = n == 10 ** _SIG  # a scaled 999999999999999.5 and up rounds to the next decade
+    n[carry] = 10 ** (_SIG - 1)
+    x = (_SIG - 1) - k + carry
+
+    src = np.empty((v.size, _SIG + 2 + len(_G15_BYTES)), dtype=np.uint8)
+    digits = src[:, :_SIG]
+    f = n.astype(float)  # exact below 2 ** 53, and so is each step
+    # integer digits: x + 1 in fixed point from 1 up, none below 1, one in exponent form
+    whole = np.where((x >= -4) & (x < _SIG), np.maximum(x + 1, 0), 1)
+    zeros = np.zeros(v.size, dtype=np.int8)  # trailing zero digits
+    trailing = np.ones(v.size, dtype=bool)
+    for i in range(_SIG - 1, -1, -1):
+        q = np.floor(f / 10)
+        f -= 10 * q
+        trailing &= f == 0
+        zeros += trailing
+        f += ord("0")
+        f[trailing & (whole <= i)] = 0  # a trailing zero of the fraction
+        digits[:, i] = f
+        f = q
+    sig = _SIG - zeros
+    src[:, _SIG] = np.where(v < 0, ord("-"), 0)
+    src[:, _SIG + 1] = np.where(sig > whole, ord("."), 0)
+    src[:, _SIG + 2:] = np.frombuffer(_G15_BYTES.encode(), dtype=np.uint8)
+    index = templates.take(np.where(fast, x - xlo, 0), axis=0)
+    index += np.arange(0, src.size, src.shape[1])[:, None]  # where each row's sources start
+    out = src.ravel().take(index)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.15g" % c for c in v[slow].tolist()], dtype=bytes)
+        pad = text.itemsize - out.shape[1]
+        if pad > 0:
+            out = np.pad(out, ((0, 0), (0, pad)))
+        out[slow] = 0
+        out[slow, :text.itemsize] = text.view(np.uint8).reshape(slow.size, -1)
+    return out
+
+
 def _write_csv(dest: str, header: str, blocks) -> None:
     """Write CSV rows under header from an iterable of column blocks.
 
-    Each block is a sequence of equal-length 1-D columns. A float column
-    prints with %.15g; an object column holds its cells already formatted
-    as strings. Rows go out _BLOCK_ROWS at a time, each through one
-    %-operation on a repeated row template, so the text held at once stays
-    bounded however long the series; a lazy iterable of blocks bounds the
-    numbers held as well.
+    Each block is a sequence of equal-length columns: a 1-D float column
+    prints with %.15g (see _format_cells), a (rows, width) uint8 column
+    holds its cells already as NUL-padded ASCII. Rows go out _BLOCK_ROWS
+    at a time: the block's cell matrices are joined side by side with
+    comma and newline columns, the NULs dropped, and the text written in
+    one call. So the text held at once stays bounded however long the
+    series; a lazy iterable of blocks bounds the numbers held as well.
     """
     sink = contextlib.nullcontext(sys.stdout) if dest == "-" else open(dest, "w", newline="")
     with sink as fh:
         fh.write(header + "\n")
         for columns in blocks:
-            row = ",".join("%s" if c.dtype == object else "%.15g" for c in columns) + "\n"
             for start in range(0, len(columns[0]), _BLOCK_ROWS):
-                block = [c[start:start + _BLOCK_ROWS].tolist() for c in columns]
-                fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+                cells = [c[start:start + _BLOCK_ROWS] for c in columns]
+                cells = [c if c.dtype == np.uint8 else _format_cells(c) for c in cells]
+                comma = np.full((len(cells[0]), 1), ord(","), dtype=np.uint8)
+                rows = np.concatenate([m for c in cells for m in (c, comma)], axis=1)
+                rows[:, -1] = ord("\n")
+                fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _worker_count(requested: int) -> int:
@@ -189,6 +303,8 @@ def cmd_qsl(args) -> int:
         out["tau_exact_raw"] = rep.tau_exact
         out["tau_mt_raw"] = rep.tau_mt
         out["tau_ml_raw"] = rep.tau_ml
+    if args.csv not in (None, "-"):
+        open(args.csv, "w").close()  # a path that cannot be written fails before the report
     _emit_json(out)
     if args.csv is not None:
         r0 = as_bloch(args.bloch)
@@ -322,7 +438,7 @@ def cmd_cavity(args) -> int:
 def cmd_scan(args) -> int:
     ham = HamiltonianSpec.from_axis(args.axis, omega0=args.omega0)
     ticks, _, slabs = _ring_slabs(ham, args.theta_psi, args.grid)
-    labels = np.array(["%.15g" % t for t in ticks.tolist()], dtype=object)
+    labels = _format_cells(ticks)
     shape = (ticks.size,) * 3
     w = ham.omega0
     blocks = ([*labels[np.stack(np.unravel_index(flat, shape))], tau * w, fisher]

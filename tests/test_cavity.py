@@ -606,3 +606,20 @@ def test_nonunitary_tau_vacuum_flip_time():
     tau = nonunitary_tau(series, 0.0)
     assert tau is not None
     assert tau == pytest.approx(np.pi / (2 * 0.05), abs=2e-3)
+
+
+def test_detuning_and_phase_overflow_are_refused_naming_the_input():
+    with pytest.raises(ValueError, match="detuning must be finite and lie in"):
+        CavityConfig(detuning=1e101)
+    CavityConfig(detuning=-1e100)  # the bound itself is accepted
+    fld = fock_field(1, 8)
+    lab = CavityConfig(omega0=100.0, n_max=8)
+    with pytest.raises(ValueError,
+                       match=r"^t_max = 1e\+308 overflows the largest phase, t_max \* 100$"):
+        perr_series(fld, (0.0, 0.0, 1.0), lab, t_max=1e308, steps=5)
+    with pytest.raises(ValueError, match=r"^max\(times\) = 1e\+308 overflows"):
+        reduced_series(fld, np.diag([1.0, 0.0]), lab, [0.0, 1e308])
+    # the rotating frame drops omega0 t, so only the block rates count there
+    rot = CavityConfig(omega0=100.0, n_max=8, frame="rotating")
+    series = perr_series(fld, (0.0, 0.0, 1.0), rot, t_max=1e300, steps=5)
+    assert np.all(np.isfinite(series.p_err))

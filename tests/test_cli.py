@@ -109,6 +109,14 @@ def test_qsl_orbit_csv(tmp_path, capsys):
                         atol=1e-12)
 
 
+def test_qsl_unwritable_csv_path_fails_before_the_report(capsys):
+    code, out, err = run_cli(capsys, ["qsl", "--axis", "0,0,1", "--bloch", "1,0,0",
+                                      "--delta", "0.1", "--csv", "/nonexistent/x.csv"])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("blochdyn: error:")
+    assert "/nonexistent/x.csv" in err
+
+
 # ------------------------------------------------------------------ brach
 
 
@@ -300,6 +308,23 @@ def test_cavity_scenario_values_are_checked(tmp_path, capsys, patch, message):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert message in err
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--detuning", "1e308"], "detuning"),
+    (["--t-max", "1e308", "--omega0", "100"], "t_max"),
+    (["--omega0", "1e99", "--t-max", "1e300"], "t_max"),
+], ids=["detuning", "t-max-times-omega0", "omega0-times-t-max"])
+def test_cavity_overflowing_phase_is_an_input_error(tmp_path, capsys, flags, name):
+    # finite inputs whose phases overflow used to fail the physicality check with NaN
+    dest = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, ["cavity", "--field", "fock", "--alpha", "1",
+                                      "--n-max", "8", "--steps", "5", *flags,
+                                      "--out", str(dest)])
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith(f"blochdyn: error: {name} ")
+    assert "nan" not in err and "physicality" not in err
     assert not dest.exists()
 
 
