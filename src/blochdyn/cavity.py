@@ -86,11 +86,16 @@ __all__ = [
 ]
 
 TAIL_LIMIT = 1e-10
-# Largest Fock cutoff CavityConfig accepts: a 4096-step chunk then holds three
-# real (4096, n_max) arrays of about 330 MB each, per worker.
+# Largest Fock cutoff CavityConfig accepts: a sweep chunk then holds three
+# real (_MIN_CHUNK, n_max) arrays of about 41 MB each, per worker.
 N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
+# Time rows per sweep chunk: a power of two in [_MIN_CHUNK, _CHUNK], the
+# largest whose (rows, n_max) float64 arrays hold at most _CHUNK_CELLS
+# (1 MiB), so the passes over a chunk run from L2 rather than from memory.
 _CHUNK = 4096
+_MIN_CHUNK = 512
+_CHUNK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,13 +328,15 @@ def _block_rates(cfg: CavityConfig):
     return om, gn / om, half_d / om
 
 
-def _check_phases(cfg: CavityConfig, t_end: float, name: str) -> None:
-    # A sweep to t_end takes sin and cos of Om_n t up to the top block, whose
-    # rate bounds the detuning edge phase too, and of omega0 t in the lab
-    # frame; past the largest float these are NaN, so refuse such a grid.
+def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -> None:
+    # Up to t_end the dynamics takes sin and cos of Om_n t up to the top
+    # block, whose rate bounds the detuning edge phase too, and in the lab
+    # frame of free phases up to lab_rate * t_end; past the largest float
+    # these are NaN, so refuse such a time.
     rate = math.hypot(0.5 * cfg.detuning, cfg.g * math.sqrt(cfg.n_max))
     if cfg.frame == "lab":
-        rate = max(rate, cfg.omega0)
+        rate = max(rate, lab_rate)
+    t_end = float(t_end)  # a numpy scalar would warn as it overflows
     if not math.isfinite(t_end * rate):
         raise ValueError(f"{name} = {t_end!r} overflows the largest phase, {name} * {rate:g}")
 
@@ -344,11 +351,13 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     c, n_max = field.amplitudes, cfg.n_max
+    wq = cfg.omega0 + cfg.detuning  # qubit splitting
+    # the lab-frame phase of |e,n_max> is the largest free phase
+    _check_phases(cfg, t, "t", n_max * cfg.omega0 + 0.5 * abs(wq))
     om, y, r = _block_rates(cfg)
     st = np.sin(om * t)
     u = np.cos(om * t) - 1j * r * st
     v = -1j * y * st
-    wq = cfg.omega0 + cfg.detuning  # qubit splitting
     if cfg.frame == "lab":
         ph = np.exp(-1j * cfg.omega0 * (np.arange(n_max) + 0.5) * t)
         ph_g0 = np.exp(0.5j * wq * t)
@@ -401,15 +410,21 @@ class _SweepWeights:
     S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1}; edges the complex
     coefficients of C_0 and S_0 (from |g,0>) and of C_{n_max-1} and
     S_{n_max-1} (from |e,n_max>).
+
+    A block is live when some nonzero weight reads its S_n or C_n: a
+    diag_ss or diag_sc row, either block of a pair row, or an edge. A
+    Fock field has at most two live blocks, an e0 field half of them.
+    Dead blocks carry Om_n = 0, so their phases stay zero.
     """
 
-    om: np.ndarray  # Om_n
+    om: np.ndarray  # Om_n, zero on dead blocks
     ee0: float  # p sum |c_n|^2
     gg0: float  # q sum |c_n|^2
     diag_ss: np.ndarray  # (n_max, 2): (ee, gg) columns against S_n^2
     diag_sc: np.ndarray  # (n_max, 2): (ee, gg) columns against S_n C_n
     pairs: tuple  # four (n_max-1, 2) arrays
     edges: tuple  # four complex scalars
+    live: np.ndarray | None  # (n_max,) bool, or None when every block is live
 
 
 def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
@@ -455,14 +470,40 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
         bt,
         1j * (p * c[-1] * np.conj(c[-2]) * y[-1] - bt * r[-1]),
     )
-    return _SweepWeights(om, p * norm, q * norm, diag_ss, diag_sc, pairs, edges)
+
+    live = np.any(diag_ss != 0.0, axis=1) | np.any(diag_sc != 0.0, axis=1)
+    paired = np.any(np.hstack(pairs) != 0.0, axis=1)  # pair row m reads m and m-1
+    live[1:] |= paired
+    live[:-1] |= paired
+    live[0] |= bool(edges[0] or edges[1])
+    live[-1] |= bool(edges[2] or edges[3])
+    if live.all():
+        live = None
+    else:
+        om = np.where(live, om, 0.0)
+    return _SweepWeights(om, p * norm, q * norm, diag_ss, diag_sc, pairs, edges, live)
+
+
+def _chunk_rows(n_max: int) -> int:
+    # Depends on n_max alone, so the chunk bounds, and with them the bits of
+    # every contraction, are the same for any worker count and grid length.
+    rows = _CHUNK
+    while rows > _MIN_CHUNK and rows * n_max > _CHUNK_CELLS:
+        rows //= 2
+    return rows
 
 
 def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg) -> None:
     # Fills ee, eg, gg (views of the output at t) from real trig products.
     arg = np.multiply.outer(t, w.om)
-    S = np.sin(arg)
-    C = np.cos(arg, out=arg)
+    if w.live is None:
+        S = np.sin(arg)
+        C = np.cos(arg, out=arg)
+    else:
+        # trig on live blocks only; dead ones keep their zero phase as S and
+        # C, so every product meets its zero weight as an exact zero
+        S = np.sin(arg, out=arg.copy(), where=w.live)
+        C = np.cos(arg, out=arg, where=w.live)
     prod = np.multiply(S, S)
     diag = prod @ w.diag_ss
     np.multiply(S, C, out=prod)
@@ -492,10 +533,16 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     adjacent blocks plus the |g,0> and |e,n_max> edge terms, times
     exp(-i omega0 t) in the lab frame.
 
-    Chunks have a fixed size; with workers > 1 they are fanned out to a
-    thread pool (never larger than the number of chunks or than
-    os.cpu_count()) and each writes its own slice of the output, so the
-    output is bit-identical for any worker count.
+    Trig is evaluated only on live blocks, those some nonzero weight
+    reads (a Fock field has at most two, an e0 field half); the others
+    hold exact zeros, so the contractions keep their full width and bits.
+
+    A chunk has the most time rows, a power of two from 512 to 4096, whose
+    (rows, n_max) arrays fit 1 MiB (512 above n_max 256), set by n_max
+    alone. With workers > 1 chunks are fanned out to a thread pool (never
+    larger than the number of chunks or than os.cpu_count()) and each
+    writes its own slice of the output, so the output is bit-identical
+    for any worker count.
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
@@ -504,18 +551,20 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
         raise ValueError("times must be one-dimensional")
     if not np.all((tgrid >= 0.0) & (tgrid < math.inf)):
         raise ValueError("times must be finite and nonnegative")
-    _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)")
+    _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)", cfg.omega0)
 
     w = _sweep_weights(field, cfg, rho0)
     ee = np.empty(tgrid.size)
     gg = np.empty(tgrid.size)
     eg = np.empty(tgrid.size, dtype=complex)
 
+    rows = _chunk_rows(cfg.n_max)
+
     def eval_chunk(lo: int) -> None:
-        sl = slice(lo, lo + _CHUNK)
+        sl = slice(lo, lo + rows)
         _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl])
 
-    starts = range(0, tgrid.size, _CHUNK)
+    starts = range(0, tgrid.size, rows)
     pool_size = min(int(workers or 1), len(starts), os.cpu_count() or 1)
     if pool_size > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
@@ -603,7 +652,7 @@ def perr_series(
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if int(steps) < 2:
         raise ValueError("steps must be at least 2")
-    _check_phases(cfg, t_max, "t_max")
+    _check_phases(cfg, t_max, "t_max", cfg.omega0)
     times = np.linspace(0.0, t_max, int(steps))
     rho = reduced_series(field, bloch_to_density(r0), cfg, times, workers=workers)
 

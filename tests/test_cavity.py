@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -382,10 +385,10 @@ def test_physicality_check_fails_on_nan():
 # ---------------------------------------------------------------- time series
 
 
-def _edge_field():
+def _edge_field(n_max=8):
     # nonzero c_0 and c_n_max, so the |g,0> and |e,n_max> terms both count
     rng = np.random.default_rng(7)
-    amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+    amps = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
     return custom_field(amps / np.linalg.norm(amps))
 
 
@@ -443,7 +446,8 @@ def test_single_chunk_runs_without_a_thread_pool(monkeypatch):
     assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
 
 
-def test_thread_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+def _spy_pool(monkeypatch, cpus):
+    # real threads, at most cpus of them; returns the pool sizes asked for
     sizes = []
     real_pool = cavity.ThreadPoolExecutor
 
@@ -452,20 +456,16 @@ def test_thread_pool_is_no_larger_than_the_chunk_count(monkeypatch):
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(cavity, "ThreadPoolExecutor", spy)
-    monkeypatch.setattr(cavity.os, "cpu_count", lambda: 8)  # the chunk count binds
-    f = coherent_field(1.0, n_max=12)
-    cfg = CavityConfig(n_max=12)
-    times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
-    a = reduced_series(f, MIXED, cfg, times, workers=8)
-    assert sizes == [3]
-    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
+    monkeypatch.setattr(cavity.os, "cpu_count", lambda: cpus)
+    return sizes
 
 
-@pytest.mark.parametrize("cpus", [2, None], ids=["two-cpus", "cpu-count-unknown"])
-def test_thread_pool_is_no_larger_than_the_cpu_count(monkeypatch, cpus):
+def _serial_pool(monkeypatch, cpus):
+    # stands in for the pool, so no thread is ever started; returns the
+    # pool sizes asked for
     sizes = []
 
-    class SerialPool:  # stands in for the pool, so no thread is ever started
+    class SerialPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -480,12 +480,157 @@ def test_thread_pool_is_no_larger_than_the_cpu_count(monkeypatch, cpus):
 
     monkeypatch.setattr(cavity, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(cavity.os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+def test_thread_pool_is_no_larger_than_the_chunk_count(monkeypatch):
+    sizes = _spy_pool(monkeypatch, 8)  # the chunk count binds
+    f = coherent_field(1.0, n_max=12)
+    cfg = CavityConfig(n_max=12)
+    times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
+    a = reduced_series(f, MIXED, cfg, times, workers=8)
+    assert sizes == [3]
+    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
+
+
+@pytest.mark.parametrize("cpus", [2, None], ids=["two-cpus", "cpu-count-unknown"])
+def test_thread_pool_is_no_larger_than_the_cpu_count(monkeypatch, cpus):
+    sizes = _serial_pool(monkeypatch, cpus)
     f = coherent_field(1.0, n_max=12)
     cfg = CavityConfig(n_max=12)
     times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
     a = reduced_series(f, MIXED, cfg, times, workers=5000)
     assert sizes == ([2] if cpus == 2 else [])  # an unknown count runs inline
     assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
+
+
+def test_chunk_rows_are_a_cache_sized_power_of_two_set_by_n_max_alone():
+    for n_max in range(1, cavity.N_MAX_LIMIT + 1):
+        rows = cavity._chunk_rows(n_max)
+        assert rows & (rows - 1) == 0 and 512 <= rows <= cavity._CHUNK
+        if rows > 512:
+            assert rows * n_max <= cavity._CHUNK_CELLS
+        if rows < cavity._CHUNK:  # the largest that fits
+            assert 2 * rows * n_max > cavity._CHUNK_CELLS
+        if n_max <= 32:  # the golden sweeps keep one chunk of today's shape
+            assert rows == cavity._CHUNK
+
+
+def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch):
+    seen = []
+    real_chunk = cavity._sweep_chunk
+
+    def spy(w, cfg, t, *out):
+        seen.append((t[0], t.size))
+        return real_chunk(w, cfg, t, *out)
+
+    monkeypatch.setattr(cavity, "_sweep_chunk", spy)
+    _serial_pool(monkeypatch, 4)
+    f = coherent_field(2.0, n_max=100)
+    cfg = CavityConfig(n_max=100)
+    rows = cavity._chunk_rows(100)
+    for steps in (rows - 1, 3 * rows + 5):
+        times = np.arange(steps, dtype=float)
+        runs = []
+        for workers in (1, 2, 4):
+            seen.clear()
+            reduced_series(f, MIXED, cfg, times, workers=workers)
+            runs.append(list(seen))
+        assert runs[0] == runs[1] == runs[2]
+        assert [lo for lo, _ in runs[0]] == list(range(0, steps, rows))
+
+
+MULTI_CHUNK_FIELDS = {
+    "edges": lambda: _edge_field(n_max=64),  # every block live
+    "e0_gaps": lambda: e0_field(3.0, n_max=64),  # live blocks only
+}
+
+
+def _multi_chunk_times(n_max):
+    rows = cavity._chunk_rows(n_max)
+    assert rows < cavity._CHUNK
+    return np.linspace(0.0, 160.0, 2 * rows + 900)  # three chunks
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CHUNK_FIELDS))
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize("detuning", [0.0, 0.03])
+def test_multi_chunk_series_matches_dense_oracle(name, frame, detuning):
+    f = MULTI_CHUNK_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
+    times = _multi_chunk_times(f.n_max)
+    rho = reduced_series(f, MIXED, cfg, times)
+    worst = 0.0
+    for i in np.linspace(0, times.size - 1, 24).astype(int):
+        t = times[i]
+        ref = dense_reduced(f.amplitudes, MIXED, f.n_max, 1.3, 0.07, t, detuning=detuning)
+        if frame == "rotating":
+            ref = _lab_to_rotating(ref, 1.3, t)
+        worst = max(worst, np.abs(rho[i] - ref).max())
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CHUNK_FIELDS))
+def test_multi_chunk_series_is_bit_identical_for_one_or_two_workers(monkeypatch, name):
+    sizes = _spy_pool(monkeypatch, 2)
+    f = MULTI_CHUNK_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
+    times = _multi_chunk_times(f.n_max)
+    a = reduced_series(f, MIXED, cfg, times, workers=1)
+    b = reduced_series(f, MIXED, cfg, times, workers=2)
+    assert sizes == [2]
+    assert np.array_equal(a, b)
+
+
+LIVE_MASK_FIELDS = {  # name: (field, the qubits that leave some block dead)
+    "fock_mid": (lambda: fock_field(7, n_max=40), {"excited", "mixed"}),
+    "fock_vacuum": (lambda: fock_field(0, n_max=40), {"excited", "mixed"}),
+    "fock_top": (lambda: fock_field(40, n_max=40), {"excited", "mixed"}),
+    "e0": (lambda: e0_field(2.0, n_max=40), {"excited", "mixed"}),
+    # from |e> only blocks n with c_n != 0 are read, from a mixed qubit all
+    "cat_odd": (lambda: cat_field(2.0, n_max=40, parity="odd"), {"excited"}),
+    "edges": (_edge_field, set()),
+}
+
+
+def _assert_live_trig_matches_every_block(w, cfg, rows):
+    every = dataclasses.replace(w, om=cavity._block_rates(cfg)[0], live=None)
+    t = np.linspace(0.0, 160.0, rows)
+    got = []
+    for weights in (w, every):
+        ee, eg, gg = np.empty(rows), np.empty(rows, dtype=complex), np.empty(rows)
+        # garbage or a stale phase in a dead block fails here if it overflows
+        with np.errstate(over="raise", invalid="raise"):
+            cavity._sweep_chunk(weights, cfg, t, ee, eg, gg)
+        got.append((ee, eg, gg))
+    for masked, full in zip(*got):
+        assert np.array_equal(masked, full)
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_MASK_FIELDS))
+@pytest.mark.parametrize("rows", [512, cavity._CHUNK])
+@pytest.mark.parametrize("qubit", ["excited", "mixed"])
+def test_live_block_trig_is_bit_identical_to_trig_on_every_block(name, rows, qubit):
+    make, dead_for = LIVE_MASK_FIELDS[name]
+    f = make()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
+    w = cavity._sweep_weights(f, cfg, EXCITED if qubit == "excited" else MIXED)
+    assert (w.live is not None) == (qubit in dead_for)  # all live: the unmasked path
+    _assert_live_trig_matches_every_block(w, cfg, rows)
+
+
+@pytest.mark.parametrize("n, live", [(7, [6, 7]), (0, [0]), (40, [39])],
+                         ids=["pair", "edge_g0", "edge_top"])
+def test_blocks_read_only_by_the_coherence_stay_live(n, live):
+    # g / detuning far below 1e-162 underflows every y_n^2 and with it the
+    # population weights of a Fock field, so only the rho_eg terms read
+    # blocks: the pair row m = n, or the |g,0> or |e,n_max> edge
+    f = fock_field(n, n_max=40)
+    cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40)
+    w = cavity._sweep_weights(f, cfg, MIXED)
+    assert not w.diag_ss.any() and not w.diag_sc.any()
+    assert np.flatnonzero(w.live).tolist() == live
+    _assert_live_trig_matches_every_block(w, cfg, 512)
 
 
 # ---------------------------------------------------------------- support
@@ -623,3 +768,27 @@ def test_detuning_and_phase_overflow_are_refused_naming_the_input():
     rot = CavityConfig(omega0=100.0, n_max=8, frame="rotating")
     series = perr_series(fld, (0.0, 0.0, 1.0), rot, t_max=1e300, steps=5)
     assert np.all(np.isfinite(series.p_err))
+
+
+def test_single_time_phase_overflow_is_refused_naming_t():
+    # in the lab frame |e,n_max> turns at n_max omega0 + (omega0 + detuning) / 2
+    # = 850 here, faster than any phase of a sweep
+    fld = fock_field(1, 8)
+    lab = CavityConfig(omega0=100.0, n_max=8)
+    rot = CavityConfig(omega0=100.0, n_max=8, frame="rotating")
+    calls = (
+        lambda cfg, t: jc_propagate(fld, EXCITED, cfg, t)[0],
+        lambda cfg, t: kraus_support(fld, cfg, t),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        for call in calls:
+            for t in (1e306, np.float64(1e306)):
+                with pytest.raises(ValueError,
+                                   match=r"^t = 1e\+306 overflows the largest phase, t \* 850$"):
+                    call(lab, t)
+            assert np.all(np.isfinite(call(lab, 1e305)))
+            # the rotating frame drops the free phases, so only block rates count
+            assert np.all(np.isfinite(call(rot, 1e306)))
+        _, kraus = jc_propagate(fld, EXCITED, lab, 1e305)
+        assert kraus.completeness_error() < 1e-12
