@@ -11,6 +11,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -122,16 +123,22 @@ def bloch_to_density(r) -> np.ndarray:
 
 
 def check_density(rho, tol: float = NORM_EPS) -> np.ndarray:
-    """Validate a 2x2 density matrix (Hermitian, unit trace, PSD)."""
+    """Validate a finite 2x2 density matrix (Hermitian, unit trace, PSD)."""
     mat = np.asarray(rho, dtype=complex)
     if mat.shape != (2, 2):
         raise ValueError("density matrix must be 2x2")
-    if np.abs(mat - mat.conj().T).max() > tol:
+    a, b, c, d = mat.ravel().tolist()
+    if not all(map(cmath.isfinite, (a, b, c, d))):
+        raise ValueError("density matrix must be finite")
+    # each test is written so that a NaN fails it
+    if not (2.0 * abs(a.imag) <= tol and 2.0 * abs(d.imag) <= tol
+            and abs(b - c.conjugate()) <= tol):
         raise ValueError("density matrix must be Hermitian")
-    tr = mat.trace()
-    if abs(tr - 1.0) > tol:
+    tr = a + d
+    if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix must have unit trace, got {tr}")
-    if float(np.linalg.eigvalsh(mat)[0]) < -tol:
+    # smallest eigenvalue in closed form, from the lower triangle as eigvalsh reads it
+    if not 0.5 * (a.real + d.real - math.hypot(a.real - d.real, 2.0 * abs(c))) >= -tol:
         raise ValueError("density matrix must be positive semidefinite")
     return mat
 

@@ -51,6 +51,7 @@ Qubit basis: |e> = |0> is the +z pole of the Bloch ball.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -303,12 +304,44 @@ class KrausSet:
 
     def completeness_error(self) -> float:
         """Spectral norm of sum_n E_n' E_n - I. Machine-level for unit-norm fields."""
-        s = np.einsum("nij,nik->jk", self.operators.conj(), self.operators)
+        m = _gram(self.operators)
+        s = (m[:2, :2] + m[2:, 2:]).T  # sum_n E_n' E_n
         return float(np.abs(np.linalg.eigvalsh(s - np.eye(2))).max())
 
     def norms(self) -> np.ndarray:
         """Operator (spectral) norm of each E_n."""
-        return np.linalg.svd(self.operators, compute_uv=False)[:, 0]
+        return _spectral_norms(self.operators)
+
+
+def _gram(ops: np.ndarray) -> np.ndarray:
+    # M[2i+k, 2j+l] = sum_n E_n[i, k] conj(E_n[j, l]), the channel's Choi
+    # matrix with its two tensor factors swapped
+    a = ops.reshape(-1, 4)
+    return a.T @ a.conj()
+
+
+def _spectral_norms(ops: np.ndarray) -> np.ndarray:
+    # ||E|| of each E = [[a, b], [c, d]]: the larger eigenvalue of
+    # E E' = [[p, x], [conj(x), q]] is (p + q)/2 + hypot((p - q)/2, |x|), a sum
+    # of nonnegative terms. A nonzero E whose p + q leaves [lo, hi] (under- or
+    # overflow) is first scaled by an exact power of two, to a largest part
+    # in [1/2, 1).
+    e = np.ascontiguousarray(ops, dtype=complex).reshape(-1, 4)  # rows (a, b, c, d)
+    lo, hi = 2.0**-960, 2.0**960
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.square(e.view(float))
+        sq = sq[:, 0::2] + sq[:, 1::2]  # |a|^2, |b|^2, |c|^2, |d|^2
+        p, q = sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]
+        x = np.abs(e[:, 0] * e[:, 2].conj() + e[:, 1] * e[:, 3].conj())
+        s = p + q
+        out = np.sqrt(0.5 * s + np.hypot(0.5 * (p - q), x))
+        if not lo <= s.min(initial=1.0) <= s.max(initial=1.0) <= hi:  # NaN fails too
+            m = np.abs(e.view(float)).max(axis=1)
+            far = ((s < lo) | ~(s <= hi)) & (0.0 < m) & (m < math.inf)
+            k = np.frexp(m[far])[1]
+            scaled = np.ldexp(e[far].view(float), -k[:, None]).view(complex)
+            out[far] = np.ldexp(_spectral_norms(scaled), k)
+    return out
 
 
 def _check_field(field: FieldState, cfg: CavityConfig) -> None:
@@ -318,11 +351,19 @@ def _check_field(field: FieldState, cfg: CavityConfig) -> None:
         )
 
 
+def _as_float(x, name: str):
+    """x as a float array; an int past the float range is a ValueError naming x."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer past the float range") from None
+
+
 def _block_rates(cfg: CavityConfig):
     # Block n = 0 .. n_max-1 has M_n = [[d/2, g_n], [g_n, -d/2]] with
     # g_n = g sqrt(n+1) and d the detuning. Returns Om_n = sqrt(d^2/4 + g_n^2),
     # y_n = g_n / Om_n and r_n = (d/2) / Om_n.
-    gn = cfg.g * np.sqrt(np.arange(cfg.n_max) + 1.0)
+    gn = cfg.g * np.sqrt(np.arange(1.0, cfg.n_max + 1))
     half_d = 0.5 * cfg.detuning
     om = np.hypot(half_d, gn)
     return om, gn / om, half_d / om
@@ -342,12 +383,13 @@ def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -
 
 
 def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
-    # E_m(t) for m = 0 .. n_max at one time t, shape (n_max+1, 2, 2), with
-    # <e|E|e>, <e|E|g>, <g|E|e>, <g|E|g> from the closed-form block entries
-    #   u = cos(Om t) - i r sin(Om t),  v = -i y sin(Om t)
-    # (block propagator [[u, v], [v, conj(u)]] times a free phase) and the
-    # uncoupled |g,0> and |e,n_max>.
+    # E_m(t) for m = 0 .. n_max at one time t, shape (n_max+1, 2, 2): block n,
+    # [[u, v], [v, conj(u)]] with u = cos(Om t) - i r sin(Om t) and
+    # v = -i y sin(Om t), meets a = c_n and b = c_{n+1} (times its free phase)
+    # as <e|E_n|e> = a u, <e|E_n|g> = b v, <g|E_{n+1}|e> = a v and
+    # <g|E_{n+1}|g> = b conj(u); |g,0> and |e,n_max> are uncoupled.
     _check_field(field, cfg)
+    t = float(_as_float(t, "t"))
     if not 0.0 <= t < math.inf:
         raise ValueError("t must be finite and nonnegative")
     c, n_max = field.amplitudes, cfg.n_max
@@ -355,32 +397,27 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     # the lab-frame phase of |e,n_max> is the largest free phase
     _check_phases(cfg, t, "t", n_max * cfg.omega0 + 0.5 * abs(wq))
     om, y, r = _block_rates(cfg)
-    st = np.sin(om * t)
-    u = np.cos(om * t) - 1j * r * st
+    arg = om * t
+    st = np.sin(arg)
+    u = np.cos(arg) - 1j * r * st
     v = -1j * y * st
+    a, b = c[:n_max], c[1:]
     if cfg.frame == "lab":
-        ph = np.exp(-1j * cfg.omega0 * (np.arange(n_max) + 0.5) * t)
-        ph_g0 = np.exp(0.5j * wq * t)
-        ph_etop = np.exp(-1j * (n_max * cfg.omega0 + 0.5 * wq) * t)
+        ph = np.exp((-1j * cfg.omega0 * t) * np.arange(0.5, n_max))
+        a, b = a * ph, b * ph
+        ph_g0 = cmath.exp(0.5j * wq * t)
+        ph_etop = cmath.exp(-1j * (n_max * cfg.omega0 + 0.5 * wq) * t)
     else:
-        ph = 1.0
-        ph_g0 = np.exp(0.5j * cfg.detuning * t)
-        ph_etop = np.exp(-0.5j * cfg.detuning * t)
+        ph_g0 = cmath.exp(0.5j * cfg.detuning * t)
+        ph_etop = ph_g0.conjugate()
     ops = np.zeros((n_max + 1, 2, 2), dtype=complex)
-    ops[:n_max, 0, 0] = c[:n_max] * ph * u
+    np.multiply(a, u, out=ops[:n_max, 0, 0])
+    np.multiply(b, v, out=ops[:n_max, 0, 1])
+    np.multiply(a, v, out=ops[1:, 1, 0])
+    np.multiply(b, u.conj(), out=ops[1:, 1, 1])
     ops[n_max, 0, 0] = c[n_max] * ph_etop
-    ops[:n_max, 0, 1] = c[1:] * ph * v
-    ops[1:, 1, 0] = c[:n_max] * ph * v
     ops[0, 1, 1] = c[0] * ph_g0
-    ops[1:, 1, 1] = c[1:] * ph * np.conj(u)
     return ops
-
-
-def _reduced_entries(ops: np.ndarray, rho0):
-    # rho_S[i, j] = sum_n sum_l (<i|E_n rho0)_l conj(<j|E_n)_l, over the Kraus index n
-    e, g = ops[:, 0, :], ops[:, 1, :]  # rows <e|E_n and <g|E_n
-    e_rho, g_rho = e @ rho0, g @ rho0
-    return np.sum(e_rho * e.conj()).real, np.sum(e_rho * g.conj()), np.sum(g_rho * g.conj()).real
 
 
 def _check_physical(ee, eg, gg) -> None:
@@ -546,7 +583,7 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
-    tgrid = np.asarray(times, dtype=float)
+    tgrid = _as_float(times, "times")
     if tgrid.ndim != 1:
         raise ValueError("times must be one-dimensional")
     if not np.all((tgrid >= 0.0) & (tgrid < math.inf)):
@@ -592,7 +629,9 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
     """
     rho0 = check_density(qubit)
     ops = _kraus_ops(field, cfg, t)
-    ee, eg, gg = _reduced_entries(ops, rho0)
+    # rho_S[i, j] = sum_n (E_n rho0 E_n')[i, j] = sum_kl rho0[k, l] M[2i+k, 2j+l]
+    rho = np.einsum("ikjl,kl->ij", _gram(ops).reshape(2, 2, 2, 2), rho0)
+    ee, eg, gg = rho[0, 0].real, rho[0, 1], rho[1, 1].real
     _check_physical(ee, eg, gg)
     rho_t = np.array([[ee, eg], [np.conj(eg), gg]])
     return rho_t, KrausSet(t=float(t), operators=ops)
@@ -600,7 +639,7 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
 
 def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1e-12):
     """Indices n with operator norm ||E_n(t)|| > tol, ascending."""
-    return np.flatnonzero(KrausSet(float(t), _kraus_ops(field, cfg, t)).norms() > tol)
+    return np.flatnonzero(_spectral_norms(_kraus_ops(field, cfg, t)) > tol)
 
 
 def photon_number_expectation(kraus: KrausSet, qubit) -> float:
@@ -647,7 +686,7 @@ def perr_series(
     (0, 1/2). Deterministic for fixed inputs and any worker count.
     """
     r0 = as_bloch(qubit_r)
-    t_max = 100.0 / cfg.omega0 if t_max is None else float(t_max)
+    t_max = 100.0 / cfg.omega0 if t_max is None else float(_as_float(t_max, "t_max"))
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if int(steps) < 2:

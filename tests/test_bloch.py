@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +20,7 @@ from blochdyn import (
     sld,
     unitary,
 )
-from blochdyn.bloch import RATE_LIMIT, _cross
+from blochdyn.bloch import NORM_EPS, RATE_LIMIT, _cross
 from oracles import SX, SY, SZ, conj_evolve, dense_p_err, rho_of, sld_fd
 
 
@@ -66,6 +68,45 @@ def test_check_density_rejects_invalid():
         check_density(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ValueError):
         check_density(np.diag([1.2, -0.2]))  # negative eigenvalue
+
+
+@pytest.mark.parametrize("rho", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[0.5, 0.5j], [complex(0.0, np.inf), 0.5]],
+])
+def test_check_density_rejects_non_finite_entries(rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(ValueError, match="finite"):
+            check_density(rho)
+
+
+def _psd_verdict(mat):
+    try:
+        check_density(mat)
+    except ValueError as err:
+        assert "positive semidefinite" in str(err)
+        return False
+    return True
+
+
+def test_check_density_psd_verdict_matches_eigvalsh():
+    rng = np.random.default_rng(11)
+    mats = []
+    for _ in range(2000):  # Hermitian, unit trace, about half of them not PSD
+        a = rng.uniform(-0.2, 1.2)
+        b = complex(*rng.normal(scale=0.4, size=2))
+        mats.append(np.array([[a, b], [b.conjugate(), 1.0 - a]]))
+    for _ in range(500):  # smallest eigenvalue 1e-15 either side of -NORM_EPS
+        lam = -NORM_EPS + rng.choice([-1e-15, 1e-15])
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        mats.append(q @ np.diag([1.0 - lam, lam]) @ q.conj().T)
+    got = [_psd_verdict(m) for m in mats]
+    ref = [float(np.linalg.eigvalsh(m)[0]) >= -NORM_EPS for m in mats]
+    assert got == ref
+    assert 0 < sum(got[2000:]) < 500  # both sides of the boundary were reached
 
 
 def test_pure_state_bloch_poles_and_equator():

@@ -373,6 +373,36 @@ def test_time_and_grid_validation():
     assert reduced_series(f, EXCITED, cfg, []).shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize("qubit", [
+    [[np.nan, 0.0], [0.0, 1.0]],
+    [[0.5, np.nan], [np.nan, 0.5]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+])
+def test_non_finite_qubits_are_refused_at_the_input(qubit):
+    f = coherent_field(1.0, n_max=20)
+    cfg = CavityConfig(n_max=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        for call in (lambda: jc_propagate(f, qubit, cfg, 1.0),
+                     lambda: reduced_series(f, qubit, cfg, [0.0, 1.0])):
+            with pytest.raises(ValueError, match="density matrix must be finite"):
+                call()
+
+
+def test_integer_times_past_the_float_range_are_refused_naming_them():
+    f = coherent_field(1.0, 20)
+    cfg = CavityConfig(n_max=20)
+    calls = [
+        ("t", lambda: jc_propagate(f, EXCITED, cfg, 10**400)),
+        ("t", lambda: kraus_support(f, cfg, 10**400)),
+        ("times", lambda: reduced_series(f, EXCITED, cfg, [0.0, 10**400])),
+        ("t_max", lambda: perr_series(f, (0.0, 0.0, 1.0), cfg, t_max=10**400)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            call()
+
+
 def test_physicality_check_fails_on_nan():
     half = np.array([0.5, 0.5])
     cavity._check_physical(half, np.zeros(2, complex), half)
@@ -655,6 +685,114 @@ def test_kraus_support_coherent_and_e0():
     residues = set((sup_t % 4).tolist())
     assert residues <= {0, 1, 3}
     assert {1, 3} <= residues  # the coupling populates n0 +/- 1
+
+
+def _spread_stacks(rng, n=400):
+    # random, rank-one, unitary and zero 2x2 operators, each scaled by a
+    # random 10^k for k in [-300, 300] and half of them spread by up to 10^2
+    # between entries, so their p + q over- and underflows
+    z = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rank_one = z(n, 2)[:, :, None] * z(n, 2)[:, None, :].conj()
+    unitary = np.linalg.qr(z(n, 2, 2))[0]
+    ops = np.concatenate([z(n, 2, 2), rank_one, unitary, np.zeros((n, 2, 2))])
+    scale = 10.0 ** rng.uniform(-300, 300, size=(ops.shape[0], 1, 1))
+    spread = np.where(rng.uniform(size=(ops.shape[0], 1, 1)) < 0.5,
+                      10.0 ** rng.uniform(-2, 2, size=ops.shape), 1.0)
+    return ops * np.minimum(scale * spread, 1e300)
+
+
+def test_kraus_norms_match_svd_from_1e_minus_300_to_1e300():
+    ops = _spread_stacks(np.random.default_rng(2025))
+    ref = np.linalg.svd(ops, compute_uv=False)[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no over- or underflow warning
+        got = cavity.KrausSet(1.0, ops).norms()
+    zero = ref == 0.0
+    assert zero.sum() == 400 and np.all(got[zero] == 0.0)
+    assert np.abs(got[~zero] / ref[~zero] - 1.0).max() <= 1e-15
+    # a KrausSet built by hand from real, strided or nested-list operators
+    real = np.ascontiguousarray(ops[:400].real)
+    for given in (real, real.tolist(), np.stack([real, real], axis=-1)[..., 0]):
+        npt.assert_allclose(cavity.KrausSet(1.0, given).norms(),
+                            np.linalg.svd(real, compute_uv=False)[:, 0], rtol=1e-15)
+
+
+def test_kraus_norms_match_an_exact_oracle():
+    # sigma^2 = (s + sqrt((p - q)^2 + 4 |x|^2)) / 2 in exact rationals,
+    # square roots in 50-digit decimals: LAPACK's own error is near 1e-15
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    ops = _spread_stacks(np.random.default_rng(7), n=60)
+    got = cavity.KrausSet(1.0, ops).norms()
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for e, g in zip(ops, got):
+            a, b, c, d = [(Fraction(v.real), Fraction(v.imag)) for v in e.ravel()]
+            sq = lambda z: z[0] ** 2 + z[1] ** 2
+            p, q = sq(a) + sq(b), sq(c) + sq(d)
+            x = (a[0] * c[0] + a[1] * c[1] + b[0] * d[0] + b[1] * d[1],
+                 a[1] * c[0] - a[0] * c[1] + b[1] * d[0] - b[0] * d[1])
+            dec = lambda f: Decimal(f.numerator) / Decimal(f.denominator)
+            sigma = ((dec(p + q) + dec((p - q) ** 2 + 4 * sq(x)).sqrt()) / 2).sqrt()
+            assert g == sigma == 0 or abs(Decimal(g) / sigma - 1) < Decimal("4e-16")
+
+
+def _random_phase_field(n_max=150):
+    # Gaussian magnitudes about n = 40, nonzero up to the cutoff, random phases
+    n = np.arange(n_max + 1)
+    phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=n.size)
+    amps = np.exp(-0.5 * ((n - 40.0) / 9.0) ** 2 + 1j * phases)
+    return custom_field(amps / np.linalg.norm(amps))
+
+
+def test_single_time_calls_make_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a 2x2 problem")
+
+    for name in ("svd", "eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    f = coherent_field(2.0, n_max=40)
+    for frame in ("lab", "rotating"):
+        cfg = CavityConfig(detuning=0.02, n_max=40, frame=frame)
+        jc_propagate(f, MIXED, cfg, 12.5)[1].norms()
+        kraus_support(f, cfg, 12.5)
+
+
+ORACLE_FIELDS = {
+    "coherent": lambda: coherent_field(3.0 * np.exp(0.7j), n_max=120),
+    "cat": lambda: cat_field(2.5 * np.exp(-0.3j), n_max=100, parity="odd"),
+    "e0": lambda: e0_field(5.0, n_max=200),
+    "fock": lambda: fock_field(7, n_max=60),
+    "random_phase": _random_phase_field,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_jc_propagate_state_is_the_kraus_sum(name, frame):
+    f = ORACLE_FIELDS[name]()
+    cfg = CavityConfig(g=0.04, detuning=0.03, n_max=f.n_max, frame=frame)
+    rng = np.random.default_rng(17)
+    for t in rng.uniform(0.0, 100.0, size=6):
+        rho, kraus = jc_propagate(f, MIXED, cfg, t)
+        e = kraus.operators
+        ref = np.einsum("nij,jk,nlk->il", e, MIXED, e.conj())
+        npt.assert_allclose(rho, ref, rtol=0, atol=1e-15)
+        s = np.einsum("nij,nik->jk", e.conj(), e)  # sum_n E_n' E_n, summed directly
+        assert kraus.completeness_error() == pytest.approx(
+            np.abs(np.linalg.eigvalsh(s - np.eye(2))).max(), abs=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_kraus_support_matches_an_svd_support(name, frame):
+    f = ORACLE_FIELDS[name]()
+    cfg = CavityConfig(g=0.05, detuning=-0.02, n_max=f.n_max, frame=frame)
+    for t in (0.0, 13.1, 58.7, 99.0):
+        ops = cavity._kraus_ops(f, cfg, t)
+        ref = np.flatnonzero(np.linalg.svd(ops, compute_uv=False)[:, 0] > 1e-12)
+        npt.assert_array_equal(kraus_support(f, cfg, t), ref)
 
 
 # ---------------------------------------------------------------- p_err series
