@@ -55,21 +55,68 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
 
 
+def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """value as a finite float in [lo, hi], else a ValueError naming it; no numpy call."""
+    try:
+        x = float(value)
+    except OverflowError:  # an integer no float holds
+        raise ValueError(f"{name} must be finite, got {len(str(value))} digits") from None
+    except (TypeError, ValueError):  # None, text, a sequence
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not (lo <= x <= hi and math.isfinite(x)):  # NaN fails too
+        where = "" if lo == -math.inf and hi == math.inf else f" and lie in [{lo:g}, {hi:g}]"
+        raise ValueError(f"{name} must be finite{where}, got {x!r}")
+    return x
+
+
+def _integer(value, name: str, lo: float, hi: float = math.inf) -> int:
+    """value as an int in [lo, hi]: 3 and 3.0 pass, 2.5 is a ValueError naming it."""
+    x = _real(value, name, lo, hi)
+    if not x.is_integer():
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _complex(value, name: str) -> complex:
+    """value as a complex with a finite |value|^2, else a ValueError naming it."""
+    z = complex(_as_float(value, name, complex))
+    if not z.real * z.real + z.imag * z.imag < math.inf:  # NaN, inf, an overflowing |z|^2
+        raise ValueError(f"{name} must be finite (|{name}|^2 too), got {z!r}")
+    return z
+
+
+def _as_float(x, name: str, dtype=float) -> np.ndarray:
+    """x as a float (or dtype) array; an integer past the float range is a ValueError naming x."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer past the float range") from None
+
+
 def _rate(value, name: str) -> float:
     """A rate in [1 / RATE_LIMIT, RATE_LIMIT], as float."""
-    x = float(value)
-    if not 1.0 / RATE_LIMIT <= x <= RATE_LIMIT:  # NaN fails too
-        raise ValueError(
-            f"{name} must be finite and lie in [{1.0 / RATE_LIMIT:g}, {RATE_LIMIT:g}], got {x!r}")
-    return x
+    return _real(value, name, 1.0 / RATE_LIMIT, RATE_LIMIT)
+
+
+def _phase(rate: float, t: float, name: str = "t") -> float:
+    """rate * t, or a ValueError naming the time t when that overflows."""
+    phase = rate * t
+    if not math.isfinite(phase):
+        raise ValueError(f"{name} = {t!r} overflows the largest phase, {name} * {rate:g}")
+    return phase
+
+
+def _as_vec3(value, name: str):
+    """value as a float 3-vector and its length (math.hypot: no overflow, no warning)."""
+    vec = _as_float(value, name)
+    if vec.shape != (3,):
+        raise ValueError(f"{name} must have shape (3,), got {vec.shape}")
+    return vec, math.hypot(*vec.tolist())
 
 
 def as_bloch(r) -> np.ndarray:
     """Validate r as a real 3-vector inside the closed unit ball."""
-    vec = np.asarray(r, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError(f"Bloch vector must have shape (3,), got {vec.shape}")
-    norm = float(np.linalg.norm(vec))
+    vec, norm = _as_vec3(r, "Bloch vector")
     if not norm <= 1.0 + NORM_EPS:
         if norm != norm:  # a NaN entry
             raise ValueError(f"Bloch vector must be finite, got {vec.tolist()}")
@@ -91,10 +138,8 @@ class HamiltonianSpec:
     identity_shift: bool = False
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,):
-            raise ValueError("axis must be a 3-vector")
-        if not abs(np.linalg.norm(axis) - 1.0) <= NORM_EPS:  # NaN fails too
+        axis, norm = _as_vec3(self.axis, "axis")
+        if not abs(norm - 1.0) <= NORM_EPS:  # NaN fails too
             raise ValueError("axis must be a finite unit vector; see from_axis()")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "omega0", _rate(self.omega0, "omega0"))
@@ -102,11 +147,10 @@ class HamiltonianSpec:
     @classmethod
     def from_axis(cls, axis, omega0: float = 1.0, identity_shift: bool = False):
         """Build a spec from a not-necessarily-normalized axis."""
-        vec = np.asarray(axis, dtype=float)
-        norm = np.linalg.norm(vec)
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"axis must be nonzero and finite, got {vec.tolist()}")
-        return cls(vec / norm, omega0, identity_shift)
+        vec, norm = _as_vec3(axis, "axis")
+        # within these bounds BLAS's norm, whose bits the axis keeps, cannot overflow
+        _real(norm, "axis length", 1.0 / RATE_LIMIT, RATE_LIMIT)
+        return cls(vec / np.linalg.norm(vec), omega0, identity_shift)
 
     def matrix(self) -> np.ndarray:
         """2x2 matrix omega0 * (n . sigma [+ I])."""
@@ -124,21 +168,23 @@ def bloch_to_density(r) -> np.ndarray:
 
 def check_density(rho, tol: float = NORM_EPS) -> np.ndarray:
     """Validate a finite 2x2 density matrix (Hermitian, unit trace, PSD)."""
-    mat = np.asarray(rho, dtype=complex)
+    mat = _as_float(rho, "density matrix", complex)
+    tol = _real(tol, "tol", 0.0)
     if mat.shape != (2, 2):
         raise ValueError("density matrix must be 2x2")
     a, b, c, d = mat.ravel().tolist()
     if not all(map(cmath.isfinite, (a, b, c, d))):
         raise ValueError("density matrix must be finite")
-    # each test is written so that a NaN fails it
+    # each test is written so that a NaN fails it; math.hypot gives inf where abs() raises
     if not (2.0 * abs(a.imag) <= tol and 2.0 * abs(d.imag) <= tol
-            and abs(b - c.conjugate()) <= tol):
+            and math.hypot(b.real - c.real, b.imag + c.imag) <= tol):
         raise ValueError("density matrix must be Hermitian")
     tr = a + d
     if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix must have unit trace, got {tr}")
     # smallest eigenvalue in closed form, from the lower triangle as eigvalsh reads it
-    if not 0.5 * (a.real + d.real - math.hypot(a.real - d.real, 2.0 * abs(c))) >= -tol:
+    low = 0.5 * (a.real + d.real - math.hypot(a.real - d.real, 2.0 * c.real, 2.0 * c.imag))
+    if not low >= -tol:
         raise ValueError("density matrix must be positive semidefinite")
     return mat
 
@@ -157,13 +203,13 @@ def density_to_bloch(rho) -> np.ndarray:
 
 def _unit_state(psi) -> np.ndarray:
     """A 2-component state vector normalized within 1e-10, renormalized exactly."""
-    vec = np.asarray(psi, dtype=complex)
+    vec = _as_float(psi, "state vector", complex)
     if vec.shape != (2,):
         raise ValueError("state vector must have 2 components")
-    norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= 1e-10:  # NaN fails too
+    a, b = vec.tolist()
+    if not abs(math.hypot(a.real, a.imag, b.real, b.imag) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("state vector must be finite and normalized")
-    return vec / norm
+    return vec / np.linalg.norm(vec)  # no overflow at norm 1; BLAS's bits
 
 
 def pure_state_bloch(psi) -> np.ndarray:
@@ -196,7 +242,7 @@ def p_err_bloch(r1, r2) -> float:
 
 def unitary(ham: HamiltonianSpec, t: float) -> np.ndarray:
     """Closed-form propagator exp(-i H t)."""
-    angle = ham.omega0 * t
+    angle = _phase(ham.omega0, _real(t, "t"))
     n_sigma = np.einsum("i,ijk->jk", ham.axis, PAULI)
     u = np.cos(angle) * ID2 - 1j * np.sin(angle) * n_sigma
     if ham.identity_shift:
@@ -216,7 +262,7 @@ def evolve_bloch(r, ham: HamiltonianSpec, t: float) -> np.ndarray:
     """
     vec = as_bloch(r)
     n = ham.axis
-    phi = 2.0 * ham.omega0 * t
+    phi = _phase(2.0 * ham.omega0, _real(t, "t"))
     return (
         np.cos(phi) * vec
         - np.sin(phi) * _cross(vec, n)

@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import RATE_LIMIT, _rate, as_bloch, bloch_to_density, check_density
+from .bloch import (RATE_LIMIT, _as_float, _complex, _integer, _phase, _rate, _real, as_bloch,
+                    bloch_to_density, check_density)
 from .errors import NonphysicalOutput, TruncationTooSmall
 from .speedlimits import check_delta
 
@@ -99,6 +100,10 @@ _MIN_CHUNK = 512
 _CHUNK_CELLS = 1 << 17
 
 
+def _cutoff(n_max) -> int:
+    return _integer(n_max, "n_max", 1, N_MAX_LIMIT)
+
+
 @dataclass(frozen=True, eq=False)
 class CavityConfig:
     """Mode frequency, coupling, detuning, Fock cutoff, and frame choice.
@@ -117,18 +122,14 @@ class CavityConfig:
     def __post_init__(self):
         omega0 = _rate(self.omega0, "omega0")
         g = omega0 / 20.0 if self.g is None else _rate(self.g, "g")
-        detuning = float(self.detuning)
-        if not abs(detuning) <= RATE_LIMIT:  # NaN fails too
-            raise ValueError(f"detuning must be finite and lie in "
-                             f"[{-RATE_LIMIT:g}, {RATE_LIMIT:g}], got {detuning!r}")
-        if not 1 <= int(self.n_max) <= N_MAX_LIMIT:
-            raise ValueError(f"n_max must lie in [1, {N_MAX_LIMIT}], got {self.n_max!r}")
+        detuning = _real(self.detuning, "detuning", -RATE_LIMIT, RATE_LIMIT)
+        n_max = _cutoff(self.n_max)
         if self.frame not in ("lab", "rotating"):
             raise ValueError(f'frame must be "lab" or "rotating", got {self.frame!r}')
         object.__setattr__(self, "omega0", omega0)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "detuning", detuning)
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", n_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,13 +141,11 @@ class FieldState:
     alpha: complex | None = None
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _as_float(self.amplitudes, f"{self.label} amplitudes", complex)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-d array with n_max >= 1")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError(f"{self.label} amplitudes must be finite")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
-            raise ValueError(f"{self.label} amplitudes must be normalized within 1e-10")
+        if not abs(math.hypot(*amps.real.tolist(), *amps.imag.tolist()) - 1.0) <= 1e-10:
+            raise ValueError(f"{self.label} amplitudes must be finite and normalized within 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -158,13 +157,6 @@ def mean_photon(field: FieldState) -> float:
     """<a'a> of the field state."""
     n = np.arange(field.amplitudes.size)
     return float(np.sum(n * np.abs(field.amplitudes) ** 2))
-
-
-def _finite_alpha(alpha) -> complex:
-    alpha = complex(alpha)
-    if not abs(alpha) * abs(alpha) < math.inf:  # NaN, inf and an overflowing |alpha|^2
-        raise ValueError(f"field amplitude alpha must be finite (|alpha|^2 too), got {alpha!r}")
-    return alpha
 
 
 def _coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -189,10 +181,10 @@ def coherent_tail(alpha: complex, n_max: int) -> float:
     far below machine epsilon keeps its relative precision, else downward
     over N <= n_max, the tail (then about 1/2 or more) being 1 minus it.
     """
-    mag2 = abs(_finite_alpha(alpha)) ** 2
+    mag2 = abs(_complex(alpha, "alpha")) ** 2
+    k = _integer(n_max, "n_max", 0, N_MAX_LIMIT) + 1
     if mag2 == 0.0:
         return 0.0
-    k = int(n_max) + 1
     upper = k > mag2
     j = first = k if upper else k - 1
     total = term = 1.0  # in units of p_first
@@ -212,7 +204,7 @@ def _check_tail(tail: float, detail: str) -> None:
 
 def coherent_field(alpha, n_max: int = 100) -> FieldState:
     """Coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!), truncated, renormalized."""
-    alpha = _finite_alpha(alpha)
+    alpha, n_max = _complex(alpha, "alpha"), _cutoff(n_max)
     _check_tail(coherent_tail(alpha, n_max), f"coherent alpha={alpha}")
     amps = _coherent_amplitudes(alpha, n_max)
     return FieldState("coherent", amps / np.linalg.norm(amps), alpha)
@@ -234,15 +226,15 @@ def cat_field(alpha, n_max: int = 100, parity: str = "even") -> FieldState:
     Support sits on even (odd) photon numbers only, so adjacent Fock
     amplitudes never coexist; the zeros are exact by construction.
     """
-    alpha = _finite_alpha(alpha)
+    alpha, n_max = _complex(alpha, "alpha"), _cutoff(n_max)
     if parity not in ("even", "odd"):
         raise ValueError(f'parity must be "even" or "odd", got {parity!r}')
-    if parity == "odd" and alpha == 0:
-        raise ValueError("the odd cat state vanishes at alpha = 0")
+    mag2 = abs(alpha) ** 2
+    if parity == "odd" and mag2 == 0.0:
+        raise ValueError(f"the odd cat state vanishes at alpha = {alpha}")
     even = parity == "even"
     # untruncated norm^2 of the masked 2*c_n vector: 4 e^-m cosh(m) or 4 e^-m sinh(m)
-    e2m = np.exp(-2.0 * abs(alpha) ** 2)
-    total = 2.0 * (1.0 + e2m) if even else 2.0 * (1.0 - e2m)
+    total = 2.0 * (1.0 + np.exp(-2.0 * mag2)) if even else -2.0 * np.expm1(-2.0 * mag2)
     return _phase_sum_field(f"cat_{parity}", alpha, n_max, 2, 0 if even else 1, total)
 
 
@@ -252,7 +244,7 @@ def e0_field(alpha, n_max: int = 100) -> FieldState:
     The four quarter-turn phases add to 4 on photon numbers divisible by
     4 and cancel exactly elsewhere, so the support is n = 0 mod 4.
     """
-    alpha = _finite_alpha(alpha)
+    alpha, n_max = _complex(alpha, "alpha"), _cutoff(n_max)
     mag2 = abs(alpha) ** 2
     # untruncated norm^2: 16 e^-m sum_{4|n} m^n/n! = 4 (1 + e^-2m + 2 e^-m cos m)
     total = 4.0 * (1.0 + np.exp(-2.0 * mag2) + 2.0 * np.exp(-mag2) * np.cos(mag2))
@@ -261,9 +253,7 @@ def e0_field(alpha, n_max: int = 100) -> FieldState:
 
 def fock_field(n, n_max: int = 100) -> FieldState:
     """Single Fock component |n>. n = 0 is the vacuum."""
-    k = int(n)
-    if k < 0:
-        raise ValueError("Fock index must be nonnegative")
+    k, n_max = _integer(n, "Fock index", 0), _cutoff(n_max)
     if k > n_max:
         raise TruncationTooSmall(1.0, f"Fock index {k} above cutoff {n_max}")
     amps = np.zeros(n_max + 1, dtype=complex)
@@ -288,10 +278,10 @@ def make_field(label: str, alpha=0j, n_max: int = 100) -> FieldState:
     if label == "e0":
         return e0_field(alpha, n_max)
     if label == "fock":
-        alpha = _finite_alpha(alpha)
-        if alpha.imag != 0.0 or alpha.real != round(alpha.real):
+        alpha = _complex(alpha, "alpha")
+        if alpha.imag != 0.0:
             raise ValueError("the fock label needs an integer occupation in alpha")
-        return fock_field(int(alpha.real), n_max)
+        return fock_field(alpha.real, n_max)
     raise ValueError(f"unknown field label {label!r} (custom states: custom_field)")
 
 
@@ -351,14 +341,6 @@ def _check_field(field: FieldState, cfg: CavityConfig) -> None:
         )
 
 
-def _as_float(x, name: str):
-    """x as a float array; an int past the float range is a ValueError naming x."""
-    try:
-        return np.asarray(x, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got an integer past the float range") from None
-
-
 def _block_rates(cfg: CavityConfig):
     # Block n = 0 .. n_max-1 has M_n = [[d/2, g_n], [g_n, -d/2]] with
     # g_n = g sqrt(n+1) and d the detuning. Returns Om_n = sqrt(d^2/4 + g_n^2),
@@ -377,9 +359,7 @@ def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -
     rate = math.hypot(0.5 * cfg.detuning, cfg.g * math.sqrt(cfg.n_max))
     if cfg.frame == "lab":
         rate = max(rate, lab_rate)
-    t_end = float(t_end)  # a numpy scalar would warn as it overflows
-    if not math.isfinite(t_end * rate):
-        raise ValueError(f"{name} = {t_end!r} overflows the largest phase, {name} * {rate:g}")
+    _phase(rate, t_end, name)
 
 
 def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
@@ -389,9 +369,7 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     # as <e|E_n|e> = a u, <e|E_n|g> = b v, <g|E_{n+1}|e> = a v and
     # <g|E_{n+1}|g> = b conj(u); |g,0> and |e,n_max> are uncoupled.
     _check_field(field, cfg)
-    t = float(_as_float(t, "t"))
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
+    t = _real(t, "t", 0.0)
     c, n_max = field.amplitudes, cfg.n_max
     wq = cfg.omega0 + cfg.detuning  # qubit splitting
     # the lab-frame phase of |e,n_max> is the largest free phase
@@ -602,7 +580,7 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
         _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl])
 
     starts = range(0, tgrid.size, rows)
-    pool_size = min(int(workers or 1), len(starts), os.cpu_count() or 1)
+    pool_size = min(_integer(workers, "workers", 1), len(starts), os.cpu_count() or 1)
     if pool_size > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(eval_chunk, starts))  # re-raises any chunk's error
@@ -639,7 +617,7 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
 
 def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1e-12):
     """Indices n with operator norm ||E_n(t)|| > tol, ascending."""
-    return np.flatnonzero(_spectral_norms(_kraus_ops(field, cfg, t)) > tol)
+    return np.flatnonzero(_spectral_norms(_kraus_ops(field, cfg, t)) > _real(tol, "tol", 0.0))
 
 
 def photon_number_expectation(kraus: KrausSet, qubit) -> float:
@@ -686,13 +664,11 @@ def perr_series(
     (0, 1/2). Deterministic for fixed inputs and any worker count.
     """
     r0 = as_bloch(qubit_r)
-    t_max = 100.0 / cfg.omega0 if t_max is None else float(_as_float(t_max, "t_max"))
-    if not 0.0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    if int(steps) < 2:
-        raise ValueError("steps must be at least 2")
+    t_max = 100.0 / cfg.omega0 if t_max is None else _real(t_max, "t_max", 0.0)
+    if t_max == 0.0:
+        raise ValueError("t_max must be positive, got 0")
     _check_phases(cfg, t_max, "t_max", cfg.omega0)
-    times = np.linspace(0.0, t_max, int(steps))
+    times = np.linspace(0.0, t_max, _integer(steps, "steps", 2))
     rho = reduced_series(field, bloch_to_density(r0), cfg, times, workers=workers)
 
     dx = 2.0 * rho[:, 0, 1].real - r0[0]
@@ -719,7 +695,7 @@ def nonunitary_tau(series: DistinguishabilitySeries, delta, atol: float = 1e-9):
     atol=0 for the strict test. Quadratic refinement is deliberately not
     attempted; near oscillation extrema it is spurious.
     """
-    d = check_delta(delta)
+    d, atol = check_delta(delta), _real(atol, "atol", 0.0)
     hits = np.flatnonzero(series.p_err <= d + atol)
     if hits.size == 0:
         return None

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from . import __version__
-from .bloch import HamiltonianSpec, as_bloch, evolve_bloch, p_err_bloch
+from .bloch import HamiltonianSpec, _integer, _real, as_bloch, evolve_bloch, p_err_bloch
 from .brachistochrone import brach_hamiltonian
 from .cavity import CavityConfig, make_field, nonunitary_tau, perr_series
 from .errors import BlochDynError
@@ -274,13 +274,8 @@ def _write_csv(dest: str, header: str, blocks) -> None:
 
 def _worker_count(requested: int) -> int:
     cap = os.environ.get("QSL_THREADS")
-    n = max(1, int(requested))
-    if cap is not None:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise ValueError(f"QSL_THREADS must be an integer, got {cap!r}")
-    return n
+    n = max(1, requested)
+    return n if cap is None else min(n, max(1, _integer(cap, "QSL_THREADS", -math.inf)))
 
 
 def cmd_qsl(args) -> int:
@@ -366,21 +361,11 @@ def _resolve_cavity_params(args) -> dict:
     return p
 
 
-def _number(value, name: str, integer: bool = False):
-    """A finite scenario value as float (or int), else ValueError naming its key."""
+def _number(value, name: str) -> float:
+    """A scenario value that JSON wrote as a number, as _real reads it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
-    try:
-        x = float(value)
-    except OverflowError:  # an integer no float holds
-        raise ValueError(f"{name} must be finite, got {len(str(value))} digits") from None
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    if integer:
-        if not x.is_integer():
-            raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
-        return int(value)
-    return x
+    return _real(value, name)
 
 
 def cmd_cavity(args) -> int:
@@ -390,7 +375,7 @@ def cmd_cavity(args) -> int:
         omega0=_number(p["omega0"], "omega0"),
         g=None if p["g"] is None else _number(p["g"], "g"),
         detuning=_number(p["detuning"], "detuning"),
-        n_max=_number(p["n_max"], "n_max", integer=True),
+        n_max=_number(p["n_max"], "n_max"),
         frame=str(p["frame"]),
     )
     p["g"] = cfg.g
@@ -404,7 +389,7 @@ def cmd_cavity(args) -> int:
         qubit_r,
         cfg,
         t_max=None if p["t_max"] is None else _number(p["t_max"], "t_max"),
-        steps=_number(p["steps"], "steps", integer=True),
+        steps=_number(p["steps"], "steps"),
         workers=_worker_count(args.workers),
     )
     if p["t_max"] is None:

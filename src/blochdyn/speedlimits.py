@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import NORM_EPS, HamiltonianSpec, _fisher, _perp, as_bloch, qfi
+from .bloch import NORM_EPS, HamiltonianSpec, _fisher, _integer, _perp, _real, as_bloch, qfi
 from .errors import DegenerateOrbit, GroundState, NotReachable
 
 __all__ = [
@@ -47,10 +47,7 @@ _SLAB_POINTS = 1 << 16  # lattice points per x-slab of a ring scan
 
 def check_delta(delta) -> float:
     """Validate an error level in the closed interval [0, 1/2]."""
-    d = float(delta)
-    if not 0.0 <= d <= 0.5:
-        raise ValueError(f"delta must lie in [0, 1/2], got {delta!r}")
-    return d
+    return _real(delta, "delta", 0.0, 0.5)
 
 
 def perp_norm(r, ham: HamiltonianSpec) -> float:
@@ -225,12 +222,8 @@ def _ring_slabs(ham: HamiltonianSpec, theta_psi, grid):
     flat indexes the C-ordered (grid,) * 3 lattice, so np.unravel_index
     gives each point's tick indices.
     """
-    theta = float(theta_psi)
-    if not 0.0 <= theta <= np.pi / 2.0:
-        raise ValueError(f"theta_psi must lie in [0, pi/2], got {theta_psi!r}")
-    res = int(grid)
-    if not 2 <= res <= GRID_LIMIT:
-        raise ValueError(f"grid must lie in [2, {GRID_LIMIT}], got {grid!r}")
+    theta = _real(theta_psi, "theta_psi", 0.0, np.pi / 2.0)
+    res = _integer(grid, "grid", 2, GRID_LIMIT)
 
     ticks = np.linspace(-1.0, 1.0, res)
     sin_ref = float(np.sin(theta))

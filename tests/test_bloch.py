@@ -83,6 +83,16 @@ def test_check_density_rejects_non_finite_entries(rho):
             check_density(rho)
 
 
+def test_check_density_refuses_huge_entries_without_overflow():
+    # abs() of a complex whose magnitude passes the largest float raises OverflowError
+    c = complex(1.5e308, 1.5e308)
+    b = complex(1.3e308, 0.65e308)  # b - conj(c') is (1.3e308, 1.3e308) for c' = 0.65e308j
+    for rho, verdict in (([[0.5, c.conjugate()], [c, 0.5]], "positive semidefinite"),
+                         ([[0.5, b], [0.65e308j, 0.5]], "Hermitian")):
+        with pytest.raises(ValueError, match=verdict):
+            check_density(rho)
+
+
 def _psd_verdict(mat):
     try:
         check_density(mat)
@@ -204,6 +214,38 @@ def test_quarter_turn_about_z():
     # omega0*t = pi/4 carries +x to +y; frozen against the U rho U' oracle
     ham = HamiltonianSpec.from_axis((0, 0, 1))
     npt.assert_allclose(evolve_bloch((1, 0, 0), ham, np.pi / 4), [0, 1, 0], atol=1e-14)
+
+
+@pytest.mark.parametrize("t, shown", [
+    (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+    (10**400, "401 digits"),  # no float holds it
+], ids=["nan", "inf", "-inf", "huge"])
+def test_propagators_refuse_a_non_finite_time_naming_t(t, shown):
+    ham = HamiltonianSpec.from_axis((0.3, -1.2, 0.4), omega0=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        for call in (lambda: evolve_bloch((0.2, 0.5, -0.1), ham, t),
+                     lambda: unitary(ham, t),
+                     lambda: evolve_density(np.eye(2) / 2, ham, t)):
+            with pytest.raises(ValueError, match=rf"^t must be finite, got {shown}$"):
+                call()
+
+
+def test_propagators_refuse_an_overflowing_phase_naming_t():
+    # evolve_bloch turns by 2 omega0 t, unitary by omega0 t
+    ham = HamiltonianSpec.from_axis((0.3, -1.2, 0.4), omega0=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, shown in ((1e308, "1e+308"), (np.float64(1e308), "1e+308"), (-1e308, "-1e+308")):
+            with pytest.raises(ValueError) as err:
+                evolve_bloch((0.2, 0.5, -0.1), ham, t)
+            assert str(err.value) == f"t = {shown} overflows the largest phase, t * 3"
+        with pytest.raises(ValueError) as err:
+            unitary(ham, 1.5e308)
+        assert str(err.value) == "t = 1.5e+308 overflows the largest phase, t * 1.5"
+        u = unitary(ham, 1e308)  # a phase of 1.5e308 still fits
+        npt.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-14)
+        assert np.all(np.isfinite(evolve_bloch((0.2, 0.5, -0.1), ham, 5e307)))
 
 
 def test_evolution_matches_dense_conjugation():

@@ -403,6 +403,29 @@ def test_integer_times_past_the_float_range_are_refused_naming_them():
             call()
 
 
+def test_tolerances_and_worker_counts_are_checked_naming_them():
+    # a NaN tolerance used to give an empty answer, an infinite worker count an OverflowError
+    f = coherent_field(1.0, 20)
+    cfg = CavityConfig(n_max=20)
+    series = perr_series(f, (0.0, 0.0, 1.0), cfg, t_max=10.0, steps=50)
+    calls = [
+        ("atol", lambda bad: nonunitary_tau(series, 0.3, atol=bad)),
+        ("tol", lambda bad: kraus_support(f, cfg, 1.0, tol=bad)),
+        ("workers", lambda bad: perr_series(f, (0.0, 0.0, 1.0), cfg, steps=50, workers=bad)),
+        ("workers", lambda bad: reduced_series(f, EXCITED, cfg, [0.0, 1.0], workers=bad)),
+    ]
+    for name, call in calls:
+        for bad in (np.nan, np.inf, -1.0, 10**400):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+                call(bad)
+    with pytest.raises(ValueError, match="^workers must be an integer, got 1.5$"):
+        reduced_series(f, EXCITED, cfg, [0.0, 1.0], workers=1.5)
+    with pytest.raises(ValueError, match="^workers must be finite and lie in"):
+        reduced_series(f, EXCITED, cfg, [0.0, 1.0], workers=0)
+    assert nonunitary_tau(series, 0.3, atol=0) == nonunitary_tau(series, 0.3, atol=0.0)
+    assert kraus_support(f, cfg, 1.0, tol=0).tolist() == list(range(21))
+
+
 def test_physicality_check_fails_on_nan():
     half = np.array([0.5, 0.5])
     cavity._check_physical(half, np.zeros(2, complex), half)

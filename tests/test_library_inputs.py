@@ -1,0 +1,224 @@
+"""The library's input contract: every public function that takes a number
+fails cleanly on a bad one.
+
+The property test draws ordinary arguments for each public function, then
+puts each hostile value in turn into each numeric slot (each entry of a
+vector or matrix): NaN, infinities, +-1e308, -0.0, 5e-324, the integers
++-10**400 that no float holds, and non-integral values where an integer is
+expected. Whatever the input, the call returns or raises BlochDynError or
+ValueError; no other exception escapes and no warning is raised. Sizes
+stay tiny (grid <= 12, n_max <= 20, steps <= 200, workers <= 2).
+"""
+
+import functools
+import inspect
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import blochdyn as bd
+from blochdyn import BlochDynError
+
+HUGE = 10**400  # an integer no float holds
+BAD_REALS = [math.nan, math.inf, -math.inf, 1e308, -1e308, -0.0, 5e-324]
+HOSTILE = [*BAD_REALS, HUGE, -HUGE]
+
+
+def _scalar(lo, hi):
+    return st.floats(lo, hi), HOSTILE
+
+
+def _size(lo, hi):
+    return st.integers(lo, hi), HOSTILE + [1.5, 2.5, 2.7, 64.5]
+
+
+def _entries(ordinary):
+    return ordinary, None  # None: each entry in turn takes each HOSTILE value
+
+
+def _density(r):
+    x, y, z = r
+    return [0.5 * (1 + z), complex(0.5 * x, -0.5 * y), complex(0.5 * x, 0.5 * y), 0.5 * (1 - z)]
+
+
+def _matrix(flat):
+    return [flat[:2], flat[2:]]
+
+
+BALL = st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3)
+PARAMS = {
+    "r": _entries(BALL),
+    "r2": _entries(BALL),
+    "axis": _entries(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)),
+    "unit": _entries(st.sampled_from([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])),
+    "rho": _entries(BALL.map(_density)),
+    "rho2": _entries(BALL.map(_density)),
+    "psi": _entries(st.floats(0.0, 6.28).map(lambda a: [math.cos(a), math.sin(a)])),
+    "psi2": _entries(st.floats(0.0, 6.28).map(lambda a: [math.cos(a), 1j * math.sin(a)])),
+    "amps": _entries(st.sampled_from([[0.6, 0.8], [0.0, 1.0, 0.0], [0.5, 0.5j, -0.5, 0.5]])),
+    "times": _entries(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4)),
+    "omega0": _scalar(0.01, 100.0),
+    "g": _scalar(0.01, 1.0),
+    "detuning": _scalar(-1.0, 1.0),
+    "t": _scalar(-10.0, 10.0),
+    "t_cavity": _scalar(0.0, 50.0),
+    "t_max": _scalar(0.01, 50.0),
+    "delta": _scalar(0.0, 0.5),
+    "theta": _scalar(0.0, 1.57),
+    "tol": _scalar(0.0, 1e-6),
+    # |alpha| <= 1 keeps the coherent tail beyond n_max >= 14 under its 1e-10 limit
+    "alpha": (st.floats(-1.0, 1.0) | st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+              HOSTILE + [complex(0.5, x) for x in BAD_REALS]),
+    "grid": _size(2, 12),
+    "n_max": _size(14, 20),
+    "steps": _size(2, 200),
+    "workers": _size(1, 2),
+    "fock": _size(0, 14),
+}
+
+
+def _ham(axis, omega0, shift=False):
+    return bd.HamiltonianSpec.from_axis(axis, omega0, shift)
+
+
+def _cavity(alpha, n_max, omega0=1.0, g=0.05, detuning=0.0):
+    return bd.coherent_field(alpha, n_max), bd.CavityConfig(omega0, g, detuning, n_max)
+
+
+def _jc_propagate(alpha, n_max, omega0, g, detuning, rho, t_cavity):
+    field, cfg = _cavity(alpha, n_max, omega0, g, detuning)
+    return bd.jc_propagate(field, _matrix(rho), cfg, t_cavity)
+
+
+def _reduced_series(alpha, n_max, detuning, rho, times, workers):
+    field, cfg = _cavity(alpha, n_max, detuning=detuning)
+    return bd.reduced_series(field, _matrix(rho), cfg, times, workers)
+
+
+def _perr_series(alpha, n_max, omega0, g, r, t_max, steps, workers):
+    field, cfg = _cavity(alpha, n_max, omega0, g)
+    return bd.perr_series(field, r, cfg, t_max, steps, workers)
+
+
+@functools.cache
+def _series():
+    return bd.perr_series(bd.fock_field(1, 14), (0.5, 0.0, 0.0), bd.CavityConfig(n_max=14),
+                          t_max=60.0, steps=200)
+
+
+@functools.cache
+def _kraus():
+    return bd.jc_propagate(bd.fock_field(1, 14), np.eye(2) / 2, bd.CavityConfig(n_max=14), 1.0)[1]
+
+
+# every public function that takes a number, called with the PARAMS its parameters name
+CASES = {
+    "HamiltonianSpec": lambda unit, omega0: bd.HamiltonianSpec(unit, omega0),
+    "from_axis": lambda axis, omega0: _ham(axis, omega0),
+    "as_bloch": lambda r: bd.as_bloch(r),
+    "bloch_to_density": lambda r: bd.bloch_to_density(r),
+    "check_density": lambda rho, tol: bd.check_density(_matrix(rho), tol),
+    "density_to_bloch": lambda rho: bd.density_to_bloch(_matrix(rho)),
+    "p_err": lambda rho, rho2: bd.p_err(_matrix(rho), _matrix(rho2)),
+    "p_err_bloch": lambda r, r2: bd.p_err_bloch(r, r2),
+    "pure_state_bloch": lambda psi: bd.pure_state_bloch(psi),
+    "unitary": lambda axis, omega0, t: bd.unitary(_ham(axis, omega0), t),
+    "evolve_bloch": lambda r, axis, omega0, t: bd.evolve_bloch(r, _ham(axis, omega0), t),
+    "evolve_density": lambda rho, axis, omega0, t: bd.evolve_density(_matrix(rho),
+                                                                     _ham(axis, omega0), t),
+    "qfi": lambda r, axis, omega0: bd.qfi(r, _ham(axis, omega0)),
+    "sld": lambda r, axis, omega0: bd.sld(r, _ham(axis, omega0)),
+    "perp_norm": lambda r, axis: bd.perp_norm(r, _ham(axis, 1.0)),
+    "faster_set_contains": lambda r, r2, axis: bd.faster_set_contains(r, r2, _ham(axis, 1.0)),
+    "classify": lambda r, axis, omega0, delta: bd.classify(r, _ham(axis, omega0), delta),
+    "tau_exact": lambda r, axis, omega0, delta: bd.tau_exact(r, _ham(axis, omega0), delta),
+    "tau_mt": lambda r, axis, omega0, delta: bd.tau_mt(r, _ham(axis, omega0), delta),
+    "tau_ml": lambda r, axis, omega0, delta: bd.tau_ml(r, _ham(axis, omega0, True), delta),
+    "scan_ring": lambda axis, omega0, theta, grid: bd.scan_ring(_ham(axis, omega0), theta, grid),
+    "brach_hamiltonian": lambda r, r2, omega0: bd.brach_hamiltonian(r, r2, omega0),
+    "brach_time": lambda r, r2, omega0: bd.brach_time(r, r2, omega0),
+    "pure_brach": lambda psi, psi2, omega0: bd.pure_brach(psi, psi2, omega0),
+    "CavityConfig": lambda omega0, g, detuning, n_max: bd.CavityConfig(omega0, g, detuning, n_max),
+    "coherent_field": lambda alpha, n_max: bd.coherent_field(alpha, n_max),
+    "coherent_tail": lambda alpha, n_max: bd.coherent_tail(alpha, n_max),
+    "cat_field_even": lambda alpha, n_max: bd.cat_field(alpha, n_max, "even"),
+    "cat_field_odd": lambda alpha, n_max: bd.cat_field(alpha, n_max, "odd"),
+    "e0_field": lambda alpha, n_max: bd.e0_field(alpha, n_max),
+    "fock_field": lambda fock, n_max: bd.fock_field(fock, n_max),
+    "make_field_fock": lambda fock, n_max: bd.make_field("fock", fock, n_max),
+    "custom_field": lambda amps: bd.custom_field(amps),
+    "FieldState": lambda amps: bd.FieldState("custom", amps),
+    "jc_propagate": _jc_propagate,
+    "kraus_support": lambda alpha, n_max, omega0, t_cavity, tol: bd.kraus_support(
+        *_cavity(alpha, n_max, omega0), t_cavity, tol),
+    "reduced_series": _reduced_series,
+    "perr_series": _perr_series,
+    "nonunitary_tau": lambda delta, tol: bd.nonunitary_tau(_series(), delta, tol),
+    "photon_number_expectation": lambda rho: bd.photon_number_expectation(_kraus(), _matrix(rho)),
+}
+
+
+def _spoiled(name, value):
+    """Each hostile value for one parameter, given its ordinary value."""
+    hostile = PARAMS[name][1]
+    if hostile is not None:
+        yield from hostile
+        return
+    for i in range(len(value)):
+        for bad in HOSTILE:
+            yield [*value[:i], bad, *value[i + 1:]]
+
+
+def _check(call, kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call(**kwargs)
+        except (BlochDynError, ValueError):
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{type(exc).__name__}: {exc} from {kwargs}") from exc
+    assert not caught, (kwargs, [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=16, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_public_function_fails_cleanly(case, data):
+    call = CASES[case]
+    names = list(inspect.signature(call).parameters)
+    ordinary = {name: data.draw(PARAMS[name][0], label=name) for name in names}
+    _check(call, ordinary)
+    for name in names:
+        for bad in _spoiled(name, ordinary[name]):
+            _check(call, {**ordinary, name: bad})
+
+
+Z = bd.HamiltonianSpec.from_axis((0, 0, 1))
+SMALL = bd.CavityConfig(n_max=4)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda v: bd.CavityConfig(n_max=v).n_max, 1.5),
+    (lambda v: bd.scan_ring(Z, 0.5, v).points.size, 2.7),
+    (lambda v: bd.perr_series(bd.fock_field(1, 4), (0, 0, 1), SMALL, steps=v).times.size, 2.5),
+    (lambda v: bd.fock_field(v, 4).alpha, 2.5),
+], ids=["n_max", "grid", "steps", "fock_index"])
+def test_integer_parameters_refuse_non_integral_values(call, bad):
+    with pytest.raises(ValueError, match=rf"must be an integer, got {bad}$"):
+        call(bad)
+    # an integral float is the integer: the *_scenario_ints goldens read 3.0 as 3
+    assert call(3.0) == call(3)
+
+
+def test_a_nan_amplitude_is_refused_after_a_math_range_error():
+    # CPython's abs() of a complex NaN raises OverflowError when an earlier libm
+    # call left errno at ERANGE, as math.exp(1000) does
+    with pytest.raises(OverflowError):
+        math.exp(1000)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        bd.coherent_field(complex(math.nan, 0.0), 20)
