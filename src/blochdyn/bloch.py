@@ -79,18 +79,23 @@ def _integer(value, name: str, lo: float, hi: float = math.inf) -> int:
 
 def _complex(value, name: str) -> complex:
     """value as a complex with a finite |value|^2, else a ValueError naming it."""
-    z = complex(_as_float(value, name, complex))
+    arr = _as_float(value, name, complex)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a number, got an array of shape {arr.shape}")
+    z = complex(arr)
     if not z.real * z.real + z.imag * z.imag < math.inf:  # NaN, inf, an overflowing |z|^2
         raise ValueError(f"{name} must be finite (|{name}|^2 too), got {z!r}")
     return z
 
 
 def _as_float(x, name: str, dtype=float) -> np.ndarray:
-    """x as a float (or dtype) array; an integer past the float range is a ValueError naming x."""
+    """x as a float (or dtype) array; a non-number or a huge integer is a ValueError naming x."""
     try:
         return np.asarray(x, dtype=dtype)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer past the float range") from None
+    except (TypeError, ValueError) as exc:  # a dict, text, a ragged sequence
+        raise ValueError(f"{name} must be numeric: {exc}") from None
 
 
 def _rate(value, name: str) -> float:

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -35,9 +35,8 @@ from .cavity import CavityConfig, make_field, nonunitary_tau, perr_series
 from .errors import BlochDynError
 from .speedlimits import _ring_slabs, classify
 
-__all__ = ["Scenario", "entrypoint", "main"]
+__all__ = ["entrypoint", "main"]
 
-_COMMANDS = ("qsl", "brach", "cavity", "scan")
 _BLOCK_ROWS = 8192  # CSV rows per formatted block in _write_csv
 _SIG = 15  # significant digits of a CSV cell
 _G15_BYTES = "\0e+-0123456789"  # the constant bytes of a %.15g cell, NUL first
@@ -50,46 +49,6 @@ _CAVITY_DEFAULTS = {
     "field": {"label": "coherent", "alpha_re": 3.0, "alpha_im": 0.0},
     "qubit": {"rx": 0.0, "ry": 0.0, "rz": 1.0},
 }
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One resolved invocation: command tag, parameter bundle, output sink.
-
-    Round-trips losslessly through to_json / from_json.
-    """
-
-    command: str
-    params: dict = dc_field(default_factory=dict)
-    output: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command tag {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f'format must be "csv" or "json", got {self.fmt!r}')
-
-    def _payload(self) -> dict:
-        return {
-            "command": self.command,
-            "format": self.fmt,
-            "output": self.output,
-            "params": self.params,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self._payload(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        d = json.loads(text)
-        return cls(
-            command=d["command"],
-            params=d.get("params", {}),
-            output=d.get("output"),
-            fmt=d.get("format", "csv"),
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,18 +80,12 @@ def _alpha(text: str) -> complex:
 
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
+    # np.float64 is a float, and json prints it as one
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [_jsonable(x) for x in obj]
     return obj
 
@@ -273,9 +226,9 @@ def _write_csv(dest: str, header: str, blocks) -> None:
 
 
 def _worker_count(requested: int) -> int:
+    # perr_series checks the count itself; QSL_THREADS is a per-host cap
     cap = os.environ.get("QSL_THREADS")
-    n = max(1, requested)
-    return n if cap is None else min(n, max(1, _integer(cap, "QSL_THREADS", -math.inf)))
+    return requested if cap is None else min(requested, _integer(cap, "QSL_THREADS", 1))
 
 
 def cmd_qsl(args) -> int:
@@ -313,7 +266,7 @@ def cmd_brach(args) -> int:
     res = brach_hamiltonian(args.r1, args.r2, omega0=args.omega0)
     w = float(args.omega0)
     out = {
-        "axis": list(res.axis),
+        "axis": res.axis.tolist(),
         "T_omega0": res.duration * w,
         "phi12": res.phi12,
         "fisher_on_path": res.fisher_on_path,
@@ -394,7 +347,6 @@ def cmd_cavity(args) -> int:
     )
     if p["t_max"] is None:
         p["t_max"] = float(series.times[-1])  # the grid ends on perr_series' default
-    scn = Scenario(command="cavity", params=p, output=args.out, fmt="csv")
 
     w = cfg.omega0
     taus = {}
@@ -408,7 +360,8 @@ def cmd_cavity(args) -> int:
         "min_p_err": float(series.p_err[i_min]),
         "argmin_t_omega0": float(series.times[i_min] * w),
         "tau_omega0": taus,
-        "scenario": scn._payload(),
+        # params is itself a --scenario file that replays this run
+        "scenario": {"command": "cavity", "format": "csv", "output": args.out, "params": p},
     }
     if w != 1.0:
         summary["argmin_t_raw"] = float(series.times[i_min])

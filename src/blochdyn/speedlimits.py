@@ -77,12 +77,13 @@ def tau_exact(r, ham: HamiltonianSpec, delta) -> float:
 
     Returns arcsin((1 - 2*delta) / |n x r|) / omega0, the smallest
     nonnegative crossing. p_err is periodic with period pi/omega0; later
-    crossings are not reported. delta = 1/2 short-circuits to 0.
+    crossings are not reported. delta = 1/2 short-circuits to 0, once r
+    is checked.
     """
     d = check_delta(delta)
+    s = perp_norm(r, ham)
     if d == 0.5:
         return 0.0
-    s = perp_norm(r, ham)
     target = 1.0 - 2.0 * d
     if s <= _DEGENERATE_TOL:
         raise DegenerateOrbit("state commutes with the Hamiltonian; p_err stays 1/2")
@@ -100,9 +101,9 @@ def tau_mt(r, ham: HamiltonianSpec, delta) -> float:
     exact crossing time coincides with the bound for every delta.
     """
     d = check_delta(delta)
+    fisher = qfi(r, ham)
     if d == 0.5:
         return 0.0
-    fisher = qfi(r, ham)
     if fisher <= (2.0 * ham.omega0 * _DEGENERATE_TOL) ** 2:
         raise DegenerateOrbit("zero quantum Fisher information on this orbit")
     return float(_mt_time(fisher, 1.0 - 2.0 * d))
@@ -121,9 +122,9 @@ def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
     d = check_delta(delta)
     if not ham.identity_shift:
         raise ValueError("the mean-energy bound requires identity_shift=True")
+    c = float(np.dot(ham.axis, as_bloch(r)))
     if d == 0.5:
         return 0.0
-    c = float(np.dot(ham.axis, as_bloch(r)))
     if symmetrized:
         c = abs(c)
     if c + 1.0 <= 1e-12:
@@ -162,7 +163,8 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
     s = float(_perp(ham.axis, vec)[1])
     fisher = _fisher(s, ham.omega0)
     target = 1.0 - 2.0 * d
-    reachable = target <= s + REACH_SLACK
+    # tau_exact's rules: 0 at delta = 1/2, else degenerate or too far is unreachable
+    reachable = d == 0.5 or (s > _DEGENERATE_TOL and target <= s + REACH_SLACK)
     min_perr = max(0.0, 0.5 - 0.5 * s)
 
     if d == 0.5:
@@ -170,7 +172,7 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
         t_mt = 0.0
         t_ml = 0.0
     else:
-        t_exact = float(_exact_time(max(s, 1e-300), target, ham.omega0)) if reachable else None
+        t_exact = float(_exact_time(s, target, ham.omega0)) if reachable else None
         t_mt = float(_mt_time(fisher, target)) if s > _DEGENERATE_TOL else math.inf
         c = float(np.dot(ham.axis, vec))
         if ml_symmetrized:
@@ -237,7 +239,7 @@ def _ring_slabs(ham: HamiltonianSpec, theta_psi, grid):
             pts = np.stack(axes, axis=-1).reshape(-1, 3)
             at = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= (1.0 + NORM_EPS) ** 2)
             s = _perp(ham.axis, pts.take(at, axis=0))[1]
-            keep = np.flatnonzero((s >= sin_ref - 1e-12) & (s > _DEGENERATE_TOL))
+            keep = np.flatnonzero((s >= sin_ref - REACH_SLACK) & (s > _DEGENERATE_TOL))
             at, s = at[keep], s[keep]
             yield (lo * plane + at, pts.take(at, axis=0),
                    _exact_time(s, 1.0 - 2.0 * delta, ham.omega0), _fisher(s, ham.omega0))

@@ -12,7 +12,7 @@ import pytest
 import blochdyn
 from blochdyn import CavityConfig, HamiltonianSpec, __version__, make_field, perr_series
 from blochdyn import cli, speedlimits
-from blochdyn.cli import Scenario, main
+from blochdyn.cli import main
 from oracles import csv_text, whole_lattice_ring, windowed_amplitude
 
 
@@ -164,8 +164,36 @@ def test_cavity_default_sweep(tmp_path, capsys):
     assert params["qubit"] == {"rx": 0.0, "ry": 0.0, "rz": 1.0}
     assert params["steps"] == 10_000 and params["n_max"] == 100
     assert params["g"] == 0.05 and params["t_max"] == 100.0
-    # the echoed scenario is itself a loadable descriptor
-    Scenario.from_json(json.dumps(summary["scenario"]))
+    assert_echo_replays(tmp_path, capsys, dest, summary)
+
+
+def assert_echo_replays(tmp_path, capsys, csv_path, summary):
+    """The echoed params, as a --scenario file, give the same CSV bytes and echo."""
+    assert summary["scenario"]["command"] == "cavity"
+    scenario = tmp_path / "echo.json"
+    scenario.write_text(json.dumps(summary["scenario"]["params"]))
+    again = tmp_path / "again.csv"
+    code, out, err = run_cli(capsys, ["cavity", "--scenario", str(scenario),
+                                      "--out", str(again)])
+    assert (code, err) == (0, "")
+    assert again.read_bytes() == csv_path.read_bytes()
+    assert json.loads(out) == {**summary, "scenario": {**summary["scenario"],
+                                                       "output": str(again)}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "cat_even", "--alpha", "1.5,0.5", "--omega0", "1.5", "--detuning", "0.2",
+     "--qubit", "0.6,0,0.8", "--frame", "rotating", "--n-max", "30", "--steps", "500"],
+    ["--field", "fock", "--alpha", "3", "--omega0", "0.7", "--g", "0.1", "--n-max", "8",
+     "--t-max", "40", "--steps", "300"],
+], ids=["cat_detuned", "fock"])
+def test_cavity_echoed_params_replay_the_run(tmp_path, capsys, argv):
+    dest = tmp_path / "first.csv"
+    code, out, err = run_cli(capsys, ["cavity", *argv, "--out", str(dest)])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["scenario"]["params"]["omega0"] != 1.0 and "argmin_t_raw" in summary
+    assert_echo_replays(tmp_path, capsys, dest, summary)
 
 
 def test_cavity_vacuum_series_matches_closed_form(capsys):
@@ -582,16 +610,22 @@ def test_invalid_thread_cap_is_an_input_error(capsys, monkeypatch):
     assert "QSL_THREADS" in err
 
 
-def test_scenario_round_trip():
-    scn = Scenario(command="cavity", params={"steps": 10, "g": 0.05},
-                   output="x.csv", fmt="csv")
-    again = Scenario.from_json(scn.to_json())
-    assert again == scn
-    assert Scenario.from_json('{"command": "qsl"}').fmt == "csv"
-    with pytest.raises(ValueError):
-        Scenario(command="plot")
-    with pytest.raises(ValueError):
-        Scenario(command="qsl", fmt="parquet")
+@pytest.mark.parametrize("flags, cap, name", [
+    (["--workers", "0"], None, "workers"),
+    (["--workers=-1"], None, "workers"),
+    (["--workers", "0"], "2", "workers"),
+    ([], "0", "QSL_THREADS"),
+])
+def test_bad_worker_count_is_an_input_error(capsys, monkeypatch, flags, cap, name):
+    # the CLI refuses what perr_series(workers=...) refuses, naming it
+    if cap is None:
+        monkeypatch.delenv("QSL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("QSL_THREADS", cap)
+    code, out, err = run_cli(capsys, ["cavity", "--n-max", "2", "--field", "fock",
+                                      "--alpha", "0", "--steps", "10", *flags])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"blochdyn: error: {name} ") and err.count("\n") == 1
 
 
 def test_version_flag(capsys):

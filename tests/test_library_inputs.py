@@ -222,3 +222,19 @@ def test_a_nan_amplitude_is_refused_after_a_math_range_error():
         math.exp(1000)
     with pytest.raises(ValueError, match="alpha must be finite"):
         bd.coherent_field(complex(math.nan, 0.0), 20)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: bd.coherent_field([1, 2], 20), "alpha"),
+    (lambda: bd.make_field("cat_even", {}, 20), "alpha"),
+    (lambda: bd.as_bloch({}), "Bloch vector"),
+    (lambda: bd.as_bloch("abc"), "Bloch vector"),
+    (lambda: bd.as_bloch([1, [2, 3]]), "Bloch vector"),
+    (lambda: bd.custom_field("x"), "custom amplitudes"),
+    (lambda: bd.check_density([[1, 0], [0, "a"]]), "density matrix"),
+    (lambda: bd.pure_state_bloch({"up": 1}), "state vector"),
+], ids=["list_alpha", "dict_alpha", "dict_bloch", "text_bloch", "ragged_bloch",
+        "text_amplitudes", "text_density", "dict_state"])
+def test_a_non_number_is_refused_naming_the_input(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()

@@ -7,6 +7,7 @@ from blochdyn import (
     BlochDynError,
     GroundState,
     HamiltonianSpec,
+    NormViolation,
     NotReachable,
     bloch_to_density,
     brach_hamiltonian,
@@ -263,6 +264,36 @@ def test_classify_divergent_ml_reported_not_raised():
     assert np.isinf(rep.tau_ml)
     symrep = classify((0, 0, -1), Z, 0.3, ml_symmetrized=True)
     assert np.isfinite(symrep.tau_ml)
+
+
+def _outcome(call):
+    """A call's value, or the type of the error it raised."""
+    try:
+        return call()
+    except (BlochDynError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.5 - 1e-13, 0.5 - 5e-13, 0.5 - 1e-12])
+@pytest.mark.parametrize("r", [
+    (0.0, 0.0, 0.5), (1e-13, 0.0, 0.5), (5e-13, 0.0, 0.5), (2e-12, 0.0, 0.5),
+    (5.0, 5.0, 5.0), (np.nan, 0.0, 0.0), "abc",
+], ids=["radius0", "radius1e-13", "radius5e-13", "radius2e-12", "outside", "nan", "text"])
+def test_classify_reports_what_the_tau_functions_return_or_raise(r, delta):
+    # classify's tau_exact and reachable follow tau_exact, its bounds are inf
+    # where tau_mt and tau_ml raise, and a bad r fails all four alike
+    rep = _outcome(lambda: classify(r, Z_SHIFT, delta))
+    exact, mt, ml = (_outcome(lambda: f(r, Z_SHIFT, delta)) for f in (tau_exact, tau_mt, tau_ml))
+    if isinstance(rep, type):
+        assert rep in (NormViolation, ValueError)
+        assert exact is mt is ml is rep
+        return
+    if exact in (DegenerateOrbit, NotReachable):
+        assert (rep.reachable, rep.tau_exact) == (False, None)
+    else:
+        assert (rep.reachable, rep.tau_exact) == (True, exact)
+    assert rep.tau_mt == (np.inf if mt is DegenerateOrbit else mt)
+    assert rep.tau_ml == (np.inf if ml is GroundState else ml)
 
 
 def test_monotonicity_in_orbit_radius_and_level():
