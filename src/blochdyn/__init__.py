@@ -1,126 +1,21 @@
 """Qubit distinguishability times: exact orbit crossings, speed-limit
 bounds, time-optimal rotations, and qubit-cavity sweeps.
+
+The package root re-exports each module's ``__all__``.
 """
 
-from .bloch import (
-    HamiltonianSpec,
-    SLDResult,
-    as_bloch,
-    bloch_to_density,
-    check_density,
-    density_to_bloch,
-    evolve_bloch,
-    evolve_density,
-    p_err,
-    p_err_bloch,
-    pure_state_bloch,
-    qfi,
-    sld,
-    unitary,
-)
-from .brachistochrone import BrachResult, brach_hamiltonian, brach_time, pure_brach
-from .cavity import (
-    CavityConfig,
-    DistinguishabilitySeries,
-    FieldState,
-    KrausSet,
-    cat_field,
-    coherent_field,
-    coherent_tail,
-    custom_field,
-    e0_field,
-    fock_field,
-    jc_propagate,
-    kraus_support,
-    make_field,
-    mean_photon,
-    nonunitary_tau,
-    perr_series,
-    photon_number_expectation,
-    reduced_series,
-)
-from .errors import (
-    BlochDynError,
-    CollinearInput,
-    DegenerateOrbit,
-    GroundState,
-    LinearlyDependent,
-    NonphysicalOutput,
-    NormViolation,
-    NotReachable,
-    OverlapNotReal,
-    RadiusMismatch,
-    TruncationTooSmall,
-)
-from .speedlimits import (
-    ReachabilityReport,
-    RingScan,
-    classify,
-    faster_set_contains,
-    perp_norm,
-    scan_ring,
-    tau_exact,
-    tau_ml,
-    tau_mt,
-)
+from . import bloch, brachistochrone, cavity, errors, speedlimits
+from .bloch import *
+from .brachistochrone import *
+from .cavity import *
+from .errors import *
+from .speedlimits import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochDynError",
-    "BrachResult",
-    "CavityConfig",
-    "CollinearInput",
-    "DegenerateOrbit",
-    "DistinguishabilitySeries",
-    "FieldState",
-    "GroundState",
-    "HamiltonianSpec",
-    "KrausSet",
-    "LinearlyDependent",
-    "NonphysicalOutput",
-    "NormViolation",
-    "NotReachable",
-    "OverlapNotReal",
-    "RadiusMismatch",
-    "ReachabilityReport",
-    "RingScan",
-    "SLDResult",
-    "TruncationTooSmall",
-    "as_bloch",
-    "bloch_to_density",
-    "brach_hamiltonian",
-    "brach_time",
-    "cat_field",
-    "check_density",
-    "classify",
-    "coherent_field",
-    "coherent_tail",
-    "custom_field",
-    "density_to_bloch",
-    "e0_field",
-    "evolve_bloch",
-    "evolve_density",
-    "faster_set_contains",
-    "fock_field",
-    "jc_propagate",
-    "kraus_support",
-    "make_field",
-    "mean_photon",
-    "nonunitary_tau",
-    "p_err",
-    "p_err_bloch",
-    "perp_norm",
-    "perr_series",
-    "photon_number_expectation",
-    "pure_brach",
-    "pure_state_bloch",
-    "qfi",
-    "reduced_series",
-    "scan_ring",
-    "sld",
-    "tau_exact",
-    "tau_ml",
-    "tau_mt",
-    "unitary",
-]
+__all__ = []
+__all__ += bloch.__all__
+__all__ += brachistochrone.__all__
+__all__ += cavity.__all__
+__all__ += errors.__all__
+__all__ += speedlimits.__all__

@@ -90,6 +90,9 @@ def _complex(value, name: str) -> complex:
 
 def _as_float(x, name: str, dtype=float) -> np.ndarray:
     """x as a float (or dtype) array; a non-number or a huge integer is a ValueError naming x."""
+    # numpy casts a complex array or numpy scalar to float by dropping its imaginary part
+    if dtype is float and getattr(getattr(x, "dtype", None), "kind", "") == "c":
+        raise ValueError(f"{name} must be real, got dtype {x.dtype}")
     try:
         return np.asarray(x, dtype=dtype)
     except OverflowError:

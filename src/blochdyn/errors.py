@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BlochDynError", "CollinearInput", "DegenerateOrbit", "GroundState", "LinearlyDependent",
+    "NonphysicalOutput", "NormViolation", "NotReachable", "OverlapNotReal", "RadiusMismatch",
+    "TruncationTooSmall",
+]
+
+# Largest photon-number mass a Fock cutoff may leave outside the basis
+# (cavity.TAIL_LIMIT); kept here so TruncationTooSmall's message quotes it.
+TAIL_LIMIT = 1e-10
+
 
 class BlochDynError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -42,7 +52,7 @@ class TruncationTooSmall(BlochDynError):
 
     def __init__(self, tail: float, detail: str = ""):
         self.tail = float(tail)
-        msg = f"truncation tail mass {self.tail:.3e} exceeds the 1e-10 budget"
+        msg = f"truncation tail mass {self.tail:.3e} exceeds the {TAIL_LIMIT:g} budget"
         if detail:
             msg = f"{msg} ({detail})"
         super().__init__(msg)

@@ -41,6 +41,7 @@ __all__ = [
 # absolute slack accepting boundary cases |n x r| = 1 - 2*delta as reachable
 REACH_SLACK = 1e-12
 _DEGENERATE_TOL = 1e-12
+_GROUND_TOL = 1e-12  # n . r + 1 at or below this is the ground state for tau_ml
 GRID_LIMIT = 400  # largest scan_ring grid; its docstring gives the memory
 _SLAB_POINTS = 1 << 16  # lattice points per x-slab of a ring scan
 
@@ -127,7 +128,7 @@ def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
         return 0.0
     if symmetrized:
         c = abs(c)
-    if c + 1.0 <= 1e-12:
+    if c + 1.0 <= _GROUND_TOL:
         raise GroundState("state sits at the bottom of the spectrum")
     return float(_ml_time(c, 1.0 - 2.0 * d, ham.omega0))
 
@@ -177,7 +178,7 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
         c = float(np.dot(ham.axis, vec))
         if ml_symmetrized:
             c = abs(c)
-        t_ml = float(_ml_time(c, target, ham.omega0)) if c + 1.0 > 1e-12 else math.inf
+        t_ml = float(_ml_time(c, target, ham.omega0)) if c + 1.0 > _GROUND_TOL else math.inf
 
     return ReachabilityReport(
         reachable=bool(reachable),

@@ -435,6 +435,14 @@ def test_physicality_check_fails_on_nan():
         cavity._check_physical(half, np.array([0.0, np.nan + 0j]), half)
 
 
+@pytest.mark.parametrize("scale", [2.0, np.nan], ids=["norm_4", "nan"])
+def test_jc_propagate_refuses_a_broken_amplitude_vector(scale):
+    f = coherent_field(1.0, n_max=20)
+    object.__setattr__(f, "amplitudes", scale * f.amplitudes)  # past FieldState's check
+    with pytest.raises(NonphysicalOutput, match="^reduced state broke physicality: "):
+        jc_propagate(f, MIXED, CavityConfig(n_max=20), 3.0)
+
+
 # ---------------------------------------------------------------- time series
 
 
@@ -778,7 +786,9 @@ def test_single_time_calls_make_no_lapack_call(monkeypatch):
     f = coherent_field(2.0, n_max=40)
     for frame in ("lab", "rotating"):
         cfg = CavityConfig(detuning=0.02, n_max=40, frame=frame)
-        jc_propagate(f, MIXED, cfg, 12.5)[1].norms()
+        kraus = jc_propagate(f, MIXED, cfg, 12.5)[1]
+        kraus.norms()
+        kraus.completeness_error()
         kraus_support(f, cfg, 12.5)
 
 

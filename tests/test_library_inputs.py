@@ -238,3 +238,31 @@ def test_a_nan_amplitude_is_refused_after_a_math_range_error():
 def test_a_non_number_is_refused_naming_the_input(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
+
+
+IMAG = np.array([0.5j, 0.0, 0.0])
+ZERO_IMAG = np.array([0.5 + 0j, 0.0, 0.0])  # refused too, though no part would be lost
+
+
+@pytest.mark.parametrize("r", [IMAG, ZERO_IMAG, np.complex128(0.5)],
+                         ids=["imag", "zero_imag", "scalar"])
+@pytest.mark.parametrize("call, name", [
+    (lambda r: bd.as_bloch(r), "Bloch vector"),
+    (lambda r: bd.classify(r, Z, 0.3), "Bloch vector"),
+    (lambda r: bd.tau_exact(r, Z, 0.3), "Bloch vector"),
+    (lambda r: bd.tau_mt(r, Z, 0.3), "Bloch vector"),
+    (lambda r: bd.tau_ml(r, bd.HamiltonianSpec.from_axis((0, 0, 1), 1.0, True), 0.3),
+     "Bloch vector"),
+    (lambda r: bd.qfi(r, Z), "Bloch vector"),
+    (lambda r: bd.evolve_bloch(r, Z, 1.0), "Bloch vector"),
+    (lambda r: bd.p_err_bloch((0, 0, 1), r), "Bloch vector"),
+    (lambda r: bd.HamiltonianSpec.from_axis(r), "axis"),
+    (lambda r: bd.HamiltonianSpec(r), "axis"),
+    (lambda r: bd.reduced_series(bd.fock_field(1, 4), np.eye(2) / 2, SMALL, r.real + r), "times"),
+], ids=["as_bloch", "classify", "tau_exact", "tau_mt", "tau_ml", "qfi", "evolve_bloch",
+        "p_err_bloch", "from_axis", "HamiltonianSpec", "reduced_series_times"])
+def test_a_complex_array_is_refused_where_a_real_is_expected(call, name, r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
+            call(r)
