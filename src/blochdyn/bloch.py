@@ -90,9 +90,14 @@ def _complex(value, name: str) -> complex:
 
 def _as_float(x, name: str, dtype=float) -> np.ndarray:
     """x as a float (or dtype) array; a non-number or a huge integer is a ValueError naming x."""
-    # numpy casts a complex array or numpy scalar to float by dropping its imaginary part
-    if dtype is float and getattr(getattr(x, "dtype", None), "kind", "") == "c":
-        raise ValueError(f"{name} must be real, got dtype {x.dtype}")
+    # numpy casts a complex array or numpy scalar to float by dropping its
+    # imaginary part, also one inside a list, so a list is first read as it is
+    if dtype is float and getattr(getattr(x, "dtype", None), "kind", "") != "f":
+        if isinstance(x, (list, tuple)):
+            x = _as_float(x, name, None)
+        kind = getattr(getattr(x, "dtype", None), "kind", "")
+        if kind == "c" or kind == "O" and any(isinstance(v, np.complexfloating) for v in x.flat):
+            raise ValueError(f"{name} must be real, got dtype {x.dtype}")
     try:
         return np.asarray(x, dtype=dtype)
     except OverflowError:

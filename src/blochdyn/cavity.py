@@ -38,8 +38,13 @@ entries that enters rho_S the free phases cancel:
   carries the one common phase exp(-i omega0 t) left over from adjacent
   free phases.
 
-Each sum is a real matrix product of the (times, blocks) trig arrays with
-weights fixed per call.
+The weights are fixed per call, and a sweep keeps only the blocks that
+carry them: it drops the lightest blocks while their summed |weight| stays
+at most 2^-64, so no value moves by more than that (|S_n|, |C_n| <= 1) and
+zero-weight blocks always go. Each sum then runs over the kept blocks of
+(kept, times) trig arrays: in a fixed order, with no BLAS call, for at most
+two kept blocks (every Fock field), so those bits do not depend on the BLAS
+kernel, and as a real matrix product otherwise.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -97,6 +102,11 @@ _PHYS_TOL = 1e-8
 _CHUNK = 4096
 _MIN_CHUNK = 512
 _CHUNK_CELLS = 1 << 17
+# A sweep drops its lightest blocks while their summed |weight| stays at
+# most _DROP_MASS (see _SweepWeights); kept widths up to _FIXED_ORDER_WIDTH
+# take the fixed-order contraction, wider ones BLAS.
+_DROP_MASS = 2.0**-64
+_FIXED_ORDER_WIDTH = 2
 
 
 def _cutoff(n_max) -> int:
@@ -416,7 +426,7 @@ def _check_physical(ee, eg, gg) -> None:
 
 
 def _re_im(z) -> np.ndarray:
-    # complex weights as (re, im) columns, so real trig arrays meet real BLAS
+    # complex weights as (re, im) columns, so real trig arrays meet real weights
     return np.column_stack([z.real, z.imag])
 
 
@@ -424,26 +434,34 @@ def _re_im(z) -> np.ndarray:
 class _SweepWeights:
     """Per-call weights of the real trig contractions in reduced_series.
 
-    Block rows run over n = 0 .. n_max-1, pair rows over m = 1 .. n_max-1.
-    pairs holds the (re, im) columns of rho_eg against C_m S_{m-1},
-    S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1}; edges the complex
-    coefficients of C_0 and S_0 (from |g,0>) and of C_{n_max-1} and
-    S_{n_max-1} (from |e,n_max>).
+    Only the kept blocks enter a sweep, listed ascending in kept; every
+    array below runs over them. pairs holds the (re, im) columns of rho_eg
+    against C_m S_{m-1}, S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1} for kept
+    neighbours (row j for kept[j] and kept[j+1]; zero when the two are not
+    adjacent blocks); edges the complex coefficients of C_0 and S_0
+    (from |g,0>) and of C_{n_max-1} and S_{n_max-1} (from |e,n_max>), zero
+    when that block is dropped.
 
-    A block is live when some nonzero weight reads its S_n or C_n: a
-    diag_ss or diag_sc row, either block of a pair row, or an edge. A
-    Fock field has at most two live blocks, an e0 field half of them.
-    Dead blocks carry Om_n = 0, so their phases stay zero.
+    A block's mass is the summed |re| + |im| of every weight that reads its
+    S_n or C_n: its diag_ss and diag_sc rows, each pair row it is one of the
+    two blocks of, and its edge. Blocks are dropped lightest first while
+    their summed mass, dropped, stays at most _DROP_MASS; as |S_n| and
+    |C_n| are at most 1, no ee, gg or eg value moves by more than dropped
+    (up to the rounding of that sum). Zero-mass blocks are always dropped:
+    a Fock field keeps at most two. path names the contraction,
+    "fixed-order" up to _FIXED_ORDER_WIDTH kept blocks, else "blas".
     """
 
-    om: np.ndarray  # Om_n, zero on dead blocks
+    om: np.ndarray  # (kept,) Om_n
     ee0: float  # p sum |c_n|^2
     gg0: float  # q sum |c_n|^2
-    diag_ss: np.ndarray  # (n_max, 2): (ee, gg) columns against S_n^2
-    diag_sc: np.ndarray  # (n_max, 2): (ee, gg) columns against S_n C_n
-    pairs: tuple  # four (n_max-1, 2) arrays
+    diag_ss: np.ndarray  # (kept, 2): (ee, gg) columns against S_n^2
+    diag_sc: np.ndarray  # (kept, 2): (ee, gg) columns against S_n C_n
+    pairs: tuple  # four (kept-1, 2) arrays
     edges: tuple  # four complex scalars
-    live: np.ndarray | None  # (n_max,) bool, or None when every block is live
+    kept: np.ndarray  # (kept,) block indices n, ascending
+    dropped: float  # summed mass of the dropped blocks
+    path: str  # "fixed-order" or "blas"
 
 
 def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
@@ -490,17 +508,26 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
         1j * (p * c[-1] * np.conj(c[-2]) * y[-1] - bt * r[-1]),
     )
 
-    live = np.any(diag_ss != 0.0, axis=1) | np.any(diag_sc != 0.0, axis=1)
-    paired = np.any(np.hstack(pairs) != 0.0, axis=1)  # pair row m reads m and m-1
-    live[1:] |= paired
-    live[:-1] |= paired
-    live[0] |= bool(edges[0] or edges[1])
-    live[-1] |= bool(edges[2] or edges[3])
-    if live.all():
-        live = None
-    else:
-        om = np.where(live, om, 0.0)
-    return _SweepWeights(om, p * norm, q * norm, diag_ss, diag_sc, pairs, edges, live)
+    mass = np.abs(diag_ss).sum(axis=1) + np.abs(diag_sc).sum(axis=1)
+    pair_mass = sum(np.abs(w).sum(axis=1) for w in pairs)  # row m reads m and m-1
+    mass[1:] += pair_mass
+    mass[:-1] += pair_mass
+    mass[0] += sum(abs(e.real) + abs(e.imag) for e in edges[:2])
+    mass[-1] += sum(abs(e.real) + abs(e.imag) for e in edges[2:])
+    order = np.argsort(mass, kind="stable")
+    running = np.cumsum(mass[order])  # sequential, so nondecreasing
+    n_drop = int(np.searchsorted(running, _DROP_MASS, side="right"))
+    kept = np.sort(order[n_drop:])
+    dropped = float(running[n_drop - 1]) if n_drop else 0.0
+
+    adjacent = (np.diff(kept) == 1)[:, None]
+    pairs = tuple(np.where(adjacent, w[kept[1:] - 1], 0.0) for w in pairs)
+    ends = kept[[0, -1]].tolist() if kept.size else [-1, -1]
+    edges = (edges[:2] if ends[0] == 0 else (0j, 0j)) + (
+        edges[2:] if ends[1] == cfg.n_max - 1 else (0j, 0j))
+    path = "fixed-order" if kept.size <= _FIXED_ORDER_WIDTH else "blas"
+    return _SweepWeights(om[kept], p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs,
+                         edges, kept, dropped, path)
 
 
 def _chunk_rows(n_max: int) -> int:
@@ -512,32 +539,42 @@ def _chunk_rows(n_max: int) -> int:
     return rows
 
 
-def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg) -> None:
-    # Fills ee, eg, gg (views of the output at t) from real trig products.
-    arg = np.multiply.outer(t, w.om)
-    if w.live is None:
-        S = np.sin(arg)
-        C = np.cos(arg, out=arg)
-    else:
-        # trig on live blocks only; dead ones keep their zero phase as S and
-        # C, so every product meets its zero weight as an exact zero
-        S = np.sin(arg, out=arg.copy(), where=w.live)
-        C = np.cos(arg, out=arg, where=w.live)
-    prod = np.multiply(S, S)
-    diag = prod @ w.diag_ss
-    np.multiply(S, C, out=prod)
-    diag += prod @ w.diag_sc
-    ee[:] = w.ee0 + diag[:, 0]
-    gg[:] = w.gg0 + diag[:, 1]
+def _contract_fixed(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # (2, rows): sum over kept blocks k of prod[k] * w[k, j], one block after
+    # the other (a reduction along the outer axis), each product rounded
+    # before its add, so no BLAS kernel or FMA touches the bits
+    return np.add.reduce(prod[:, None, :] * w[:, :, None], axis=0)
 
-    adj = prod[:, 1:]  # reused for each adjacent-block product
-    coh = np.zeros((t.size, 2))
+
+def _contract_blas(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return w.T @ prod
+
+
+def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg) -> None:
+    # Fills ee, eg, gg (views of the output at t) from real trig products,
+    # laid out (kept, rows).
+    if not w.kept.size:  # every weight dropped: the constant state
+        ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
+        return
+    contract = _contract_fixed if w.path == "fixed-order" else _contract_blas
+    arg = np.multiply.outer(w.om, t)
+    S = np.sin(arg)
+    C = np.cos(arg, out=arg)
+    prod = np.multiply(S, S)
+    diag = contract(prod, w.diag_ss)
+    np.multiply(S, C, out=prod)
+    diag += contract(prod, w.diag_sc)
+    ee[:] = w.ee0 + diag[0]
+    gg[:] = w.gg0 + diag[1]
+
+    adj = prod[1:]  # reused for each product of kept neighbours
+    coh = np.zeros((2, t.size))
     for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
-        np.multiply(hi[:, 1:], lo[:, :-1], out=adj)
-        coh += adj @ weight
+        np.multiply(hi[1:], lo[:-1], out=adj)
+        coh += contract(adj, weight)
     c0, s0, ct, st = w.edges
-    edge = C[:, 0] * c0 + S[:, 0] * s0 + C[:, -1] * ct + S[:, -1] * st
-    eg[:] = coh[:, 0] + 1j * coh[:, 1] + edge * np.exp(-0.5j * cfg.detuning * t)
+    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
+    eg[:] = coh[0] + 1j * coh[1] + edge * np.exp(-0.5j * cfg.detuning * t)
     if cfg.frame == "lab":
         eg *= np.exp(-1j * cfg.omega0 * t)
 
@@ -545,16 +582,18 @@ def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg)
 def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: int = 1):
     """Reduced qubit states at the given times, shape (len(times), 2, 2).
 
-    Each chunk of times evaluates S_n = sin(Om_n t) and C_n = cos(Om_n t)
-    once as real (chunk, n_max) arrays and contracts their products with
-    weights built once per call (see the module docstring): rho_ee and
-    rho_gg from S_n^2 and S_n C_n, rho_eg from the four products of
-    adjacent blocks plus the |g,0> and |e,n_max> edge terms, times
-    exp(-i omega0 t) in the lab frame.
-
-    Trig is evaluated only on live blocks, those some nonzero weight
-    reads (a Fock field has at most two, an e0 field half); the others
-    hold exact zeros, so the contractions keep their full width and bits.
+    Weights are built once per call (see the module docstring), and only
+    the blocks that carry them are kept: the lightest are dropped while
+    their summed |weight| stays at most 2^-64, which bounds the change to
+    every entry. Each chunk of times evaluates S_n = sin(Om_n t) and
+    C_n = cos(Om_n t) once, on the kept blocks only, as real (kept, chunk)
+    arrays and contracts their products with the weights: rho_ee and
+    rho_gg from S_n^2 and S_n C_n, rho_eg from the four products of kept
+    neighbours (adjacent blocks; others carry zero weight) plus the |g,0>
+    and |e,n_max> edge terms, times exp(-i omega0 t) in the lab frame. Up
+    to two kept blocks (a Fock field keeps at most two) are summed one
+    after the other in block order, with no BLAS call; wider sets go
+    through a BLAS matrix product.
 
     A chunk has the most time rows, a power of two from 512 to 4096, whose
     (rows, n_max) arrays fit 1 MiB (512 above n_max 256), set by n_max

@@ -1,4 +1,4 @@
-import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -602,8 +602,8 @@ def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch):
 
 
 MULTI_CHUNK_FIELDS = {
-    "edges": lambda: _edge_field(n_max=64),  # every block live
-    "e0_gaps": lambda: e0_field(3.0, n_max=64),  # live blocks only
+    "edges": lambda: _edge_field(n_max=64),  # every block kept
+    "e0_gaps": lambda: e0_field(3.0, n_max=64),  # kept blocks with gaps
 }
 
 
@@ -643,55 +643,222 @@ def test_multi_chunk_series_is_bit_identical_for_one_or_two_workers(monkeypatch,
     assert np.array_equal(a, b)
 
 
-LIVE_MASK_FIELDS = {  # name: (field, the qubits that leave some block dead)
-    "fock_mid": (lambda: fock_field(7, n_max=40), {"excited", "mixed"}),
-    "fock_vacuum": (lambda: fock_field(0, n_max=40), {"excited", "mixed"}),
-    "fock_top": (lambda: fock_field(40, n_max=40), {"excited", "mixed"}),
-    "e0": (lambda: e0_field(2.0, n_max=40), {"excited", "mixed"}),
-    # from |e> only blocks n with c_n != 0 are read, from a mixed qubit all
-    "cat_odd": (lambda: cat_field(2.0, n_max=40, parity="odd"), {"excited"}),
-    "edges": (_edge_field, set()),
+def _full_width_weights(monkeypatch, f, cfg, rho0):
+    # a drop bound below zero keeps every block: the unpruned sweep
+    with monkeypatch.context() as m:
+        m.setattr(cavity, "_DROP_MASS", -1.0)
+        w = cavity._sweep_weights(f, cfg, rho0)
+    assert w.kept.tolist() == list(range(cfg.n_max)) and w.dropped == 0.0
+    return w
+
+
+def _block_mass(w):
+    # summed |re| + |im| of every weight of a full-width sweep that reads
+    # each block: its diag rows, each pair row it is in, its edge
+    mass = np.abs(w.diag_ss).sum(axis=1) + np.abs(w.diag_sc).sum(axis=1)
+    for pair in w.pairs:
+        row = np.abs(pair).sum(axis=1)  # pair row m reads blocks m and m-1
+        mass[1:] += row
+        mass[:-1] += row
+    mass[0] += sum(abs(e.real) + abs(e.imag) for e in w.edges[:2])
+    mass[-1] += sum(abs(e.real) + abs(e.imag) for e in w.edges[2:])
+    return mass
+
+
+def _nonzero_weight_blocks(w):
+    return np.flatnonzero(_block_mass(w)).tolist()
+
+
+def _run_chunk(w, cfg, t):
+    ee, eg, gg = np.empty(t.size), np.empty(t.size, dtype=complex), np.empty(t.size)
+    cavity._sweep_chunk(w, cfg, t, ee, eg, gg)
+    return ee, eg, gg
+
+
+def _fold(terms):
+    # left to right, one rounding per product and one per add
+    acc = 0.0
+    for x, wk in terms:
+        acc = acc + x * wk
+    return acc
+
+
+def _fold_reference(w, cfg, t, i):
+    # the sweep's values at row i, its real sums folded from Python floats
+    # block by block; the phase factors are numpy's complex products, which
+    # may fuse a multiply and an add, and are exactly 1 in the rotating frame
+    # at zero detuning
+    arg = np.multiply.outer(w.om, t)
+    S, C = np.sin(arg)[:, i].tolist(), np.cos(arg)[:, i].tolist()
+    k = range(len(S))
+    ee_gg = [
+        _fold((S[n] * S[n], w.diag_ss[n, j]) for n in k)
+        + _fold((S[n] * C[n], w.diag_sc[n, j]) for n in k)
+        for j in range(2)
+    ]
+    coh = [0.0, 0.0]
+    for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
+        for j in range(2):
+            coh[j] = coh[j] + _fold((hi[n] * lo[n - 1], weight[n - 1, j]) for n in k[1:])
+    c0, s0, ct, st = w.edges
+    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
+    eg = complex(coh[0], coh[1]) + edge * np.exp(-0.5j * cfg.detuning * t[i])
+    if cfg.frame == "lab":
+        eg *= np.exp(-1j * cfg.omega0 * t[i])
+    return w.ee0 + ee_gg[0], eg, w.gg0 + ee_gg[1]
+
+
+FOLD_FIELDS = {
+    "fock_mid": lambda: fock_field(7, n_max=40),
+    "fock_vacuum": lambda: fock_field(0, n_max=40),
+    "fock_top": lambda: fock_field(40, n_max=40),
+    "e0": lambda: e0_field(2.0, n_max=40),
+    "edges": _edge_field,
 }
 
 
-def _assert_live_trig_matches_every_block(w, cfg, rows):
-    every = dataclasses.replace(w, om=cavity._block_rates(cfg)[0], live=None)
-    t = np.linspace(0.0, 160.0, rows)
-    got = []
-    for weights in (w, every):
-        ee, eg, gg = np.empty(rows), np.empty(rows, dtype=complex), np.empty(rows)
-        # garbage or a stale phase in a dead block fails here if it overflows
-        with np.errstate(over="raise", invalid="raise"):
-            cavity._sweep_chunk(weights, cfg, t, ee, eg, gg)
-        got.append((ee, eg, gg))
-    for masked, full in zip(*got):
-        assert np.array_equal(masked, full)
-
-
-@pytest.mark.parametrize("name", sorted(LIVE_MASK_FIELDS))
-@pytest.mark.parametrize("rows", [512, cavity._CHUNK])
+@pytest.mark.parametrize("name", sorted(FOLD_FIELDS))
+@pytest.mark.parametrize("frame, detuning", [("rotating", 0.0), ("rotating", 0.03), ("lab", 0.03)])
 @pytest.mark.parametrize("qubit", ["excited", "mixed"])
-def test_live_block_trig_is_bit_identical_to_trig_on_every_block(name, rows, qubit):
-    make, dead_for = LIVE_MASK_FIELDS[name]
+def test_fixed_order_path_is_a_left_to_right_fold(monkeypatch, name, frame, detuning, qubit):
+    # the Fock fields take this path anyway; the wider ones are sent down
+    # it, so the fold runs over more than two blocks
+    f = FOLD_FIELDS[name]()
+    monkeypatch.setattr(cavity, "_FIXED_ORDER_WIDTH", f.n_max)
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
+    w = cavity._sweep_weights(f, cfg, EXCITED if qubit == "excited" else MIXED)
+    assert w.path == "fixed-order"
+    if name == "fock_top" and qubit == "excited":
+        assert w.kept.size == 0  # |e,n_max> is uncoupled: nothing moves
+        return
+    t = np.linspace(0.0, 160.0, 512)
+    ee, eg, gg = _run_chunk(w, cfg, t)
+    unit_phase = frame == "rotating" and detuning == 0.0
+    for i in (0, 1, 97, 255, 384, 511):
+        ee_ref, eg_ref, gg_ref = _fold_reference(w, cfg, t, i)
+        assert ee[i] == ee_ref and gg[i] == gg_ref
+        if unit_phase:
+            assert eg[i] == eg_ref
+        else:
+            assert abs(eg[i] - eg_ref) <= 4e-16 * abs(eg_ref)
+
+
+def _poisson_custom(n_max, mean, seed):
+    rng = np.random.default_rng(seed)
+    n = np.arange(n_max + 1)
+    mag = np.exp(0.5 * (n * np.log(mean) - mean - np.array([math.lgamma(k + 1.0) for k in n])))
+    amps = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n.size))
+    return custom_field(amps / np.linalg.norm(amps))
+
+
+PRUNED_FIELDS = {
+    "coherent": lambda: coherent_field(3.0 + 1.0j, n_max=64),
+    "cat_odd": lambda: cat_field(3.0, n_max=64, parity="odd"),
+    "custom": lambda: _poisson_custom(64, 12.0, 5),
+    "e0": lambda: e0_field(3.0, n_max=64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize("detuning", [0.0, 0.03])
+def test_pruned_sweep_is_within_its_dropped_mass_of_the_full_width_sweep(
+        monkeypatch, name, frame, detuning):
+    f = PRUNED_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
+    w = cavity._sweep_weights(f, cfg, MIXED)
+    assert 0 < w.kept.size < f.n_max and 0.0 < w.dropped <= cavity._DROP_MASS
+    assert w.path == "blas"
+    times = _multi_chunk_times(f.n_max)
+    pruned = reduced_series(f, MIXED, cfg, times)
+    with monkeypatch.context() as m:
+        m.setattr(cavity, "_DROP_MASS", -1.0)
+        full = reduced_series(f, MIXED, cfg, times)
+    assert np.abs(pruned - full).max() <= w.dropped + 1e-15
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, frame):
+    # c_0, c_1, c_10, c_11 and the top two amplitudes at 1e-12 leave blocks 0,
+    # 10 and n_max-1 with masses near 1e-12, dropped under a 1e-9 bound:
+    # kept blocks 9 and 11 become neighbours, and both edges go
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=25) + 1j * rng.normal(size=25)
+    amps[[0, 1, 10, 11, 23, 24]] *= 1e-12
+    f = custom_field(amps / np.linalg.norm(amps))
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max, frame=frame)
+    full = _full_width_weights(monkeypatch, f, cfg, MIXED)
+    monkeypatch.setattr(cavity, "_DROP_MASS", 1e-9)
+    w = cavity._sweep_weights(f, cfg, MIXED)
+    assert w.kept.tolist() == [n for n in range(1, 23) if n != 10]
+    mass = _block_mass(full)
+    assert w.dropped == pytest.approx(mass[[0, 10, 23]].sum(), rel=1e-15)
+    assert w.dropped <= 1e-9 < w.dropped + mass[w.kept].min()  # drops all it may
+    assert np.array_equal(w.om, full.om[w.kept])
+    assert np.array_equal(w.diag_ss, full.diag_ss[w.kept])
+    assert np.array_equal(w.diag_sc, full.diag_sc[w.kept])
+    gap = w.kept.tolist().index(9)  # pair row of kept neighbours 9 and 11
+    for pair, every in zip(w.pairs, full.pairs):
+        assert np.array_equal(np.delete(pair, gap, axis=0),
+                              np.delete(every[w.kept[1:] - 1], gap, axis=0))
+        assert not pair[gap].any() and every[10].any()
+    assert w.edges == (0j,) * 4 and all(full.edges)
+
+
+@pytest.mark.parametrize("make, qubit, kept", [
+    (lambda: fock_field(7, n_max=40), EXCITED, [7]),  # from |e>, q = 0 leaves block 6 unread
+    (lambda: fock_field(7, n_max=40), MIXED, [6, 7]),
+    (lambda: fock_field(0, n_max=40), MIXED, [0]),
+    (lambda: fock_field(40, n_max=40), MIXED, [39]),
+    (lambda: e0_field(1.0, n_max=16), EXCITED, [0, 4, 8, 12]),
+    (lambda: e0_field(1.0, n_max=16), MIXED, [0, 3, 4, 7, 8, 11, 12, 15]),
+], ids=["fock_excited", "fock_mixed", "vacuum", "fock_top", "e0_excited", "e0_mixed"])
+def test_kept_blocks_are_the_nonzero_weight_blocks_of_sparse_fields(monkeypatch, make, qubit, kept):
     f = make()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    w = cavity._sweep_weights(f, cfg, EXCITED if qubit == "excited" else MIXED)
-    assert (w.live is not None) == (qubit in dead_for)  # all live: the unmasked path
-    _assert_live_trig_matches_every_block(w, cfg, rows)
+    w = cavity._sweep_weights(f, cfg, qubit)
+    assert w.kept.tolist() == kept == _nonzero_weight_blocks(
+        _full_width_weights(monkeypatch, f, cfg, qubit))
+    assert w.dropped == 0.0
 
 
-@pytest.mark.parametrize("n, live", [(7, [6, 7]), (0, [0]), (40, [39])],
+@pytest.mark.parametrize("n, kept", [(7, [6, 7]), (0, [0]), (40, [39])],
                          ids=["pair", "edge_g0", "edge_top"])
-def test_blocks_read_only_by_the_coherence_stay_live(n, live):
+def test_blocks_read_only_by_the_coherence_are_kept(monkeypatch, n, kept):
     # g / detuning far below 1e-162 underflows every y_n^2 and with it the
     # population weights of a Fock field, so only the rho_eg terms read
     # blocks: the pair row m = n, or the |g,0> or |e,n_max> edge
     f = fock_field(n, n_max=40)
     cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40)
     w = cavity._sweep_weights(f, cfg, MIXED)
+    full = _full_width_weights(monkeypatch, f, cfg, MIXED)
     assert not w.diag_ss.any() and not w.diag_sc.any()
-    assert np.flatnonzero(w.live).tolist() == live
-    _assert_live_trig_matches_every_block(w, cfg, 512)
+    assert w.kept.tolist() == kept == _nonzero_weight_blocks(full)
+    assert w.dropped == 0.0 and w.path == "fixed-order"
+    t = np.linspace(0.0, 160.0, 512)
+    for pruned, every in zip(_run_chunk(w, cfg, t), _run_chunk(full, cfg, t)):
+        assert np.abs(pruned - every).max() <= 1e-15
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_empty_kept_set_gives_the_constant_series(monkeypatch, frame):
+    # from the maximally mixed qubit every weight is y_n-suppressed to about
+    # 1e-180, far below the drop bound, so no block is kept
+    f = coherent_field(2.0, n_max=40)
+    half = np.eye(2) / 2.0
+    cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40, frame=frame)
+    w = cavity._sweep_weights(f, cfg, half)
+    assert w.kept.size == 0 and 0.0 < w.dropped <= cavity._DROP_MASS
+    times = _multi_chunk_times(f.n_max)
+    rho = reduced_series(f, half, cfg, times)
+    assert np.all(rho[:, 0, 0] == w.ee0) and np.all(rho[:, 1, 1] == w.gg0)
+    assert not rho[:, 0, 1].any() and not rho[:, 1, 0].any()
+    with monkeypatch.context() as m:
+        m.setattr(cavity, "_DROP_MASS", -1.0)
+        full = reduced_series(f, half, cfg, times)
+    assert np.abs(rho - full).max() <= w.dropped + 1e-15
+    series = perr_series(f, (0.0, 0.0, 0.0), cfg, t_max=100.0, steps=600)
+    assert np.all(series.p_err == 0.5)
 
 
 # ---------------------------------------------------------------- support

@@ -14,6 +14,7 @@ import functools
 import inspect
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,4 +266,23 @@ def test_a_complex_array_is_refused_where_a_real_is_expected(call, name, r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} must be real, got dtype complex128$"):
+            call(r)
+
+
+@pytest.mark.parametrize("r, dtype", [
+    ([np.complex128(0.5), 0, 0], "complex128"),
+    ((np.complex64(0.0), np.complex64(0.5), np.complex64(0.0)), "complex64"),
+    ([np.complex128(0.5 + 0j), Fraction(1, 2), 0], "object"),  # numpy keeps mixed types as objects
+], ids=["complex128", "complex64_tuple", "object"])
+@pytest.mark.parametrize("call, name", [
+    (lambda r: bd.as_bloch(r), "Bloch vector"),
+    (lambda r: bd.classify(r, Z, 0.3), "Bloch vector"),
+    (lambda r: bd.tau_exact(r, Z, 0.3), "Bloch vector"),
+    (lambda r: bd.HamiltonianSpec.from_axis(r), "axis"),
+    (lambda r: bd.reduced_series(bd.fock_field(1, 4), np.eye(2) / 2, SMALL, r), "times"),
+], ids=["as_bloch", "classify", "tau_exact", "from_axis", "reduced_series_times"])
+def test_a_numpy_complex_inside_a_sequence_is_refused(call, name, r, dtype):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real, got dtype {dtype}$"):
             call(r)
