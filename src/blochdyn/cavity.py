@@ -46,6 +46,17 @@ zero-weight blocks always go. Each sum then runs over the kept blocks of
 two kept blocks (every Fock field), so those bits do not depend on the BLAS
 kernel, and as a real matrix product otherwise.
 
+The matrix-product sweeps over a uniform grid t_j = t_0 + j h (bit for bit
+np.linspace, as perr_series builds it) sample S_n and C_n by angle
+addition. With j = a K + k and K = 128, libm's sin and cos run once per
+call on the offsets Om_n k h, k < K, and once per anchor row a K, and every
+sample is S = sA cK + cA sK, C = cA cK - sA sK: four multiplies and two
+adds in place of two libm calls. Both ways round the argument Om_n t at
+about |Om_n t| eps, so they differ at that scale (|Delta rho| below
+0.2 eps max |Om_n t| measured, 4 eps (1 + max |Om_n t|) tested), and
+neither is nearer the exact value. Sparse sweeps and other grids call libm
+on every cell.
+
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
 by the local unitary exp(-i omega0 t sigma_z / 2), so they share
@@ -107,6 +118,9 @@ _CHUNK_CELLS = 1 << 17
 # take the fixed-order contraction, wider ones BLAS.
 _DROP_MASS = 2.0**-64
 _FIXED_ORDER_WIDTH = 2
+# Rows per anchor of the anchored trig (see _SweepWeights): it divides
+# _MIN_CHUNK, so every chunk starts on an anchor row.
+_ANCHOR = 128
 
 
 def _cutoff(n_max) -> int:
@@ -450,6 +464,14 @@ class _SweepWeights:
     (up to the rounding of that sum). Zero-mass blocks are always dropped:
     a Fock field keeps at most two. path names the contraction,
     "fixed-order" up to _FIXED_ORDER_WIDTH kept blocks, else "blas".
+
+    trig names how a chunk samples S_n and C_n. "direct" calls sin and cos
+    on every cell. "anchored" is taken only on the "blas" path over a grid
+    that is bit for bit np.linspace(t[0], t[-1], n), n >= 2, with spacing
+    h: offsets holds sK = sin(Om_n k h) and cK = cos(Om_n k h), with k h
+    read as t_k - t_0, for k < min(n, _ANCHOR), once per call, and row
+    j = a _ANCHOR + k is the angle sum of its anchor row a _ANCHOR (libm
+    at that t_j itself) and offset k (see _anchored_trig).
     """
 
     om: np.ndarray  # (kept,) Om_n
@@ -462,9 +484,16 @@ class _SweepWeights:
     kept: np.ndarray  # (kept,) block indices n, ascending
     dropped: float  # summed mass of the dropped blocks
     path: str  # "fixed-order" or "blas"
+    trig: str  # "direct" or "anchored"
+    offsets: np.ndarray | None  # anchored: (kept, 2, K), rows cK and sK
 
 
-def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
+def _uniform(t: np.ndarray) -> bool:
+    # a grid of n >= 2 times, bit for bit np.linspace(t[0], t[-1], n)
+    return t.size >= 2 and np.array_equal(t, np.linspace(t[0], t[-1], t.size))
+
+
+def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times=None) -> _SweepWeights:
     c = field.amplitudes
     a2 = np.abs(c) ** 2
     om, y, r = cfg._rates
@@ -526,8 +555,17 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
     edges = (edges[:2] if ends[0] == 0 else (0j, 0j)) + (
         edges[2:] if ends[1] == cfg.n_max - 1 else (0j, 0j))
     path = "fixed-order" if kept.size <= _FIXED_ORDER_WIDTH else "blas"
-    return _SweepWeights(om[kept], p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs,
-                         edges, kept, dropped, path)
+    om = om[kept]
+    offsets = None
+    if times is not None and path == "blas" and _uniform(times):
+        # k h as the grid spells it, t_k - t_0 (no larger than the last time)
+        arg = np.multiply.outer(om, times[:_ANCHOR] - times[0])
+        offsets = np.empty((om.size, 2, arg.shape[1]))
+        np.cos(arg, out=offsets[:, 0])
+        np.sin(arg, out=offsets[:, 1])
+    return _SweepWeights(om, p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs, edges,
+                         kept, dropped, path, "direct" if offsets is None else "anchored",
+                         offsets)
 
 
 def _chunk_rows(n_max: int) -> int:
@@ -550,17 +588,38 @@ def _contract_blas(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w.T @ prod
 
 
-def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg) -> None:
+def _anchored_trig(w: _SweepWeights, t: np.ndarray, S: np.ndarray, C: np.ndarray) -> None:
+    # S_n and C_n at the rows t of a uniform grid, t[0] an anchor row, by
+    # angle addition: row a K + k takes libm's sA, cA at its anchor t[a K]
+    # and the offsets cK, sK as S = sA cK + cA sK and C = cA cK - sA sK,
+    # for each block an (anchors, 2) by (2, K) matrix product. K is
+    # _ANCHOR, or the row count of a shorter grid. S and C are (kept, >=
+    # anchors * K) planes: the last chunk may end inside an anchor's rows.
+    kept, n, k = w.om.size, t.size, w.offsets.shape[-1]
+    anchors = -(-n // k)
+    arg = np.multiply.outer(w.om, t[::k])
+    sa, ca = np.sin(arg), np.cos(arg)
+    for plane, at in ((S, np.stack([sa, ca], axis=-1)), (C, np.stack([ca, -sa], axis=-1))):
+        np.matmul(at, w.offsets, out=plane[:, :anchors * k].reshape(kept, anchors, k))
+
+
+def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg, buf) -> None:
     # Fills ee, eg, gg (views of the output at t) from real trig products,
-    # laid out (kept, rows).
+    # laid out (kept, rows) in buf's three float planes (S_n, C_n,
+    # products) of at least t.size columns, whole anchors on the anchored
+    # path.
     if not w.kept.size:  # every weight dropped: the constant state
         ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
         return
     contract = _contract_fixed if w.path == "fixed-order" else _contract_blas
-    arg = np.multiply.outer(w.om, t)
-    S = np.sin(arg)
-    C = np.cos(arg, out=arg)
-    prod = np.multiply(S, S)
+    S, C, prod = (plane[:, :t.size] for plane in buf)
+    if w.trig == "anchored":
+        _anchored_trig(w, t, *buf[:2])
+    else:
+        np.multiply.outer(w.om, t, out=C)
+        np.sin(C, out=S)
+        np.cos(C, out=C)
+    np.multiply(S, S, out=prod)
     diag = contract(prod, w.diag_ss)
     np.multiply(S, C, out=prod)
     diag += contract(prod, w.diag_sc)
@@ -595,12 +654,20 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     after the other in block order, with no BLAS call; wider sets go
     through a BLAS matrix product.
 
+    When the wider sets meet a uniform grid, bit for bit
+    np.linspace(times[0], times[-1], len(times)) as perr_series builds it,
+    sin and cos run only on every 128th row (the anchors) and on 128
+    offsets per call; the rows between are angle sums of the two. That
+    moves each entry by at most a few eps * max |Om_n t|, the scale at
+    which the argument Om_n t is rounded either way. Other grids, and
+    sparse sweeps, call sin and cos on every cell.
+
     A chunk has the most time rows, a power of two from 512 to 4096, whose
     (rows, n_max) arrays fit 1 MiB (512 above n_max 256), set by n_max
-    alone. With workers > 1 chunks are fanned out to a thread pool (never
-    larger than the number of chunks or than os.cpu_count()) and each
-    writes its own slice of the output, so the output is bit-identical
-    for any worker count.
+    alone, and a whole number of anchors. With workers > 1 chunks are
+    fanned out to a thread pool (never larger than the number of chunks or
+    than os.cpu_count()) and each writes its own slice of the output, so
+    the output is bit-identical for any worker count.
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
@@ -611,16 +678,24 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
         raise ValueError("times must be finite and nonnegative")
     _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)", cfg.omega0)
 
-    w = _sweep_weights(field, cfg, rho0)
+    w = _sweep_weights(field, cfg, rho0, tgrid)
     ee = np.empty(tgrid.size)
     gg = np.empty(tgrid.size)
     eg = np.empty(tgrid.size, dtype=complex)
 
     rows = _chunk_rows(cfg.n_max)
+    # a chunk's buffer columns: whole anchors, no more than the grid needs
+    cols = min(rows, -(-tgrid.size // _ANCHOR) * _ANCHOR)
+    spare = []  # chunk buffers, each reused by the chunks that follow
 
     def eval_chunk(lo: int) -> None:
         sl = slice(lo, lo + rows)
-        _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl])
+        try:
+            buf = spare.pop()
+        except IndexError:  # one per thread at most
+            buf = np.empty((3, w.om.size, cols))
+        _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl], buf)
+        spare.append(buf)
 
     starts = range(0, tgrid.size, rows)
     pool_size = min(_integer(workers, "workers", 1), len(starts), os.cpu_count() or 1)

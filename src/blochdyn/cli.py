@@ -349,10 +349,13 @@ def cmd_cavity(args) -> int:
         p["t_max"] = float(series.times[-1])  # the grid ends on perr_series' default
 
     w = cfg.omega0
-    taus = {}
+    taus, levels = {}, {}
     for d in args.delta or []:  # a bad level fails here, before any output
         t = nonunitary_tau(series, d)
-        taus["%g" % d] = None if t is None else t * w
+        key = "%g" % d
+        if levels.setdefault(key, d) != d:  # a repeated level is fine
+            raise ValueError(f"--delta {levels[key]!r} and {d!r} share the summary key {key!r}")
+        taus[key] = None if t is None else t * w
     _write_csv(args.out, "t_omega0,p_err", [[series.times * w, series.p_err]])
 
     i_min = int(np.argmin(series.p_err))

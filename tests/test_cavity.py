@@ -671,7 +671,7 @@ def _nonzero_weight_blocks(w):
 
 def _run_chunk(w, cfg, t):
     ee, eg, gg = np.empty(t.size), np.empty(t.size, dtype=complex), np.empty(t.size)
-    cavity._sweep_chunk(w, cfg, t, ee, eg, gg)
+    cavity._sweep_chunk(w, cfg, t, ee, eg, gg, np.empty((3, w.om.size, t.size)))
     return ee, eg, gg
 
 
@@ -859,6 +859,143 @@ def test_empty_kept_set_gives_the_constant_series(monkeypatch, frame):
     assert np.abs(rho - full).max() <= w.dropped + 1e-15
     series = perr_series(f, (0.0, 0.0, 0.0), cfg, t_max=100.0, steps=600)
     assert np.all(series.p_err == 0.5)
+
+
+# ------------------------------------------------- anchored trig on uniform grids
+
+
+def _direct_trig_series(monkeypatch, *args, **kwargs):
+    # the same sweep with libm's sin and cos on every cell
+    with monkeypatch.context() as m:
+        m.setattr(cavity, "_uniform", lambda t: False)
+        return reduced_series(*args, **kwargs)
+
+
+def _trig(f, cfg, times, qubit=MIXED):
+    return cavity._sweep_weights(f, cfg, qubit, times).trig
+
+
+def _anchored_bound(f, cfg, times):
+    # both ways round the argument Om_n t at about |Om_n t| eps
+    w = cavity._sweep_weights(f, cfg, MIXED, times)
+    return 4.0 * np.finfo(float).eps * (1.0 + w.om.max() * times.max())
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize("detuning", [0.0, 0.03])
+@pytest.mark.parametrize("t_max", [160.0, 1e4])
+def test_anchored_trig_is_within_the_argument_rounding_of_direct_trig(
+        monkeypatch, name, frame, detuning, t_max):
+    f = PRUNED_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
+    rows = cavity._chunk_rows(f.n_max)
+    times = np.linspace(0.0, t_max, 2 * rows + 900)  # three chunks, the last ends mid-anchor
+    assert _trig(f, cfg, times) == "anchored"
+    anchored = reduced_series(f, MIXED, cfg, times)
+    direct = _direct_trig_series(monkeypatch, f, MIXED, cfg, times)
+    assert np.abs(anchored - direct).max() <= _anchored_bound(f, cfg, times)
+
+
+def test_a_grid_one_ulp_off_uniform_takes_direct_trig(monkeypatch):
+    f = PRUNED_FIELDS["coherent"]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
+    times = _multi_chunk_times(f.n_max)
+    nudged = times.copy()
+    nudged[1234] = np.nextafter(nudged[1234], np.inf)
+    assert _trig(f, cfg, times) == "anchored" and _trig(f, cfg, nudged) == "direct"
+    w = cavity._sweep_weights(f, cfg, MIXED, nudged)
+    assert w.offsets is None and w.path == "blas"
+    assert np.array_equal(reduced_series(f, MIXED, cfg, nudged),
+                          _direct_trig_series(monkeypatch, f, MIXED, cfg, nudged))
+
+
+def _libm_cells(monkeypatch):
+    # counts the cells np.sin and np.cos are called on
+    cells = {"sin": 0, "cos": 0}
+    for name in cells:
+        real = getattr(np, name)
+
+        def spy(x, *args, _real=real, _name=name, **kwargs):
+            cells[_name] += np.size(x)
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    return cells
+
+
+@pytest.mark.parametrize("n", [0, 7, 64])
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_fixed_order_sweeps_take_direct_trig(monkeypatch, n, frame):
+    f = fock_field(n, n_max=64)
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=64, frame=frame)
+    times = _multi_chunk_times(64)
+    w = cavity._sweep_weights(f, cfg, MIXED, times)
+    assert (w.path, w.trig, w.offsets) == ("fixed-order", "direct", None)
+    cells = _libm_cells(monkeypatch)
+    reduced_series(f, MIXED, cfg, times)
+    assert cells == {"sin": w.kept.size * times.size, "cos": w.kept.size * times.size}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
+def test_anchored_sweep_calls_libm_on_anchors_and_offsets_only(monkeypatch, name):
+    f = PRUNED_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
+    times = np.linspace(0.0, 1e4, 3 * cavity._chunk_rows(f.n_max) + 77)
+    kept = cavity._sweep_weights(f, cfg, MIXED, times).kept.size
+    anchors = -(-times.size // cavity._ANCHOR)
+    cells = _libm_cells(monkeypatch)
+    reduced_series(f, MIXED, cfg, times)
+    for count in cells.values():
+        assert 0 < count <= kept * (anchors + cavity._ANCHOR)
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
+def test_anchored_multi_chunk_sweep_is_bit_identical_for_one_or_two_workers(monkeypatch, name):
+    sizes = _spy_pool(monkeypatch, 2)
+    f = PRUNED_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
+    times = np.linspace(0.0, 1e4, 5 * cavity._chunk_rows(f.n_max) + 300)
+    assert _trig(f, cfg, times) == "anchored"
+    a = reduced_series(f, MIXED, cfg, times, workers=1)
+    b = reduced_series(f, MIXED, cfg, times, workers=2)
+    assert sizes == [2]
+    assert np.array_equal(a, b)
+
+
+def test_offsets_stop_at_the_last_time(monkeypatch):
+    # 256 offsets of the spacing would reach 255 t_max, past the largest
+    # phase; a grid shorter than that takes only its own offsets
+    f = PRUNED_FIELDS["coherent"]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, n_max=f.n_max)
+    times = np.array([0.0, 1e307])
+    assert _trig(f, cfg, times) == "anchored"
+    # from t = 0 the anchor is sin 0 = 0, cos 0 = 1: the sums are exact
+    assert np.array_equal(reduced_series(f, MIXED, cfg, times),
+                          _direct_trig_series(monkeypatch, f, MIXED, cfg, times))
+
+
+@pytest.mark.parametrize("times, trig", [
+    (np.array([37.5]), "direct"),  # one row has no spacing
+    (np.array([0.0, 160.0]), "anchored"),
+    (np.array([37.5, 160.0]), "anchored"),
+    (np.zeros(700), "anchored"),  # spacing 0: every row is an anchor's
+    (np.linspace(37.5, 1e4, 3001), "anchored"),  # a grid that starts above 0
+], ids=["one_row", "two_rows", "two_rows_offset", "all_zero", "offset_start"])
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_anchored_trig_edge_grids(monkeypatch, times, trig, frame):
+    f = PRUNED_FIELDS["custom"]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max, frame=frame)
+    assert _trig(f, cfg, times) == trig
+    got = reduced_series(f, MIXED, cfg, times)
+    direct = _direct_trig_series(monkeypatch, f, MIXED, cfg, times)
+    if not times.any():  # sin 0 and cos 0 are exact either way
+        assert np.array_equal(got, direct)
+        npt.assert_allclose(got, np.broadcast_to(MIXED, got.shape), rtol=0, atol=1e-15)
+    assert np.abs(got - direct).max() <= _anchored_bound(f, cfg, times)
+    for i in (0, times.size - 1):  # the single-time oracle at both ends
+        ref, _ = jc_propagate(f, MIXED, cfg, times[i])
+        npt.assert_allclose(got[i], ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- support

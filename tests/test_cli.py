@@ -272,6 +272,27 @@ def test_cavity_bad_level_exits_1_before_any_output(capsys):
     assert err.startswith("blochdyn: error: delta") and err.count("\n") == 1
 
 
+def test_cavity_levels_that_print_alike_exit_1_naming_both(capsys):
+    # "%g" keys both as "0.123457": one would silently overwrite the other
+    code, out, err = run_cli(capsys, ["cavity", "--field", "fock", "--alpha", "1", "--n-max", "8",
+                                      "--steps", "64", "--delta", "0.25",
+                                      "--delta", "0.1234567", "--delta", "0.1234568"])
+    assert code == 1
+    assert out == ""  # the CSV would go to stdout
+    assert err == ("blochdyn: error: --delta 0.1234567 and 0.1234568 share the summary key "
+                   "'0.123457'\n")
+
+
+def test_cavity_repeated_level_keeps_one_entry(tmp_path, capsys):
+    argv = ["cavity", "--field", "fock", "--alpha", "1", "--n-max", "8", "--steps", "64",
+            "--out", str(tmp_path / "v.csv"), "--delta", "0.1"]
+    code, once, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, twice, _ = run_cli(capsys, argv + ["--delta", "0.1"])
+    assert code == 0
+    assert twice == once and list(json.loads(once)["tau_omega0"]) == ["0.1"]
+
+
 def test_cavity_truncation_error_reports_tail(capsys):
     code, _, err = run_cli(capsys, ["cavity", "--alpha", "3", "--n-max", "10"])
     assert code == 1
