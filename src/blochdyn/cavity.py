@@ -47,15 +47,20 @@ two kept blocks (every Fock field), so those bits do not depend on the BLAS
 kernel, and as a real matrix product otherwise.
 
 The matrix-product sweeps over a uniform grid t_j = t_0 + j h (bit for bit
-np.linspace, as perr_series builds it) sample S_n and C_n by angle
-addition. With j = a K + k and K = 128, libm's sin and cos run once per
-call on the offsets Om_n k h, k < K, and once per anchor row a K, and every
-sample is S = sA cK + cA sK, C = cA cK - sA sK: four multiplies and two
-adds in place of two libm calls. Both ways round the argument Om_n t at
-about |Om_n t| eps, so they differ at that scale (|Delta rho| below
-0.2 eps max |Om_n t| measured, 4 eps (1 + max |Om_n t|) tested), and
-neither is nearer the exact value. Sparse sweeps and other grids call libm
-on every cell.
+np.linspace, as perr_series builds it) never sample S_n and C_n at all.
+With j = a K + k and K = 128, row j is the angle sum of its anchor a K and
+its offset k, S = sA cK + cA sK and C = cA cK - sA sK, so every weighted
+sum above is bilinear in the anchor values (sA, cA) and the offset values
+(sK, cK): the weights fold into products of anchor values, the offsets
+into the basis cK^2, cK sK, sK^2 (populations) and cK_m cK_{m-1},
+cK_m sK_{m-1}, sK_m cK_{m-1}, sK_m sK_{m-1} (coherence), and each sum is
+one (anchors, basis) x (basis, K) matrix product. libm runs once per call
+on the offsets Om_n k h, k < K, and once per anchor row. Both this and
+direct trig round the argument Om_n t at about |Om_n t| eps, so they
+differ at that scale (|Delta rho| up to 0.31 eps max |Om_n t| measured on
+the benchmark's dense sweeps, 4 eps (1 + max |Om_n t|) tested), and neither
+is nearer the exact value. Sparse sweeps and other grids call libm on every
+cell.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -103,13 +108,17 @@ __all__ = [
     "reduced_series",
 ]
 
-# Largest Fock cutoff CavityConfig accepts: a sweep chunk then holds three
-# real (_MIN_CHUNK, n_max) arrays of about 41 MB each, per worker.
+# Largest Fock cutoff CavityConfig accepts. A sweep that keeps every block
+# then holds an offset basis of 7 * 128 floats per block, 72 MB per call,
+# over a uniform grid (a 3000-step sweep peaked at 136 MB RSS, interpreter
+# included, for 1 or 2 workers), and three real (n_max, _MIN_CHUNK) arrays
+# of 41 MB each per worker over other grids.
 N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
-# Time rows per sweep chunk: a power of two in [_MIN_CHUNK, _CHUNK], the
-# largest whose (rows, n_max) float64 arrays hold at most _CHUNK_CELLS
-# (1 MiB), so the passes over a chunk run from L2 rather than from memory.
+# Time rows per direct-trig sweep chunk: a power of two in [_MIN_CHUNK,
+# _CHUNK], the largest whose (kept, rows) float64 arrays hold at most
+# _CHUNK_CELLS (1 MiB), so the passes over a chunk run from L2 rather than
+# from memory.
 _CHUNK = 4096
 _MIN_CHUNK = 512
 _CHUNK_CELLS = 1 << 17
@@ -118,9 +127,24 @@ _CHUNK_CELLS = 1 << 17
 # take the fixed-order contraction, wider ones BLAS.
 _DROP_MASS = 2.0**-64
 _FIXED_ORDER_WIDTH = 2
-# Rows per anchor of the anchored trig (see _SweepWeights): it divides
-# _MIN_CHUNK, so every chunk starts on an anchor row.
+# Rows per anchor of the matrix path (see _SweepWeights). Its blocks of
+# time rows hold whole anchors, a multiple of _GEMM_ALIGN up to
+# _BLOCK_ANCHORS, with an anchor side (8 anchors * kept floats) of at most
+# _BLOCK_CELLS (2 MiB) where it can. Every block of 16 to 256 anchors ran
+# the benchmark's dense sweeps in the same time, within 5 %.
 _ANCHOR = 128
+_BLOCK_ANCHORS = 64
+_BLOCK_CELLS = 1 << 18
+# OpenBLAS sums a matrix product deeper than its kernel's GEMM_Q (from 128
+# rows, Prescott, to 384, SkylakeX) in two parts split where its thread
+# count says, and splits rows that are no multiple of the kernel's tile
+# between threads by other kernels; either moves the last bit. So the
+# matrix path cuts its products to _GEMM_DEPTH rows, added in order, and
+# pads its anchor side to a multiple of 2 * _GEMM_ALIGN rows and its offset
+# side to _ANCHOR columns: then 1 to 4 threads gave the same bits under the
+# SkylakeX, Haswell, Zen, Sandybridge and Prescott kernels.
+_GEMM_DEPTH = 128
+_GEMM_ALIGN = 8
 
 
 def _cutoff(n_max) -> int:
@@ -465,13 +489,19 @@ class _SweepWeights:
     a Fock field keeps at most two. path names the contraction,
     "fixed-order" up to _FIXED_ORDER_WIDTH kept blocks, else "blas".
 
-    trig names how a chunk samples S_n and C_n. "direct" calls sin and cos
-    on every cell. "anchored" is taken only on the "blas" path over a grid
-    that is bit for bit np.linspace(t[0], t[-1], n), n >= 2, with spacing
-    h: offsets holds sK = sin(Om_n k h) and cK = cos(Om_n k h), with k h
-    read as t_k - t_0, for k < min(n, _ANCHOR), once per call, and row
-    j = a _ANCHOR + k is the angle sum of its anchor row a _ANCHOR (libm
-    at that t_j itself) and offset k (see _anchored_trig).
+    trig names how a chunk meets S_n and C_n. "direct" calls sin and cos
+    on every cell. "anchored", the matrix path, is taken only on the "blas"
+    path over a grid that is bit for bit np.linspace(t[0], t[-1], n),
+    n >= 2, with spacing h. Row j = a K + k (K = _ANCHOR) is there the angle
+    sum of its anchor row a K (libm at that t_j itself) and offset k, with
+    sK = sin(Om_n k h) and cK = cos(Om_n k h), k h read as t_k - t_0, for
+    k < min(n, K), once per call (zero for k >= n). basis holds the offset
+    side of the sums: (3 kept, K) rows cK^2, cK sK, sK^2 of each block,
+    (4 (kept-1), K) rows cK_m cK_{m-1}, cK_m sK_{m-1}, sK_m cK_{m-1},
+    sK_m sK_{m-1} of each kept neighbour pair, and the (2, 2, K) cK, sK of
+    the first and last kept block, for the edge terms. mix folds diag_ss,
+    diag_sc and pairs into weights against the products of anchor values
+    (see _anchor_mix), which a chunk turns into its anchor side.
     """
 
     om: np.ndarray  # (kept,) Om_n
@@ -485,7 +515,8 @@ class _SweepWeights:
     dropped: float  # summed mass of the dropped blocks
     path: str  # "fixed-order" or "blas"
     trig: str  # "direct" or "anchored"
-    offsets: np.ndarray | None  # anchored: (kept, 2, K), rows cK and sK
+    basis: tuple | None  # anchored: the offset side, see above
+    mix: tuple | None  # anchored: (kept, 6, 4) and (kept-1, 8, 4) arrays
 
 
 def _uniform(t: np.ndarray) -> bool:
@@ -556,25 +587,72 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times=None) -> _S
         edges[2:] if ends[1] == cfg.n_max - 1 else (0j, 0j))
     path = "fixed-order" if kept.size <= _FIXED_ORDER_WIDTH else "blas"
     om = om[kept]
-    offsets = None
+    basis = mix = None
     if times is not None and path == "blas" and _uniform(times):
         # k h as the grid spells it, t_k - t_0 (no larger than the last time)
-        arg = np.multiply.outer(om, times[:_ANCHOR] - times[0])
-        offsets = np.empty((om.size, 2, arg.shape[1]))
-        np.cos(arg, out=offsets[:, 0])
-        np.sin(arg, out=offsets[:, 1])
+        trig = _cos_sin(om, times[:_ANCHOR] - times[0], _ANCHOR)  # cK, sK
+        basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
+                 _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), trig[[0, -1]])
+        mix = _anchor_mix(diag_ss[kept], diag_sc[kept], pairs)
     return _SweepWeights(om, p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs, edges,
-                         kept, dropped, path, "direct" if offsets is None else "anchored",
-                         offsets)
+                         kept, dropped, path, "direct" if basis is None else "anchored",
+                         basis, mix)
 
 
-def _chunk_rows(n_max: int) -> int:
-    # Depends on n_max alone, so the chunk bounds, and with them the bits of
-    # every contraction, are the same for any worker count and grid length.
+def _cos_sin(om: np.ndarray, t: np.ndarray, cols: int) -> np.ndarray:
+    # (kept, 2, cols) cos and sin of Om_n t, zero past t.size
+    arg = np.multiply.outer(om, t)
+    out = np.zeros((om.size, 2, cols))
+    np.cos(arg, out=out[:, 0, :t.size])
+    np.sin(arg, out=out[:, 1, :t.size])
+    return out
+
+
+def _products(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    # (n, 4, cols) products cc, cs, sc, ss of (n, 2, cols) cos, sin rows
+    return (hi[:, :, None] * lo[:, None]).reshape(hi.shape[0], 4, -1)
+
+
+def _anchor_mix(ss: np.ndarray, sc: np.ndarray, pairs: tuple) -> tuple:
+    # The weights against the anchor products cA cA', cA sA', sA cA', sA sA'
+    # (' the lower block of a pair), as (n, (basis row, column), 4) arrays.
+    # With S = sA cK + cA sK and C = cA cK - sA sK, ss S^2 + sc S C is
+    # (ss sA^2 + sc sA cA) cK^2 + (2 ss sA cA + sc (cA^2 - sA^2)) cK sK
+    # + (ss cA^2 - sc sA cA) sK^2, and the four pair products expand alike
+    # over cK cK', cK sK', sK cK', sK sK'.
+    z = np.zeros_like(ss)
+    w1, w2, w3, w4 = pairs  # C S', S C', C C', S S'
+    diag = ((z, sc, z, ss), (sc, ss, ss, -sc), (ss, -sc, z, z))
+    pair = ((w3, w1, w2, w4), (w1, -w3, w4, -w2), (w2, w4, -w3, -w1), (w4, -w2, -w1, w3))
+    out = []
+    for rows in (diag, pair):
+        m = np.stack([np.stack(row, axis=-1) for row in rows], axis=1)  # (n, basis, 2, 4)
+        out.append(m.reshape(m.shape[0], -1, 4))
+    return tuple(out)
+
+
+def _chunk_rows(kept: int) -> int:
+    # Direct trig: set by the kept width alone, so the chunk bounds, and with
+    # them the bits of every contraction, are the same for any worker count
+    # and grid length.
     rows = _CHUNK
-    while rows > _MIN_CHUNK and rows * n_max > _CHUNK_CELLS:
+    while rows > _MIN_CHUNK and rows * kept > _CHUNK_CELLS:
         rows //= 2
     return rows
+
+
+def _block_rows(kept: int) -> int:
+    # The matrix path: whole anchors, a power of two of them from _GEMM_ALIGN
+    # to _BLOCK_ANCHORS, the most whose anchor side, 8 anchors * kept floats,
+    # fits _BLOCK_CELLS; like _chunk_rows, set by the kept width alone.
+    anchors = _BLOCK_ANCHORS
+    while anchors > _GEMM_ALIGN and 8 * anchors * kept > _BLOCK_CELLS:
+        anchors //= 2
+    return anchors * _ANCHOR
+
+
+def _sweep_rows(w: _SweepWeights) -> int:
+    return (_block_rows if w.trig == "anchored" else _chunk_rows)(w.om.size)
 
 
 def _contract_fixed(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -588,54 +666,78 @@ def _contract_blas(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w.T @ prod
 
 
-def _anchored_trig(w: _SweepWeights, t: np.ndarray, S: np.ndarray, C: np.ndarray) -> None:
-    # S_n and C_n at the rows t of a uniform grid, t[0] an anchor row, by
-    # angle addition: row a K + k takes libm's sA, cA at its anchor t[a K]
-    # and the offsets cK, sK as S = sA cK + cA sK and C = cA cK - sA sK,
-    # for each block an (anchors, 2) by (2, K) matrix product. K is
-    # _ANCHOR, or the row count of a shorter grid. S and C are (kept, >=
-    # anchors * K) planes: the last chunk may end inside an anchor's rows.
-    kept, n, k = w.om.size, t.size, w.offsets.shape[-1]
-    anchors = -(-n // k)
-    arg = np.multiply.outer(w.om, t[::k])
-    sa, ca = np.sin(arg), np.cos(arg)
-    for plane, at in ((S, np.stack([sa, ca], axis=-1)), (C, np.stack([ca, -sa], axis=-1))):
-        np.matmul(at, w.offsets, out=plane[:, :anchors * k].reshape(kept, anchors, k))
+def _fold(mix: np.ndarray, prods: np.ndarray, basis: np.ndarray, rows: int) -> np.ndarray:
+    # (2, rows) sums over blocks n and basis rows b of the anchor side
+    # mix_n @ prods_n, laid out ((n, b), (column, anchor)), times the offset
+    # basis ((n, b), K): a matrix product whose (2 anchors, K) result is the
+    # grid's rows in order. Its depth is cut into _GEMM_DEPTH slices, added
+    # in order, so its bits do not depend on the BLAS thread count.
+    side = np.matmul(mix, prods).reshape(basis.shape[0], -1).T
+    out = side[:, :_GEMM_DEPTH] @ basis[:_GEMM_DEPTH]
+    for lo in range(_GEMM_DEPTH, basis.shape[0], _GEMM_DEPTH):
+        out += side[:, lo:lo + _GEMM_DEPTH] @ basis[lo:lo + _GEMM_DEPTH]
+    return out.reshape(2, -1)[:, :rows]
+
+
+def _anchored_sums(w: _SweepWeights, t: np.ndarray):
+    # The weighted sums of _sweep_chunk at the rows t of a uniform grid, t[0]
+    # an anchor row: libm's sA, cA at the anchors t[a K], folded with the
+    # weights, meet the offset basis (see _SweepWeights); zero anchors pad
+    # the anchor side to a multiple of _GEMM_ALIGN. The end blocks' S and C,
+    # for the edge terms, are their angle sums. The last chunk may end
+    # inside an anchor's rows.
+    diag_basis, pair_basis, ends = w.basis
+    diag_mix, pair_mix = w.mix
+    anchors = t[::_ANCHOR]
+    trig = _cos_sin(w.om, anchors, -(-anchors.size // _GEMM_ALIGN) * _GEMM_ALIGN)  # cA, sA
+    diag = _fold(diag_mix, _products(trig, trig), diag_basis, t.size)
+    coh = _fold(pair_mix, _products(trig[1:], trig[:-1]), pair_basis, t.size)
+    ca, sa = trig[[0, -1]].transpose(1, 0, 2)[..., None]  # (2 end blocks, anchors, 1)
+    ck, sk = ends.transpose(1, 0, 2)[:, :, None]  # (2 end blocks, 1, K)
+    S = (sa * ck + ca * sk).reshape(2, -1)[:, :t.size]
+    C = (ca * ck - sa * sk).reshape(2, -1)[:, :t.size]
+    return diag, coh, S, C
 
 
 def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg, buf) -> None:
-    # Fills ee, eg, gg (views of the output at t) from real trig products,
-    # laid out (kept, rows) in buf's three float planes (S_n, C_n,
-    # products) of at least t.size columns, whole anchors on the anchored
-    # path.
+    # Fills ee, eg, gg (views of the output at t). Direct trig lays its trig
+    # products out (kept, rows) in buf's three float planes (S_n, C_n,
+    # products) of at least t.size columns; the matrix path needs no buf.
     if not w.kept.size:  # every weight dropped: the constant state
         ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
         return
+    if w.trig == "anchored":
+        diag, coh, S, C = _anchored_sums(w, t)
+    else:
+        diag, coh, S, C = _direct_sums(w, t, buf)
+    ee[:] = w.ee0 + diag[0]
+    gg[:] = w.gg0 + diag[1]
+    c0, s0, ct, st = w.edges
+    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
+    eg[:] = coh[0] + 1j * coh[1] + edge * np.exp(-0.5j * cfg.detuning * t)
+    if cfg.frame == "lab":
+        eg *= np.exp(-1j * cfg.omega0 * t)
+
+
+def _direct_sums(w: _SweepWeights, t: np.ndarray, buf):
+    # libm on every (kept, rows) cell, then each trig product contracted
+    # with its weights
     contract = _contract_fixed if w.path == "fixed-order" else _contract_blas
     S, C, prod = (plane[:, :t.size] for plane in buf)
-    if w.trig == "anchored":
-        _anchored_trig(w, t, *buf[:2])
-    else:
-        np.multiply.outer(w.om, t, out=C)
-        np.sin(C, out=S)
-        np.cos(C, out=C)
+    np.multiply.outer(w.om, t, out=C)
+    np.sin(C, out=S)
+    np.cos(C, out=C)
     np.multiply(S, S, out=prod)
     diag = contract(prod, w.diag_ss)
     np.multiply(S, C, out=prod)
     diag += contract(prod, w.diag_sc)
-    ee[:] = w.ee0 + diag[0]
-    gg[:] = w.gg0 + diag[1]
 
     adj = prod[1:]  # reused for each product of kept neighbours
     coh = np.zeros((2, t.size))
     for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
         np.multiply(hi[1:], lo[:-1], out=adj)
         coh += contract(adj, weight)
-    c0, s0, ct, st = w.edges
-    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
-    eg[:] = coh[0] + 1j * coh[1] + edge * np.exp(-0.5j * cfg.detuning * t)
-    if cfg.frame == "lab":
-        eg *= np.exp(-1j * cfg.omega0 * t)
+    return diag, coh, S, C
 
 
 def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: int = 1):
@@ -656,18 +758,25 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
 
     When the wider sets meet a uniform grid, bit for bit
     np.linspace(times[0], times[-1], len(times)) as perr_series builds it,
-    sin and cos run only on every 128th row (the anchors) and on 128
-    offsets per call; the rows between are angle sums of the two. That
-    moves each entry by at most a few eps * max |Om_n t|, the scale at
-    which the argument Om_n t is rounded either way. Other grids, and
-    sparse sweeps, call sin and cos on every cell.
+    no (kept, chunk) array is built: sin and cos run only on every 128th
+    row (the anchors) and on 128 offsets per call, every row is the angle
+    sum of the two, and each weighted sum is a matrix product of an anchor
+    side (the weights folded into the anchor values) and an offset basis
+    built once per call. That moves each entry by at most a few
+    eps * max |Om_n t|, the scale at which the argument Om_n t is rounded
+    either way. Other grids, and sparse sweeps, call sin and cos on every
+    cell.
 
-    A chunk has the most time rows, a power of two from 512 to 4096, whose
-    (rows, n_max) arrays fit 1 MiB (512 above n_max 256), set by n_max
-    alone, and a whole number of anchors. With workers > 1 chunks are
-    fanned out to a thread pool (never larger than the number of chunks or
-    than os.cpu_count()) and each writes its own slice of the output, so
-    the output is bit-identical for any worker count.
+    A chunk of the matrix path holds 64 anchors (8192 rows) while its
+    anchor side, 8 anchors * kept floats, fits 2 MiB (up to 512 kept
+    blocks), then half as many each time the kept width doubles, down to 8
+    anchors from 2049 kept blocks. Other chunks have the most time rows, a
+    power of two from 512 to 4096, whose (kept, rows) arrays fit 1 MiB:
+    4096 up to 32 kept blocks (every Fock field), 512 from 129. Both rules
+    read the kept width alone. With workers > 1 chunks are fanned out to a
+    thread pool (never larger than the number of chunks or than
+    os.cpu_count()) and each writes its own slice of the output, so the
+    output is bit-identical for any worker count.
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
@@ -683,17 +792,16 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     gg = np.empty(tgrid.size)
     eg = np.empty(tgrid.size, dtype=complex)
 
-    rows = _chunk_rows(cfg.n_max)
-    # a chunk's buffer columns: whole anchors, no more than the grid needs
-    cols = min(rows, -(-tgrid.size // _ANCHOR) * _ANCHOR)
-    spare = []  # chunk buffers, each reused by the chunks that follow
+    rows = _sweep_rows(w)
+    cols = min(rows, tgrid.size)
+    spare = []  # direct-trig chunk buffers, each reused by the chunks that follow
 
     def eval_chunk(lo: int) -> None:
         sl = slice(lo, lo + rows)
         try:
             buf = spare.pop()
-        except IndexError:  # one per thread at most
-            buf = np.empty((3, w.om.size, cols))
+        except IndexError:  # one per thread at most; the matrix path needs none
+            buf = None if w.trig == "anchored" else np.empty((3, w.om.size, cols))
         _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl], buf)
         spare.append(buf)
 

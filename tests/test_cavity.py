@@ -544,11 +544,16 @@ def _serial_pool(monkeypatch, cpus):
     return sizes
 
 
+def _rows(f, cfg, times=np.linspace(0.0, 160.0, 3), qubit=MIXED):
+    # the chunk rows of a sweep of f over a grid like times (uniform by default)
+    return cavity._sweep_rows(cavity._sweep_weights(f, cfg, qubit, times))
+
+
 def test_thread_pool_is_no_larger_than_the_chunk_count(monkeypatch):
     sizes = _spy_pool(monkeypatch, 8)  # the chunk count binds
     f = coherent_field(1.0, n_max=12)
     cfg = CavityConfig(n_max=12)
-    times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
+    times = np.linspace(0.0, 50.0, 2 * _rows(f, cfg) + 1)  # three chunks
     a = reduced_series(f, MIXED, cfg, times, workers=8)
     assert sizes == [3]
     assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
@@ -559,25 +564,43 @@ def test_thread_pool_is_no_larger_than_the_cpu_count(monkeypatch, cpus):
     sizes = _serial_pool(monkeypatch, cpus)
     f = coherent_field(1.0, n_max=12)
     cfg = CavityConfig(n_max=12)
-    times = np.linspace(0.0, 50.0, 2 * cavity._CHUNK + 1)  # three chunks
+    times = np.linspace(0.0, 50.0, 2 * _rows(f, cfg) + 1)  # three chunks
     a = reduced_series(f, MIXED, cfg, times, workers=5000)
     assert sizes == ([2] if cpus == 2 else [])  # an unknown count runs inline
     assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
 
 
-def test_chunk_rows_are_a_cache_sized_power_of_two_set_by_n_max_alone():
-    for n_max in range(1, cavity.N_MAX_LIMIT + 1):
-        rows = cavity._chunk_rows(n_max)
+def test_chunk_rows_are_a_cache_sized_power_of_two_set_by_the_kept_width():
+    for kept in range(cavity.N_MAX_LIMIT + 1):
+        rows = cavity._chunk_rows(kept)
         assert rows & (rows - 1) == 0 and 512 <= rows <= cavity._CHUNK
         if rows > 512:
-            assert rows * n_max <= cavity._CHUNK_CELLS
+            assert rows * kept <= cavity._CHUNK_CELLS
         if rows < cavity._CHUNK:  # the largest that fits
-            assert 2 * rows * n_max > cavity._CHUNK_CELLS
-        if n_max <= 32:  # the golden sweeps keep one chunk of today's shape
+            assert 2 * rows * kept > cavity._CHUNK_CELLS
+        if kept <= 32:  # the golden sweeps keep one chunk of today's shape
             assert rows == cavity._CHUNK
 
 
-def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch):
+def test_block_rows_are_whole_anchors_set_by_the_kept_width():
+    for kept in range(3, cavity.N_MAX_LIMIT + 1):  # the matrix path keeps three or more
+        rows = cavity._block_rows(kept)
+        anchors = rows // cavity._ANCHOR
+        assert rows == anchors * cavity._ANCHOR and anchors & (anchors - 1) == 0
+        assert anchors % cavity._GEMM_ALIGN == 0
+        assert cavity._GEMM_ALIGN <= anchors <= cavity._BLOCK_ANCHORS
+        if anchors > cavity._GEMM_ALIGN:  # the anchor side fits
+            assert 8 * anchors * kept <= cavity._BLOCK_CELLS
+        if anchors < cavity._BLOCK_ANCHORS:  # the most that fit
+            assert 16 * anchors * kept > cavity._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("name, trig", [
+    ("coherent", "anchored"),  # the matrix path: blocks of whole anchors
+    ("coherent_bent_grid", "direct"),  # BLAS contractions of direct trig
+    ("fock", "direct"),  # the fixed-order path
+])
+def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch, name, trig):
     seen = []
     real_chunk = cavity._sweep_chunk
 
@@ -587,18 +610,27 @@ def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch):
 
     monkeypatch.setattr(cavity, "_sweep_chunk", spy)
     _serial_pool(monkeypatch, 4)
-    f = coherent_field(2.0, n_max=100)
+    f = fock_field(5, n_max=100) if name == "fock" else coherent_field(2.0, n_max=100)
     cfg = CavityConfig(n_max=100)
-    rows = cavity._chunk_rows(100)
+
+    def grid(steps):
+        times = np.linspace(0.0, 50.0, steps)
+        return times ** 1.5 if name == "coherent_bent_grid" else times
+
+    w = cavity._sweep_weights(f, cfg, MIXED, grid(3))
+    assert w.trig == trig
+    rows = (cavity._block_rows if trig == "anchored" else cavity._chunk_rows)(w.kept.size)
+    assert cavity._sweep_rows(w) == rows
     for steps in (rows - 1, 3 * rows + 5):
-        times = np.arange(steps, dtype=float)
+        times = grid(steps)
+        assert cavity._sweep_weights(f, cfg, MIXED, times).trig == trig
         runs = []
         for workers in (1, 2, 4):
             seen.clear()
             reduced_series(f, MIXED, cfg, times, workers=workers)
             runs.append(list(seen))
         assert runs[0] == runs[1] == runs[2]
-        assert [lo for lo, _ in runs[0]] == list(range(0, steps, rows))
+        assert [t0 for t0, _ in runs[0]] == times[:steps:rows].tolist()
 
 
 MULTI_CHUNK_FIELDS = {
@@ -607,10 +639,9 @@ MULTI_CHUNK_FIELDS = {
 }
 
 
-def _multi_chunk_times(n_max):
-    rows = cavity._chunk_rows(n_max)
-    assert rows < cavity._CHUNK
-    return np.linspace(0.0, 160.0, 2 * rows + 900)  # three chunks
+def _multi_chunk_times(f, cfg, qubit=MIXED):
+    # three chunks, the last ending inside an anchor's rows
+    return np.linspace(0.0, 160.0, 2 * _rows(f, cfg, qubit=qubit) + 900)
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_CHUNK_FIELDS))
@@ -619,10 +650,13 @@ def _multi_chunk_times(n_max):
 def test_multi_chunk_series_matches_dense_oracle(name, frame, detuning):
     f = MULTI_CHUNK_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
-    times = _multi_chunk_times(f.n_max)
+    times = _multi_chunk_times(f, cfg)
+    assert _trig(f, cfg, times) == "anchored"  # the matrix path
+    rows = _rows(f, cfg)
     rho = reduced_series(f, MIXED, cfg, times)
     worst = 0.0
-    for i in np.linspace(0, times.size - 1, 24).astype(int):
+    bounds = [127, 128, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows]  # anchors, blocks
+    for i in np.linspace(0, times.size - 1, 24).astype(int).tolist() + bounds:
         t = times[i]
         ref = dense_reduced(f.amplitudes, MIXED, f.n_max, 1.3, 0.07, t, detuning=detuning)
         if frame == "rotating":
@@ -636,7 +670,7 @@ def test_multi_chunk_series_is_bit_identical_for_one_or_two_workers(monkeypatch,
     sizes = _spy_pool(monkeypatch, 2)
     f = MULTI_CHUNK_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    times = _multi_chunk_times(f.n_max)
+    times = _multi_chunk_times(f, cfg)
     a = reduced_series(f, MIXED, cfg, times, workers=1)
     b = reduced_series(f, MIXED, cfg, times, workers=2)
     assert sizes == [2]
@@ -769,7 +803,7 @@ def test_pruned_sweep_is_within_its_dropped_mass_of_the_full_width_sweep(
     w = cavity._sweep_weights(f, cfg, MIXED)
     assert 0 < w.kept.size < f.n_max and 0.0 < w.dropped <= cavity._DROP_MASS
     assert w.path == "blas"
-    times = _multi_chunk_times(f.n_max)
+    times = _multi_chunk_times(f, cfg)
     pruned = reduced_series(f, MIXED, cfg, times)
     with monkeypatch.context() as m:
         m.setattr(cavity, "_DROP_MASS", -1.0)
@@ -849,7 +883,7 @@ def test_empty_kept_set_gives_the_constant_series(monkeypatch, frame):
     cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40, frame=frame)
     w = cavity._sweep_weights(f, cfg, half)
     assert w.kept.size == 0 and 0.0 < w.dropped <= cavity._DROP_MASS
-    times = _multi_chunk_times(f.n_max)
+    times = _multi_chunk_times(f, cfg, half)
     rho = reduced_series(f, half, cfg, times)
     assert np.all(rho[:, 0, 0] == w.ee0) and np.all(rho[:, 1, 1] == w.gg0)
     assert not rho[:, 0, 1].any() and not rho[:, 1, 0].any()
@@ -889,8 +923,7 @@ def test_anchored_trig_is_within_the_argument_rounding_of_direct_trig(
         monkeypatch, name, frame, detuning, t_max):
     f = PRUNED_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
-    rows = cavity._chunk_rows(f.n_max)
-    times = np.linspace(0.0, t_max, 2 * rows + 900)  # three chunks, the last ends mid-anchor
+    times = np.linspace(0.0, t_max, 2 * _rows(f, cfg) + 1)  # the third block is one row
     assert _trig(f, cfg, times) == "anchored"
     anchored = reduced_series(f, MIXED, cfg, times)
     direct = _direct_trig_series(monkeypatch, f, MIXED, cfg, times)
@@ -900,12 +933,12 @@ def test_anchored_trig_is_within_the_argument_rounding_of_direct_trig(
 def test_a_grid_one_ulp_off_uniform_takes_direct_trig(monkeypatch):
     f = PRUNED_FIELDS["coherent"]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    times = _multi_chunk_times(f.n_max)
+    times = _multi_chunk_times(f, cfg)
     nudged = times.copy()
     nudged[1234] = np.nextafter(nudged[1234], np.inf)
     assert _trig(f, cfg, times) == "anchored" and _trig(f, cfg, nudged) == "direct"
     w = cavity._sweep_weights(f, cfg, MIXED, nudged)
-    assert w.offsets is None and w.path == "blas"
+    assert w.basis is None and w.mix is None and w.path == "blas"
     assert np.array_equal(reduced_series(f, MIXED, cfg, nudged),
                           _direct_trig_series(monkeypatch, f, MIXED, cfg, nudged))
 
@@ -929,9 +962,9 @@ def _libm_cells(monkeypatch):
 def test_fixed_order_sweeps_take_direct_trig(monkeypatch, n, frame):
     f = fock_field(n, n_max=64)
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=64, frame=frame)
-    times = _multi_chunk_times(64)
+    times = _multi_chunk_times(f, cfg)
     w = cavity._sweep_weights(f, cfg, MIXED, times)
-    assert (w.path, w.trig, w.offsets) == ("fixed-order", "direct", None)
+    assert (w.path, w.trig, w.basis, w.mix) == ("fixed-order", "direct", None, None)
     cells = _libm_cells(monkeypatch)
     reduced_series(f, MIXED, cfg, times)
     assert cells == {"sin": w.kept.size * times.size, "cos": w.kept.size * times.size}
@@ -941,7 +974,7 @@ def test_fixed_order_sweeps_take_direct_trig(monkeypatch, n, frame):
 def test_anchored_sweep_calls_libm_on_anchors_and_offsets_only(monkeypatch, name):
     f = PRUNED_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    times = np.linspace(0.0, 1e4, 3 * cavity._chunk_rows(f.n_max) + 77)
+    times = np.linspace(0.0, 1e4, 3 * _rows(f, cfg) + 77)
     kept = cavity._sweep_weights(f, cfg, MIXED, times).kept.size
     anchors = -(-times.size // cavity._ANCHOR)
     cells = _libm_cells(monkeypatch)
@@ -955,7 +988,7 @@ def test_anchored_multi_chunk_sweep_is_bit_identical_for_one_or_two_workers(monk
     sizes = _spy_pool(monkeypatch, 2)
     f = PRUNED_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    times = np.linspace(0.0, 1e4, 5 * cavity._chunk_rows(f.n_max) + 300)
+    times = np.linspace(0.0, 1e4, 5 * _rows(f, cfg) + 300)
     assert _trig(f, cfg, times) == "anchored"
     a = reduced_series(f, MIXED, cfg, times, workers=1)
     b = reduced_series(f, MIXED, cfg, times, workers=2)
@@ -964,24 +997,30 @@ def test_anchored_multi_chunk_sweep_is_bit_identical_for_one_or_two_workers(monk
 
 
 def test_offsets_stop_at_the_last_time(monkeypatch):
-    # 256 offsets of the spacing would reach 255 t_max, past the largest
+    # 128 offsets of the spacing would reach 127 t_max, past the largest
     # phase; a grid shorter than that takes only its own offsets
     f = PRUNED_FIELDS["coherent"]()
     cfg = CavityConfig(omega0=1.3, g=0.07, n_max=f.n_max)
     times = np.array([0.0, 1e307])
     assert _trig(f, cfg, times) == "anchored"
-    # from t = 0 the anchor is sin 0 = 0, cos 0 = 1: the sums are exact
-    assert np.array_equal(reduced_series(f, MIXED, cfg, times),
-                          _direct_trig_series(monkeypatch, f, MIXED, cfg, times))
+    got = reduced_series(f, MIXED, cfg, times)
+    direct = _direct_trig_series(monkeypatch, f, MIXED, cfg, times)
+    assert np.all(np.isfinite(got))
+    # row 0 is the anchor t = 0 (sin 0 = 0, cos 0 = 1) at offset 0: every
+    # population term is an exact zero either way, so rho_ee and rho_gg are
+    # exact; rho_eg adds the same nonzero terms in an order the BLAS kernel sets
+    assert np.array_equal(got[0].diagonal(), direct[0].diagonal())
+    assert np.abs(got - direct).max() <= _anchored_bound(f, cfg, times)
 
 
 @pytest.mark.parametrize("times, trig", [
     (np.array([37.5]), "direct"),  # one row has no spacing
     (np.array([0.0, 160.0]), "anchored"),
     (np.array([37.5, 160.0]), "anchored"),
+    (np.linspace(0.0, 160.0, 129), "anchored"),  # two anchors, the second one row
     (np.zeros(700), "anchored"),  # spacing 0: every row is an anchor's
     (np.linspace(37.5, 1e4, 3001), "anchored"),  # a grid that starts above 0
-], ids=["one_row", "two_rows", "two_rows_offset", "all_zero", "offset_start"])
+], ids=["one_row", "two_rows", "two_rows_offset", "129_rows", "all_zero", "offset_start"])
 @pytest.mark.parametrize("frame", ["lab", "rotating"])
 def test_anchored_trig_edge_grids(monkeypatch, times, trig, frame):
     f = PRUNED_FIELDS["custom"]()
@@ -989,8 +1028,8 @@ def test_anchored_trig_edge_grids(monkeypatch, times, trig, frame):
     assert _trig(f, cfg, times) == trig
     got = reduced_series(f, MIXED, cfg, times)
     direct = _direct_trig_series(monkeypatch, f, MIXED, cfg, times)
-    if not times.any():  # sin 0 and cos 0 are exact either way
-        assert np.array_equal(got, direct)
+    if not times.any():  # every row is row 0 at t = 0, as in test_offsets_stop_at_the_last_time
+        assert np.array_equal(got[:, [0, 1], [0, 1]], direct[:, [0, 1], [0, 1]])
         npt.assert_allclose(got, np.broadcast_to(MIXED, got.shape), rtol=0, atol=1e-15)
     assert np.abs(got - direct).max() <= _anchored_bound(f, cfg, times)
     for i in (0, times.size - 1):  # the single-time oracle at both ends
