@@ -303,30 +303,31 @@ class SLDResult:
 
 
 def _cross(a, b):
-    """a x b for 3-vectors or (N, 3) stacks, in either order; numpy's bits.
+    """a x b for 3-vectors or columns, in either order; numpy's bits.
 
-    Each component is two products and their difference, each rounded on
-    its own, as numpy's cross computes them, without the axis bookkeeping
-    that is most of numpy's cost on one vector. Two vectors go through
-    Python floats, anything else through columns.
+    Columns are a tuple of three coordinate arrays, which may broadcast,
+    and give a tuple back. Each component is two products and their
+    difference, each rounded on its own, as numpy's cross computes them,
+    without the axis bookkeeping that is most of numpy's cost on one
+    vector. Two vectors go through Python floats.
     """
-    if a.ndim == 1 and b.ndim == 1:
-        a0, a1, a2 = a.tolist()
-        b0, b1, b2 = b.tolist()
-        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    vectors = not (isinstance(a, tuple) or isinstance(b, tuple))
+    (a0, a1, a2), (b0, b1, b2) = (a.tolist(), b.tolist()) if vectors else (a, b)
+    c = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return np.array(c) if vectors else c
 
 
 def _perp(axis, r):
-    """n x r and the orbit radius |n x r|, for one r or an (N, 3) stack.
+    """n x r and the orbit radius |n x r|, for one r or for columns.
 
-    np.linalg.norm rounds one vector (BLAS dot) and the rows of a stack (a
-    plain sum) apart in the last bit; each keeps what qsl and scan print.
+    np.linalg.norm rounds one vector (BLAS dot); columns take
+    sqrt((x*x + y*y) + z*z), the plain sum of np.linalg.norm(axis=-1). The
+    two differ in the last bit; each keeps what qsl and scan print.
     """
     x = _cross(axis, r)
-    return x, np.linalg.norm(x, axis=None if x.ndim == 1 else -1)
+    if isinstance(x, tuple):
+        return x, np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
+    return x, np.linalg.norm(x)
 
 
 def _fisher(s, omega0):

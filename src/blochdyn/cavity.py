@@ -74,8 +74,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +109,8 @@ __all__ = [
 # Largest Fock cutoff CavityConfig accepts. A sweep that keeps every block
 # then holds an offset basis of 7 * 128 floats per block, 72 MB per call,
 # over a uniform grid (a 3000-step sweep peaked at 136 MB RSS, interpreter
-# included, for 1 or 2 workers), and three real (n_max, _MIN_CHUNK) arrays
-# of 41 MB each per worker over other grids.
+# included), and three real (n_max, _MIN_CHUNK) arrays of 41 MB each over
+# other grids.
 N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
 # Time rows per direct-trig sweep chunk: a power of two in [_MIN_CHUNK,
@@ -138,11 +136,12 @@ _BLOCK_CELLS = 1 << 18
 # OpenBLAS sums a matrix product deeper than its kernel's GEMM_Q (from 128
 # rows, Prescott, to 384, SkylakeX) in two parts split where its thread
 # count says, and splits rows that are no multiple of the kernel's tile
-# between threads by other kernels; either moves the last bit. So the
-# matrix path cuts its products to _GEMM_DEPTH rows, added in order, and
-# pads its anchor side to a multiple of 2 * _GEMM_ALIGN rows and its offset
-# side to _ANCHOR columns: then 1 to 4 threads gave the same bits under the
-# SkylakeX, Haswell, Zen, Sandybridge and Prescott kernels.
+# between threads by other kernels; either moves the last bit. So every
+# sweep product (_sliced_matmul) cuts its depth to _GEMM_DEPTH rows, added
+# in order, and the matrix path pads its anchor side to a multiple of
+# 2 * _GEMM_ALIGN rows and its offset side to _ANCHOR columns: then 1 to 4
+# threads gave the same bits under the SkylakeX, Haswell, Zen, Sandybridge
+# and Prescott kernels.
 _GEMM_DEPTH = 128
 _GEMM_ALIGN = 8
 
@@ -633,8 +632,7 @@ def _anchor_mix(ss: np.ndarray, sc: np.ndarray, pairs: tuple) -> tuple:
 
 def _chunk_rows(kept: int) -> int:
     # Direct trig: set by the kept width alone, so the chunk bounds, and with
-    # them the bits of every contraction, are the same for any worker count
-    # and grid length.
+    # them the bits of every contraction, are the same for any grid length.
     rows = _CHUNK
     while rows > _MIN_CHUNK and rows * kept > _CHUNK_CELLS:
         rows //= 2
@@ -662,21 +660,26 @@ def _contract_fixed(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.add.reduce(prod[:, None, :] * w[:, :, None], axis=0)
 
 
+def _sliced_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a @ b with its depth cut into _GEMM_DEPTH slices, added in order, so
+    # its bits do not depend on the BLAS thread count
+    out = a[:, :_GEMM_DEPTH] @ b[:_GEMM_DEPTH]
+    for lo in range(_GEMM_DEPTH, b.shape[0], _GEMM_DEPTH):
+        out += a[:, lo:lo + _GEMM_DEPTH] @ b[lo:lo + _GEMM_DEPTH]
+    return out
+
+
 def _contract_blas(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return w.T @ prod
+    return _sliced_matmul(w.T, prod)
 
 
 def _fold(mix: np.ndarray, prods: np.ndarray, basis: np.ndarray, rows: int) -> np.ndarray:
     # (2, rows) sums over blocks n and basis rows b of the anchor side
     # mix_n @ prods_n, laid out ((n, b), (column, anchor)), times the offset
     # basis ((n, b), K): a matrix product whose (2 anchors, K) result is the
-    # grid's rows in order. Its depth is cut into _GEMM_DEPTH slices, added
-    # in order, so its bits do not depend on the BLAS thread count.
+    # grid's rows in order.
     side = np.matmul(mix, prods).reshape(basis.shape[0], -1).T
-    out = side[:, :_GEMM_DEPTH] @ basis[:_GEMM_DEPTH]
-    for lo in range(_GEMM_DEPTH, basis.shape[0], _GEMM_DEPTH):
-        out += side[:, lo:lo + _GEMM_DEPTH] @ basis[lo:lo + _GEMM_DEPTH]
-    return out.reshape(2, -1)[:, :rows]
+    return _sliced_matmul(side, basis).reshape(2, -1)[:, :rows]
 
 
 def _anchored_sums(w: _SweepWeights, t: np.ndarray):
@@ -773,10 +776,10 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     anchors from 2049 kept blocks. Other chunks have the most time rows, a
     power of two from 512 to 4096, whose (kept, rows) arrays fit 1 MiB:
     4096 up to 32 kept blocks (every Fock field), 512 from 129. Both rules
-    read the kept width alone. With workers > 1 chunks are fanned out to a
-    thread pool (never larger than the number of chunks or than
-    os.cpu_count()) and each writes its own slice of the output, so the
-    output is bit-identical for any worker count.
+    read the kept width alone. The chunks run inline, one after the other:
+    workers (an integer, at least 1) starts no thread, as OpenBLAS threads
+    the products, and every product's depth is cut into 128-row slices
+    added in order, so no worker or BLAS thread count moves a bit.
     """
     rho0 = check_density(qubit)
     _check_field(field, cfg)
@@ -792,27 +795,13 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     gg = np.empty(tgrid.size)
     eg = np.empty(tgrid.size, dtype=complex)
 
+    _integer(workers, "workers", 1)
     rows = _sweep_rows(w)
-    cols = min(rows, tgrid.size)
-    spare = []  # direct-trig chunk buffers, each reused by the chunks that follow
-
-    def eval_chunk(lo: int) -> None:
+    # one direct-trig buffer, reused by every chunk; the matrix path needs none
+    buf = None if w.trig == "anchored" else np.empty((3, w.om.size, min(rows, tgrid.size)))
+    for lo in range(0, tgrid.size, rows):
         sl = slice(lo, lo + rows)
-        try:
-            buf = spare.pop()
-        except IndexError:  # one per thread at most; the matrix path needs none
-            buf = None if w.trig == "anchored" else np.empty((3, w.om.size, cols))
         _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl], buf)
-        spare.append(buf)
-
-    starts = range(0, tgrid.size, rows)
-    pool_size = min(_integer(workers, "workers", 1), len(starts), os.cpu_count() or 1)
-    if pool_size > 1:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            list(pool.map(eval_chunk, starts))  # re-raises any chunk's error
-    else:
-        for lo in starts:
-            eval_chunk(lo)
     _check_physical(ee, eg, gg)
 
     out = np.empty((tgrid.size, 2, 2), dtype=complex)

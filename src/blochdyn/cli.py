@@ -380,10 +380,9 @@ def cmd_scan(args) -> int:
     ham = HamiltonianSpec.from_axis(args.axis, omega0=args.omega0)
     ticks, _, slabs = _ring_slabs(ham, args.theta_psi, args.grid)
     labels = _format_cells(ticks)
-    shape = (ticks.size,) * 3
     w = ham.omega0
-    blocks = ([*labels[np.stack(np.unravel_index(flat, shape))], tau * w, fisher]
-              for flat, _, tau, fisher in slabs)
+    blocks = ([labels[ix], labels[iy], labels[iz], tau * w, fisher]
+              for ix, iy, iz, tau, fisher in slabs)
     _write_csv(args.out, "rx,ry,rz,tau_exact,fisher", blocks)
     return 0
 

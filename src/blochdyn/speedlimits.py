@@ -219,31 +219,35 @@ class RingScan:
 def _ring_slabs(ham: HamiltonianSpec, theta_psi, grid):
     """Check theta_psi and grid, then return (ticks, delta, slabs).
 
-    slabs yields (flat, points, tau_exact, fisher) for the kept points of
+    slabs yields (ix, iy, iz, tau_exact, fisher) for the kept points of
     successive runs of whole x ticks, at most _SLAB_POINTS lattice points
-    a run (one tick when a y-z plane is larger), in lexicographic order.
-    flat indexes the C-ordered (grid,) * 3 lattice, so np.unravel_index
-    gives each point's tick indices.
+    a run (one tick when a y-z plane is larger), in lexicographic order;
+    a point is (ticks[ix], ticks[iy], ticks[iz]). A run is walked as
+    coordinate columns that broadcast over it, with no (N, 3) array.
+    |n x r| is _perp of the columns, bit for bit a per-point walk's, and
+    |r|^2 is (x^2 + y^2) + z^2 of squared ticks: it keeps the points a
+    per-point einsum keeps on every grid, though not always its bits.
     """
     theta = _real(theta_psi, "theta_psi", 0.0, np.pi / 2.0)
     res = _integer(grid, "grid", 2, GRID_LIMIT)
 
     ticks = np.linspace(-1.0, 1.0, res)
+    sq = ticks * ticks
+    index = np.arange(res)
     sin_ref = float(np.sin(theta))
     delta = 0.5 * (1.0 - sin_ref)
-    plane = res * res
-    step = max(1, _SLAB_POINTS // plane)
+    step = max(1, _SLAB_POINTS // (res * res))
 
     def slabs():
         for lo in range(0, res, step):
-            axes = np.meshgrid(ticks[lo:lo + step], ticks, ticks, indexing="ij", copy=False)
-            pts = np.stack(axes, axis=-1).reshape(-1, 3)
-            at = np.flatnonzero(np.einsum("ij,ij->i", pts, pts) <= (1.0 + NORM_EPS) ** 2)
-            s = _perp(ham.axis, pts.take(at, axis=0))[1]
-            keep = np.flatnonzero((s >= sin_ref - REACH_SLACK) & (s > _DEGENERATE_TOL))
-            at, s = at[keep], s[keep]
-            yield (lo * plane + at, pts.take(at, axis=0),
-                   _exact_time(s, 1.0 - 2.0 * delta, ham.omega0), _fisher(s, ham.omega0))
+            run = np.s_[lo:lo + step, None, None]
+            s = _perp(ham.axis, (ticks[run], ticks[:, None], ticks))[1]
+            keep = (((sq[run] + sq[:, None]) + sq <= (1.0 + NORM_EPS) ** 2)
+                    & (s >= sin_ref - REACH_SLACK) & (s > _DEGENERATE_TOL))
+            ix, iy, iz = (np.broadcast_to(i, keep.shape)[keep]
+                          for i in (index[run], index[:, None], index))
+            s = s[keep]
+            yield ix, iy, iz, _exact_time(s, 1.0 - 2.0 * delta, ham.omega0), _fisher(s, ham.omega0)
 
     return ticks, delta, slabs()
 
@@ -260,13 +264,20 @@ def scan_ring(ham: HamiltonianSpec, theta_psi: float, grid: int) -> RingScan:
     parallelize downstream work.
 
     grid lies in [2, GRID_LIMIT]. The lattice is walked in x-slabs of
-    bounded size, but the result holds every kept point at 40 bytes
-    each: at the ceiling with theta_psi = 0 that is 33.3 million points,
-    about 1.3 GB, and twice that while the slabs are joined. ``blochdyn
-    scan`` writes the slabs as they come and holds one at a time.
+    bounded size as coordinate columns (see _ring_slabs), and each slab's
+    points are gathered from its tick indices, but the result holds every
+    kept point at 40 bytes each: at the ceiling with theta_psi = 0 that is
+    33.3 million points, about 1.3 GB, and twice that while the slabs are
+    joined, once, at the end. ``blochdyn scan`` builds no points: it
+    writes each slab's tick labels as the slabs come and holds one at a
+    time.
     """
-    _, delta, slabs = _ring_slabs(ham, theta_psi, grid)
-    parts = [slab[1:] for slab in slabs]
+    ticks, delta, slabs = _ring_slabs(ham, theta_psi, grid)
+    parts = []
+    for ix, iy, iz, tau, fisher in slabs:
+        pts = np.empty((tau.size, 3))
+        pts[:, 0], pts[:, 1], pts[:, 2] = ticks[ix], ticks[iy], ticks[iz]
+        parts.append((pts, tau, fisher))
     points, tau, fisher = (np.concatenate(c) for c in zip(*parts))
     return RingScan(points=points, tau_exact=tau, fisher=fisher,
                     theta_psi=float(theta_psi), delta=delta)

@@ -20,7 +20,7 @@ from blochdyn import (
     sld,
     unitary,
 )
-from blochdyn.bloch import NORM_EPS, RATE_LIMIT, _cross
+from blochdyn.bloch import NORM_EPS, RATE_LIMIT, _cross, _perp
 from oracles import SX, SY, SZ, conj_evolve, dense_p_err, rho_of, sld_fd
 
 
@@ -375,17 +375,53 @@ def _same_array(got, want):
             and got.tobytes() == want.tobytes())  # the sign of every zero too
 
 
+def _cols(stack):
+    return tuple(stack.T)
+
+
+def _rows(columns):
+    return np.stack(columns, axis=-1)
+
+
 def test_cross_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(71)
     a, b = _cross_pairs(rng)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for x, y in zip(a, b):
             assert _same_array(_cross(x, y), np.cross(x, y))
-        assert _same_array(_cross(a, b), np.cross(a, b))
+        assert _same_array(_rows(_cross(_cols(a), _cols(b))), np.cross(a, b))
         for x in a[::97]:
-            assert _same_array(_cross(x, b), np.cross(x, b))
-            assert _same_array(_cross(b, x), np.cross(b, x))
+            assert _same_array(_rows(_cross(x, _cols(b))), np.cross(x, b))
+            assert _same_array(_rows(_cross(_cols(b), x)), np.cross(b, x))
         empty = np.empty((0, 3))
-        assert _same_array(_cross(empty, empty), np.cross(empty, empty))
-        assert _same_array(_cross(a[0], empty), np.cross(a[0], empty))
-        assert _same_array(_cross(empty, a[0]), np.cross(empty, a[0]))
+        assert _same_array(_rows(_cross(_cols(empty), _cols(empty))), np.cross(empty, empty))
+        assert _same_array(_rows(_cross(a[0], _cols(empty))), np.cross(a[0], empty))
+        assert _same_array(_rows(_cross(_cols(empty), a[0])), np.cross(empty, a[0]))
+
+
+def test_cross_of_broadcast_columns_is_the_cross_of_every_point():
+    # scan_ring passes a lattice's coordinates as broadcasting columns
+    rng = np.random.default_rng(72)
+    x, y, z = rng.normal(size=(4, 1, 1)), rng.normal(size=(5, 1)), rng.normal(size=6)
+    pts = np.stack(np.broadcast_arrays(x, y, z), axis=-1).reshape(-1, 3)
+    n = random_axes(rng, 1)[0]
+    got = _rows([np.broadcast_to(c, (4, 5, 6)) for c in _cross(n, (x, y, z))]).reshape(-1, 3)
+    assert _same_array(got, np.cross(n, pts))
+    s = _perp(n, (x, y, z))[1]
+    assert _same_array(s.reshape(-1), np.linalg.norm(np.cross(n, pts), axis=-1))
+
+
+def test_perp_of_columns_is_numpys_row_wise_norm_bit_for_bit():
+    # the scan's radius: sqrt((x*x + y*y) + z*z) of the cross columns, the
+    # sum np.linalg.norm(axis=-1) makes; one vector keeps the BLAS norm
+    rng = np.random.default_rng(73)
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        pts = scale * rng.normal(size=(3000, 3))
+        for n in random_axes(rng, 4):
+            cross, s = _perp(n, _cols(pts))
+            want = np.cross(n, pts)
+            assert _same_array(_rows(cross), want)
+            assert _same_array(s, np.linalg.norm(want, axis=-1))
+            for p in pts[:20]:
+                x, one = _perp(n, p)
+                assert _same_array(x, np.cross(n, p)) and one == np.linalg.norm(np.cross(n, p))

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -495,79 +500,23 @@ def test_reduced_series_agrees_with_jc_propagate(frame):
             npt.assert_allclose(rho[i], got, rtol=0, atol=1e-12)
 
 
-def test_single_chunk_runs_without_a_thread_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool started for a single chunk")
+def test_sweep_starts_no_thread_for_any_worker_count(monkeypatch):
+    # the chunks run inline: workers is validated and changes nothing
+    def no_thread(self):
+        raise AssertionError("a sweep started a thread")
 
-    monkeypatch.setattr(cavity, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     f = coherent_field(1.0, n_max=12)
     cfg = CavityConfig(n_max=12)
-    times = np.linspace(0.0, 50.0, cavity._CHUNK)
-    a = reduced_series(f, MIXED, cfg, times, workers=2)
-    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
-
-
-def _spy_pool(monkeypatch, cpus):
-    # real threads, at most cpus of them; returns the pool sizes asked for
-    sizes = []
-    real_pool = cavity.ThreadPoolExecutor
-
-    def spy(max_workers):
-        sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(cavity, "ThreadPoolExecutor", spy)
-    monkeypatch.setattr(cavity.os, "cpu_count", lambda: cpus)
-    return sizes
-
-
-def _serial_pool(monkeypatch, cpus):
-    # stands in for the pool, so no thread is ever started; returns the
-    # pool sizes asked for
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cavity, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(cavity.os, "cpu_count", lambda: cpus)
-    return sizes
+    times = np.linspace(0.0, 50.0, 2 * _rows(f, cfg) + 1)  # three chunks
+    a = reduced_series(f, MIXED, cfg, times, workers=1)
+    for workers in (2, 8, 5000):
+        assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=workers))
 
 
 def _rows(f, cfg, times=np.linspace(0.0, 160.0, 3), qubit=MIXED):
     # the chunk rows of a sweep of f over a grid like times (uniform by default)
     return cavity._sweep_rows(cavity._sweep_weights(f, cfg, qubit, times))
-
-
-def test_thread_pool_is_no_larger_than_the_chunk_count(monkeypatch):
-    sizes = _spy_pool(monkeypatch, 8)  # the chunk count binds
-    f = coherent_field(1.0, n_max=12)
-    cfg = CavityConfig(n_max=12)
-    times = np.linspace(0.0, 50.0, 2 * _rows(f, cfg) + 1)  # three chunks
-    a = reduced_series(f, MIXED, cfg, times, workers=8)
-    assert sizes == [3]
-    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
-
-
-@pytest.mark.parametrize("cpus", [2, None], ids=["two-cpus", "cpu-count-unknown"])
-def test_thread_pool_is_no_larger_than_the_cpu_count(monkeypatch, cpus):
-    sizes = _serial_pool(monkeypatch, cpus)
-    f = coherent_field(1.0, n_max=12)
-    cfg = CavityConfig(n_max=12)
-    times = np.linspace(0.0, 50.0, 2 * _rows(f, cfg) + 1)  # three chunks
-    a = reduced_series(f, MIXED, cfg, times, workers=5000)
-    assert sizes == ([2] if cpus == 2 else [])  # an unknown count runs inline
-    assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=1))
 
 
 def test_chunk_rows_are_a_cache_sized_power_of_two_set_by_the_kept_width():
@@ -609,7 +558,6 @@ def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch, name, trig):
         return real_chunk(w, cfg, t, *out)
 
     monkeypatch.setattr(cavity, "_sweep_chunk", spy)
-    _serial_pool(monkeypatch, 4)
     f = fock_field(5, n_max=100) if name == "fock" else coherent_field(2.0, n_max=100)
     cfg = CavityConfig(n_max=100)
 
@@ -666,14 +614,12 @@ def test_multi_chunk_series_matches_dense_oracle(name, frame, detuning):
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_CHUNK_FIELDS))
-def test_multi_chunk_series_is_bit_identical_for_one_or_two_workers(monkeypatch, name):
-    sizes = _spy_pool(monkeypatch, 2)
+def test_multi_chunk_series_is_bit_identical_for_one_or_two_workers(name):
     f = MULTI_CHUNK_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
     times = _multi_chunk_times(f, cfg)
     a = reduced_series(f, MIXED, cfg, times, workers=1)
     b = reduced_series(f, MIXED, cfg, times, workers=2)
-    assert sizes == [2]
     assert np.array_equal(a, b)
 
 
@@ -984,16 +930,59 @@ def test_anchored_sweep_calls_libm_on_anchors_and_offsets_only(monkeypatch, name
 
 
 @pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
-def test_anchored_multi_chunk_sweep_is_bit_identical_for_one_or_two_workers(monkeypatch, name):
-    sizes = _spy_pool(monkeypatch, 2)
+def test_anchored_multi_chunk_sweep_is_bit_identical_for_one_or_two_workers(name):
     f = PRUNED_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
     times = np.linspace(0.0, 1e4, 5 * _rows(f, cfg) + 300)
     assert _trig(f, cfg, times) == "anchored"
     a = reduced_series(f, MIXED, cfg, times, workers=1)
     b = reduced_series(f, MIXED, cfg, times, workers=2)
-    assert sizes == [2]
     assert np.array_equal(a, b)
+
+
+_BENT_GRID_SWEEP = """
+import hashlib
+import numpy as np
+from blochdyn import CavityConfig, custom_field, reduced_series
+from blochdyn.cavity import _sweep_weights
+rng = np.random.default_rng(5)
+f = custom_field(np.exp(2j * np.pi * rng.random(1000)) / np.sqrt(1000))
+cfg = CavityConfig(n_max=999)
+qubit = np.array([[0.62, 0.18 - 0.27j], [0.18 + 0.27j, 0.38]])
+times = np.linspace(0.0, 100.0, 2000) ** 1.2
+w = _sweep_weights(f, cfg, qubit, times)
+print(w.kept.size, w.path, w.trig)
+print(hashlib.sha256(reduced_series(f, qubit, cfg, times).tobytes()).hexdigest())
+"""
+
+
+def test_dense_bent_grid_bytes_ignore_the_blas_thread_count():
+    # every block of a random-phase field kept over a non-uniform grid: the
+    # BLAS contractions of direct trig are 999 blocks deep, past every
+    # kernel's GEMM_Q, so only their depth slices keep the bits the same
+    # under one and two OpenBLAS threads
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(cavity.__file__).parents[1]))
+        r = subprocess.run([sys.executable, "-c", _BENT_GRID_SWEEP], capture_output=True,
+                           text=True, env=env, check=True)
+        out.append(r.stdout)
+    kept, path, trig = out[0].splitlines()[0].split()
+    assert int(kept) > 384 and (path, trig) == ("blas", "direct")  # SkylakeX's GEMM_Q is 384
+    assert out[0] == out[1]
+
+
+def test_sliced_matmul_adds_its_depth_slices_in_order():
+    rng = np.random.default_rng(3)
+    for depth in (1, cavity._GEMM_DEPTH, cavity._GEMM_DEPTH + 1, 3 * cavity._GEMM_DEPTH + 7):
+        a, b = rng.normal(size=(2, depth)), rng.normal(size=(depth, 50))
+        want = a[:, :cavity._GEMM_DEPTH] @ b[:cavity._GEMM_DEPTH]
+        for lo in range(cavity._GEMM_DEPTH, depth, cavity._GEMM_DEPTH):
+            want = want + a[:, lo:lo + cavity._GEMM_DEPTH] @ b[lo:lo + cavity._GEMM_DEPTH]
+        assert np.array_equal(cavity._sliced_matmul(a, b), want)
+        assert np.array_equal(cavity._contract_blas(b, a.T), want)
+        npt.assert_allclose(want, a @ b, rtol=1e-12, atol=1e-12)
 
 
 def test_offsets_stop_at_the_last_time(monkeypatch):

@@ -413,6 +413,46 @@ def test_scan_ring_matches_whole_lattice_oracle_bit_for_bit(monkeypatch, theta, 
     assert got.delta == delta and got.theta_psi == theta
 
 
+@pytest.mark.parametrize("ham", [Z, TILTED, HamiltonianSpec.from_axis((0.3, -1.2, 0.7))],
+                         ids=["z", "tilted", "bench-like"])
+@pytest.mark.parametrize("theta", [0.0, 0.2, 0.7], ids=["zero", "wide", "interior"])
+@pytest.mark.parametrize("grid, budget, n_slabs", [
+    (5, None, 1),  # ticks -1, -0.5, 0, 0.5, 1
+    (9, None, 1),  # ticks +-1, +-0.5 and 0 among others
+    (11, None, 1),  # ticks +-1 and 0
+    (9, 1, 9),  # one x tick a slab
+    (11, 2 * 11 * 11 + 3, 6),  # runs of 2 x ticks, the last one partial
+    (13, 3 * 13 * 13 + 5, 5),  # runs of 3 x ticks, the last one partial
+])
+def test_ring_slab_tick_indices_gather_the_whole_lattice_points(monkeypatch, ham, theta, grid,
+                                                                budget, n_slabs):
+    if budget is not None:
+        monkeypatch.setattr(speedlimits, "_SLAB_POINTS", budget)
+    ticks, delta, slabs = speedlimits._ring_slabs(ham, theta, grid)
+    parts = list(slabs)
+    assert len(parts) == n_slabs
+    ix, iy, iz, tau, fisher = (np.concatenate(c) for c in zip(*parts))
+    pts, want_tau, want_fisher, want_delta = whole_lattice_ring(ham.axis, ham.omega0, theta, grid)
+    assert ix.dtype.kind == iy.dtype.kind == iz.dtype.kind == "i"
+    assert same_bits(np.stack([ticks[ix], ticks[iy], ticks[iz]], axis=-1), pts)
+    assert same_bits(tau, want_tau) and same_bits(fisher, want_fisher) and delta == want_delta
+    flat = (ix * grid + iy) * grid + iz
+    assert np.all(np.diff(flat) > 0)  # lexicographic, each point once
+    if grid in (5, 9):
+        assert {-1.0, -0.5, 0.0, 0.5, 1.0} <= set(ticks.tolist())
+    assert np.any(np.abs(pts).max(axis=1) == 1.0)  # the ball's poles are lattice points
+
+
+def test_scan_ring_keeps_the_whole_lattice_points_on_every_small_grid():
+    # the slabs sum |r|^2 as (x^2 + y^2) + z^2, where the oracle's einsum
+    # rounds otherwise on most grids; the kept points must still agree
+    for grid in range(2, 61):
+        got = scan_ring(TILTED, 0.0, grid)
+        pts, tau, fisher, _ = whole_lattice_ring(TILTED.axis, TILTED.omega0, 0.0, grid)
+        assert same_bits(got.points, pts), grid
+        assert same_bits(got.tau_exact, tau) and same_bits(got.fisher, fisher), grid
+
+
 @pytest.mark.parametrize("grid", [speedlimits.GRID_LIMIT + 1, 10**9])
 def test_scan_ring_rejects_a_grid_above_the_ceiling(grid):
     # checked before the ticks are built: 10**9 of them would need 8 GB
