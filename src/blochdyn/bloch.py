@@ -77,6 +77,13 @@ def _integer(value, name: str, lo: float, hi: float = math.inf) -> int:
     return int(x)
 
 
+def _flag(value, name: str) -> bool:
+    """value as a bool: only True, False or a numpy bool pass, else a ValueError naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
 def _complex(value, name: str) -> complex:
     """value as a complex with a finite |value|^2, else a ValueError naming it."""
     arr = _as_float(value, name, complex)
@@ -156,6 +163,7 @@ class HamiltonianSpec:
             raise ValueError("axis must be a finite unit vector; see from_axis()")
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "omega0", _rate(self.omega0, "omega0"))
+        object.__setattr__(self, "identity_shift", _flag(self.identity_shift, "identity_shift"))
 
     @classmethod
     def from_axis(cls, axis, omega0: float = 1.0, identity_shift: bool = False):

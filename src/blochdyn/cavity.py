@@ -21,7 +21,7 @@ this Kraus family is complete to machine precision; fidelity to the
 untruncated model is the field constructors' job, which reject cutoffs
 whose analytic photon-number tail reaches 1e-10.
 
-Time series (reduced_series) skip the Kraus operators. With
+Time series (reduced_series, perr_series) skip the Kraus operators. With
 S_n = sin(Om_n t), C_n = cos(Om_n t), y_n = g sqrt(n+1) / Om_n and
 r_n = (detuning / 2) / Om_n, block n propagates as
 [[C_n - i r_n S_n, -i y_n S_n], [-i y_n S_n, C_n + i r_n S_n]] times the
@@ -469,7 +469,7 @@ def _re_im(z) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _SweepWeights:
-    """Per-call weights of the real trig contractions in reduced_series.
+    """Per-call weights of the real trig contractions in _sweep.
 
     Only the kept blocks enter a sweep, listed ascending in kept; every
     array below runs over them. pairs holds the (re, im) columns of rho_eg
@@ -743,8 +743,8 @@ def _direct_sums(w: _SweepWeights, t: np.ndarray, buf):
     return diag, coh, S, C
 
 
-def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: int = 1):
-    """Reduced qubit states at the given times, shape (len(times), 2, 2).
+def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
+    """(ee, eg, gg): rho_ee, rho_eg and rho_gg at the checked times tgrid.
 
     Weights are built once per call (see the module docstring), and only
     the blocks that carry them are kept: the lightest are dropped while
@@ -776,11 +776,28 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
     anchors from 2049 kept blocks. Other chunks have the most time rows, a
     power of two from 512 to 4096, whose (kept, rows) arrays fit 1 MiB:
     4096 up to 32 kept blocks (every Fock field), 512 from 129. Both rules
-    read the kept width alone. The chunks run inline, one after the other:
-    workers (an integer, at least 1) starts no thread, as OpenBLAS threads
-    the products, and every product's depth is cut into 128-row slices
-    added in order, so no worker or BLAS thread count moves a bit.
+    read the kept width alone. The chunks run inline, one after the other,
+    as OpenBLAS threads the products, and every product's depth is cut
+    into 128-row slices added in order, so no BLAS thread count moves a bit.
     """
+    w = _sweep_weights(field, cfg, rho0, tgrid)
+    ee = np.empty(tgrid.size)
+    gg = np.empty(tgrid.size)
+    eg = np.empty(tgrid.size, dtype=complex)
+
+    rows = _sweep_rows(w)
+    # one direct-trig buffer, reused by every chunk; the matrix path needs none
+    buf = None if w.trig == "anchored" else np.empty((3, w.om.size, min(rows, tgrid.size)))
+    for lo in range(0, tgrid.size, rows):
+        sl = slice(lo, lo + rows)
+        _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl], buf)
+    _check_physical(ee, eg, gg)
+    return ee, eg, gg
+
+
+def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times):
+    """Reduced qubit states at the given finite, nonnegative times, shape
+    (len(times), 2, 2); the sweep and its accuracy are _sweep's."""
     rho0 = check_density(qubit)
     _check_field(field, cfg)
     tgrid = _as_float(times, "times")
@@ -790,20 +807,7 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times, workers: 
         raise ValueError("times must be finite and nonnegative")
     _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)", cfg.omega0)
 
-    w = _sweep_weights(field, cfg, rho0, tgrid)
-    ee = np.empty(tgrid.size)
-    gg = np.empty(tgrid.size)
-    eg = np.empty(tgrid.size, dtype=complex)
-
-    _integer(workers, "workers", 1)
-    rows = _sweep_rows(w)
-    # one direct-trig buffer, reused by every chunk; the matrix path needs none
-    buf = None if w.trig == "anchored" else np.empty((3, w.om.size, min(rows, tgrid.size)))
-    for lo in range(0, tgrid.size, rows):
-        sl = slice(lo, lo + rows)
-        _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl], buf)
-    _check_physical(ee, eg, gg)
-
+    ee, eg, gg = _sweep(field, rho0, cfg, tgrid)
     out = np.empty((tgrid.size, 2, 2), dtype=complex)
     out[:, 0, 0] = ee
     out[:, 0, 1] = eg
@@ -879,7 +883,8 @@ def perr_series(
 
     The grid is ``steps`` samples spanning [0, t_max] inclusive, with
     t_max defaulting to 100 / omega0. The first sample is always
-    (0, 1/2). Deterministic for fixed inputs and any worker count.
+    (0, 1/2). Deterministic for fixed inputs. ``workers`` (an integer, at
+    least 1) is accepted and changes nothing: the sweep runs inline.
     """
     r0 = as_bloch(qubit_r)
     t_max = 100.0 / cfg.omega0 if t_max is None else _real(t_max, "t_max", 0.0)
@@ -887,11 +892,13 @@ def perr_series(
         raise ValueError("t_max must be positive, got 0")
     _check_phases(cfg, t_max, "t_max", cfg.omega0)
     times = np.linspace(0.0, t_max, _integer(steps, "steps", 2))
-    rho = reduced_series(field, bloch_to_density(r0), cfg, times, workers=workers)
+    _check_field(field, cfg)
+    _integer(workers, "workers", 1)
+    ee, eg, gg = _sweep(field, bloch_to_density(r0), cfg, times)
 
-    dx = 2.0 * rho[:, 0, 1].real - r0[0]
-    dy = -2.0 * rho[:, 0, 1].imag - r0[1]
-    dz = (rho[:, 0, 0] - rho[:, 1, 1]).real - r0[2]
+    dx = 2.0 * eg.real - r0[0]
+    dy = -2.0 * eg.imag - r0[1]
+    dz = (ee - gg) - r0[2]
     pe = np.clip(0.5 - 0.25 * np.sqrt(dx * dx + dy * dy + dz * dz), 0.0, 0.5)
     return DistinguishabilitySeries(
         times=times,

@@ -10,8 +10,7 @@ Conventions shared by every subcommand:
 * exit status: 0 success (and "reachable" for qsl), 2 the qsl level is
   not reachable, 1 malformed input, domain errors or a stdout closed by
   its reader (CSVs go out in blocks of rows, so that happens mid-series)
-* identical invocations produce byte-identical outputs; the QSL_THREADS
-  environment variable caps --workers without affecting results
+* identical invocations produce byte-identical outputs
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .bloch import HamiltonianSpec, _integer, _real, as_bloch, evolve_bloch, p_err_bloch
+from .bloch import HamiltonianSpec, _real, as_bloch, evolve_bloch, p_err_bloch
 from .brachistochrone import brach_hamiltonian
 from .cavity import CavityConfig, make_field, nonunitary_tau, perr_series
 from .errors import BlochDynError
@@ -225,12 +224,6 @@ def _write_csv(dest: str, header: str, blocks) -> None:
                 fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
-def _worker_count(requested: int) -> int:
-    # perr_series checks the count itself; QSL_THREADS is a per-host cap
-    cap = os.environ.get("QSL_THREADS")
-    return requested if cap is None else min(requested, _integer(cap, "QSL_THREADS", 1))
-
-
 def cmd_qsl(args) -> int:
     ham = HamiltonianSpec.from_axis(args.axis, omega0=args.omega0)
     rep = classify(args.bloch, ham, args.delta, ml_symmetrized=args.ml_symmetrized)
@@ -343,7 +336,6 @@ def cmd_cavity(args) -> int:
         cfg,
         t_max=None if p["t_max"] is None else _number(p["t_max"], "t_max"),
         steps=_number(p["steps"], "steps"),
-        workers=_worker_count(args.workers),
     )
     if p["t_max"] is None:
         p["t_max"] = float(series.times[-1])  # the grid ends on perr_series' default
@@ -426,7 +418,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--steps", type=int, default=None)
     c.add_argument("--delta", type=float, action="append", default=None,
                    help="error level for crossing-time lookup; repeatable")
-    c.add_argument("--workers", type=int, default=1)
     c.add_argument("--out", default="-", metavar="PATH",
                    help='CSV destination; "-" sends it to stdout and the summary to stderr')
     c.set_defaults(fn=cmd_cavity)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import NORM_EPS, HamiltonianSpec, _fisher, _integer, _perp, _real, as_bloch, qfi
+from .bloch import NORM_EPS, HamiltonianSpec, _fisher, _flag, _integer, _perp, _real, as_bloch, qfi
 from .errors import DegenerateOrbit, GroundState, NotReachable
 
 __all__ = [
@@ -120,7 +120,7 @@ def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
     the r -> -r symmetry of the dynamics and is the one that provably
     never exceeds the Mandelstam-Tamm bound.
     """
-    d = check_delta(delta)
+    d, symmetrized = check_delta(delta), _flag(symmetrized, "symmetrized")
     if not ham.identity_shift:
         raise ValueError("the mean-energy bound requires identity_shift=True")
     c = float(np.dot(ham.axis, as_bloch(r)))
@@ -159,7 +159,7 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
     for the identity-shifted spectrum regardless of the flag on ``ham``
     (the shift does not change its value).
     """
-    d = check_delta(delta)
+    d, ml_symmetrized = check_delta(delta), _flag(ml_symmetrized, "ml_symmetrized")
     vec = as_bloch(r)
     s = float(_perp(ham.axis, vec)[1])
     fisher = _fisher(s, ham.omega0)

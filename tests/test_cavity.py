@@ -16,6 +16,7 @@ from blochdyn import (
     NonphysicalOutput,
     NormViolation,
     TruncationTooSmall,
+    bloch_to_density,
     cat_field,
     coherent_field,
     coherent_tail,
@@ -417,16 +418,15 @@ def test_tolerances_and_worker_counts_are_checked_naming_them():
         ("atol", lambda bad: nonunitary_tau(series, 0.3, atol=bad)),
         ("tol", lambda bad: kraus_support(f, cfg, 1.0, tol=bad)),
         ("workers", lambda bad: perr_series(f, (0.0, 0.0, 1.0), cfg, steps=50, workers=bad)),
-        ("workers", lambda bad: reduced_series(f, EXCITED, cfg, [0.0, 1.0], workers=bad)),
     ]
     for name, call in calls:
         for bad in (np.nan, np.inf, -1.0, 10**400):
             with pytest.raises(ValueError, match=rf"^{name} must be finite"):
                 call(bad)
     with pytest.raises(ValueError, match="^workers must be an integer, got 1.5$"):
-        reduced_series(f, EXCITED, cfg, [0.0, 1.0], workers=1.5)
+        perr_series(f, (0.0, 0.0, 1.0), cfg, steps=50, workers=1.5)
     with pytest.raises(ValueError, match="^workers must be finite and lie in"):
-        reduced_series(f, EXCITED, cfg, [0.0, 1.0], workers=0)
+        perr_series(f, (0.0, 0.0, 1.0), cfg, steps=50, workers=0)
     assert nonunitary_tau(series, 0.3, atol=0) == nonunitary_tau(series, 0.3, atol=0.0)
     assert kraus_support(f, cfg, 1.0, tol=0).tolist() == list(range(21))
 
@@ -501,17 +501,19 @@ def test_reduced_series_agrees_with_jc_propagate(frame):
 
 
 def test_sweep_starts_no_thread_for_any_worker_count(monkeypatch):
-    # the chunks run inline: workers is validated and changes nothing
+    # the chunks run inline: perr_series validates workers, which changes nothing
     def no_thread(self):
         raise AssertionError("a sweep started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     f = coherent_field(1.0, n_max=12)
     cfg = CavityConfig(n_max=12)
-    times = np.linspace(0.0, 50.0, 2 * _rows(f, cfg) + 1)  # three chunks
-    a = reduced_series(f, MIXED, cfg, times, workers=1)
+    steps = 2 * _rows(f, cfg) + 1  # three chunks
+    reduced_series(f, MIXED, cfg, np.linspace(0.0, 50.0, steps))
+    a = perr_series(f, (0.3, -0.2, 0.5), cfg, t_max=50.0, steps=steps, workers=1)
     for workers in (2, 8, 5000):
-        assert np.array_equal(a, reduced_series(f, MIXED, cfg, times, workers=workers))
+        b = perr_series(f, (0.3, -0.2, 0.5), cfg, t_max=50.0, steps=steps, workers=workers)
+        assert np.array_equal(a.p_err, b.p_err)
 
 
 def _rows(f, cfg, times=np.linspace(0.0, 160.0, 3), qubit=MIXED):
@@ -549,7 +551,7 @@ def test_block_rows_are_whole_anchors_set_by_the_kept_width():
     ("coherent_bent_grid", "direct"),  # BLAS contractions of direct trig
     ("fock", "direct"),  # the fixed-order path
 ])
-def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch, name, trig):
+def test_chunk_bounds_ignore_grid_length(monkeypatch, name, trig):
     seen = []
     real_chunk = cavity._sweep_chunk
 
@@ -572,13 +574,9 @@ def test_chunk_bounds_ignore_workers_and_grid_length(monkeypatch, name, trig):
     for steps in (rows - 1, 3 * rows + 5):
         times = grid(steps)
         assert cavity._sweep_weights(f, cfg, MIXED, times).trig == trig
-        runs = []
-        for workers in (1, 2, 4):
-            seen.clear()
-            reduced_series(f, MIXED, cfg, times, workers=workers)
-            runs.append(list(seen))
-        assert runs[0] == runs[1] == runs[2]
-        assert [t0 for t0, _ in runs[0]] == times[:steps:rows].tolist()
+        seen.clear()
+        reduced_series(f, MIXED, cfg, times)
+        assert [t0 for t0, _ in seen] == times[:steps:rows].tolist()
 
 
 MULTI_CHUNK_FIELDS = {
@@ -611,16 +609,6 @@ def test_multi_chunk_series_matches_dense_oracle(name, frame, detuning):
             ref = _lab_to_rotating(ref, 1.3, t)
         worst = max(worst, np.abs(rho[i] - ref).max())
     assert worst < 1e-9
-
-
-@pytest.mark.parametrize("name", sorted(MULTI_CHUNK_FIELDS))
-def test_multi_chunk_series_is_bit_identical_for_one_or_two_workers(name):
-    f = MULTI_CHUNK_FIELDS[name]()
-    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    times = _multi_chunk_times(f, cfg)
-    a = reduced_series(f, MIXED, cfg, times, workers=1)
-    b = reduced_series(f, MIXED, cfg, times, workers=2)
-    assert np.array_equal(a, b)
 
 
 def _full_width_weights(monkeypatch, f, cfg, rho0):
@@ -929,17 +917,6 @@ def test_anchored_sweep_calls_libm_on_anchors_and_offsets_only(monkeypatch, name
         assert 0 < count <= kept * (anchors + cavity._ANCHOR)
 
 
-@pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
-def test_anchored_multi_chunk_sweep_is_bit_identical_for_one_or_two_workers(name):
-    f = PRUNED_FIELDS[name]()
-    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    times = np.linspace(0.0, 1e4, 5 * _rows(f, cfg) + 300)
-    assert _trig(f, cfg, times) == "anchored"
-    a = reduced_series(f, MIXED, cfg, times, workers=1)
-    b = reduced_series(f, MIXED, cfg, times, workers=2)
-    assert np.array_equal(a, b)
-
-
 _BENT_GRID_SWEEP = """
 import hashlib
 import numpy as np
@@ -1192,6 +1169,37 @@ def test_perr_series_worker_count_is_invisible():
     b = perr_series(f, (0.9, 0, 0), cfg, t_max=50.0, steps=6000, workers=4)
     assert np.array_equal(a.p_err, b.p_err)
     assert np.array_equal(a.times, b.times)
+
+
+SHARED_CORE_CASES = {  # field, config, the sweep path, Bloch vector
+    "fock": (lambda: fock_field(5, n_max=100), CavityConfig(n_max=100), "direct",
+             (0.9, 0.0, 0.0)),
+    "coherent_dense": (lambda: coherent_field(3.0 + 1.0j, n_max=64),
+                       CavityConfig(omega0=1.3, g=0.07, n_max=64), "anchored", (0.3, -0.4, 0.5)),
+    "e0_lab_detuned": (lambda: e0_field(3.0, n_max=64),
+                       CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=64, frame="lab"),
+                       "anchored", (0.0, 0.6, -0.7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_CORE_CASES))
+def test_perr_series_is_the_clipped_distance_of_reduced_series(name):
+    # perr_series and reduced_series share one sweep; p_err is the clipped
+    # Helstrom error of reduced_series on the same linspace, bit for bit
+    make, cfg, trig, r = SHARED_CORE_CASES[name]
+    f = make()
+    r0 = np.array(r)
+    for steps in (1000, 2 * _rows(f, cfg) + 300):  # one chunk, then three
+        times = np.linspace(0.0, 160.0, steps)
+        assert _trig(f, cfg, times) == trig
+        rho = reduced_series(f, bloch_to_density(r0), cfg, times)
+        dx = 2.0 * rho[:, 0, 1].real - r0[0]
+        dy = -2.0 * rho[:, 0, 1].imag - r0[1]
+        dz = (rho[:, 0, 0] - rho[:, 1, 1]).real - r0[2]
+        expect = np.clip(0.5 - 0.25 * np.sqrt(dx * dx + dy * dy + dz * dz), 0.0, 0.5)
+        series = perr_series(f, r, cfg, t_max=160.0, steps=steps)
+        assert np.array_equal(series.times, times)
+        assert np.array_equal(series.p_err, expect)
 
 
 def test_perr_series_validation():

@@ -605,48 +605,15 @@ def test_output_to_a_pipe_without_reader_exits_1_with_one_line(tmp_path):
 # ------------------------------------------------------- env and scenarios
 
 
-def test_worker_cap_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    argv = ["cavity", "--alpha", "2", "--n-max", "40", "--t-max", "50",
-            "--steps", "6000"]
-    monkeypatch.delenv("QSL_THREADS", raising=False)
-    a = tmp_path / "a.csv"
-    code, _, _ = run_cli(capsys, argv + ["--workers", "1", "--out", str(a)])
-    assert code == 0
-    two = tmp_path / "two.csv"
-    code, _, _ = run_cli(capsys, argv + ["--workers", "2", "--out", str(two)])
-    assert code == 0
-    assert a.read_bytes() == two.read_bytes()
-    monkeypatch.setenv("QSL_THREADS", "2")
-    b = tmp_path / "b.csv"
-    code, _, _ = run_cli(capsys, argv + ["--workers", "8", "--out", str(b)])
-    assert code == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_invalid_thread_cap_is_an_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("QSL_THREADS", "many")
-    code, _, err = run_cli(capsys, ["cavity", "--n-max", "2", "--field", "fock",
-                                    "--alpha", "0", "--steps", "10"])
-    assert code == 1
-    assert "QSL_THREADS" in err
-
-
-@pytest.mark.parametrize("flags, cap, name", [
-    (["--workers", "0"], None, "workers"),
-    (["--workers=-1"], None, "workers"),
-    (["--workers", "0"], "2", "workers"),
-    ([], "0", "QSL_THREADS"),
-])
-def test_bad_worker_count_is_an_input_error(capsys, monkeypatch, flags, cap, name):
-    # the CLI refuses what perr_series(workers=...) refuses, naming it
-    if cap is None:
-        monkeypatch.delenv("QSL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("QSL_THREADS", cap)
-    code, out, err = run_cli(capsys, ["cavity", "--n-max", "2", "--field", "fock",
-                                      "--alpha", "0", "--steps", "10", *flags])
-    assert (code, out) == (1, "")
-    assert err.startswith(f"blochdyn: error: {name} ") and err.count("\n") == 1
+@pytest.mark.parametrize("flags", [["--workers", "1"], ["--workers=2"]])
+def test_workers_flag_is_not_an_option(capsys, flags):
+    # the sweep runs inline, so the CLI takes no worker count
+    with pytest.raises(SystemExit) as exc:
+        main(["cavity", "--n-max", "2", "--field", "fock", "--alpha", "0", "--steps", "10",
+              *flags])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"blochdyn: error: unrecognized arguments: {' '.join(flags)}\n"
 
 
 def test_version_flag(capsys):

@@ -9,8 +9,7 @@ finite numbers, with JSON null only for the crossing times the formats
 document as null.
 
 Runs go in process through cli.main. Sizes stay tiny (grid <= 12,
-n_max <= 20, steps <= 200, workers <= 2), so a cavity sweep is one
-chunk and no thread pool starts.
+n_max <= 20, steps <= 200), so a cavity sweep is one chunk.
 """
 
 import contextlib
@@ -103,8 +102,7 @@ brach = [(triple(*BLOCH).map(_same_radius),
 scan = [number("--theta-psi", 0.0, 1.6, True), size("--grid", 2, 12),
         vector("--axis", -3.0, 3.0), number("--omega0", 0.01, 100.0), (OUT, None, True)]
 LABELS = st.sampled_from(["coherent", "cat_even", "cat_odd", "e0", "fock"])
-crossing = [number("--delta", 0.0, 0.5), number("--delta", 0.0, 0.5),
-            param("--workers", st.integers(1, 2).map(str), BAD_SIZE), (OUT, None, True)]
+crossing = [number("--delta", 0.0, 0.5), number("--delta", 0.0, 0.5), (OUT, None, True)]
 cavity = [size("--n-max", 14, 20), size("--steps", 2, 200),
           # |alpha| <= 1 keeps the coherent tail beyond n_max >= 14 under its 1e-10 limit
           param("--field", LABELS, st.sampled_from(["squeezed", ""])),

@@ -94,9 +94,9 @@ def _jc_propagate(alpha, n_max, omega0, g, detuning, rho, t_cavity):
     return bd.jc_propagate(field, _matrix(rho), cfg, t_cavity)
 
 
-def _reduced_series(alpha, n_max, detuning, rho, times, workers):
+def _reduced_series(alpha, n_max, detuning, rho, times):
     field, cfg = _cavity(alpha, n_max, detuning=detuning)
-    return bd.reduced_series(field, _matrix(rho), cfg, times, workers)
+    return bd.reduced_series(field, _matrix(rho), cfg, times)
 
 
 def _perr_series(alpha, n_max, omega0, g, r, t_max, steps, workers):
@@ -286,3 +286,20 @@ def test_a_numpy_complex_inside_a_sequence_is_refused(call, name, r, dtype):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} must be real, got dtype {dtype}$"):
             call(r)
+
+
+@pytest.mark.parametrize("bad", ["no", "", math.nan, 0, 1, None, [0], np.int64(1)],
+                         ids=["text", "empty_text", "nan", "zero", "one", "none", "list", "np_int"])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: bd.HamiltonianSpec.from_axis((0, 0, 1), identity_shift=v).matrix().tolist(),
+     "identity_shift"),
+    (lambda v: bd.HamiltonianSpec((0, 0, 1), 1.0, v).identity_shift, "identity_shift"),
+    (lambda v: bd.classify((0, 0, -0.5), Z, 0.3, ml_symmetrized=v).tau_ml, "ml_symmetrized"),
+    (lambda v: bd.tau_ml((0, 0, -0.5), bd.HamiltonianSpec.from_axis((0, 0, 1), 1.0, True), 0.3,
+                         symmetrized=v), "symmetrized"),
+], ids=["from_axis", "HamiltonianSpec", "classify", "tau_ml"])
+def test_a_flag_takes_only_a_bool(call, name, bad):
+    # a truthy object used to count as True: "no" gave a shifted spectrum, nan a 2x2 [[2, 0], [0, 0]]
+    with pytest.raises(ValueError, match=f"^{name} must be True or False, got "):
+        call(bad)
+    assert call(np.bool_(True)) == call(True) != call(False) == call(np.bool_(False))

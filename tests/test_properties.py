@@ -119,7 +119,7 @@ fock_amplitudes = (st.lists(amplitude, min_size=2, max_size=7)
        frame=st.sampled_from(["lab", "rotating"]), t_max=st.floats(1.0, 200.0),
        steps=st.integers(4097, 3 * 4096 + 5))
 def test_worker_count_does_not_change_p_err(c, r, g, d, frame, t_max, steps):
-    # the grids span two to four 4096-step chunks, so two workers really split them
+    # the grids span two to four 4096-step chunks; perr_series accepts workers and ignores it
     field = custom_field(c)
     cfg = CavityConfig(g=g, detuning=d, n_max=field.n_max, frame=frame)
     one = perr_series(field, r, cfg, t_max=t_max, steps=steps, workers=1)
