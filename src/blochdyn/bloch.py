@@ -245,20 +245,23 @@ def pure_state_bloch(psi) -> np.ndarray:
 def p_err(rho, sigma) -> float:
     """Helstrom minimum error probability 1/2 - ||rho - sigma||_1 / 4.
 
-    The trace norm is evaluated from the eigenvalues of the Hermitian
-    difference. Symmetric in its arguments; 1/2 iff the states coincide,
-    0 iff they are orthogonal pure states.
+    The trace norm of a qubit difference is the distance |r_rho - r_sigma|
+    of the two Bloch vectors (density_to_bloch), as in p_err_bloch, with
+    the same clamp. Symmetric in its arguments; 1/2 iff the states
+    coincide, 0 iff they are orthogonal pure states.
     """
-    a = check_density(rho)
-    b = check_density(sigma)
-    eigs = np.linalg.eigvalsh(a - b)
-    return float(np.clip(0.5 - 0.25 * np.sum(np.abs(eigs)), 0.0, 0.5))
+    return _helstrom(density_to_bloch(rho) - density_to_bloch(sigma))
 
 
 def p_err_bloch(r1, r2) -> float:
     """p_err via the qubit identity ||rho - sigma||_1 = |r1 - r2|."""
-    d = float(np.linalg.norm(as_bloch(r1) - as_bloch(r2)))
-    return max(0.0, min(0.5, 0.5 - 0.25 * d))  # d is finite: as_bloch checked both
+    return _helstrom(as_bloch(r1) - as_bloch(r2))
+
+
+def _helstrom(dr: np.ndarray) -> float:
+    # 1/2 - |dr| / 4 clamped to [0, 1/2]; dr is finite (both ends were checked)
+    d = float(np.linalg.norm(dr))
+    return max(0.0, min(0.5, 0.5 - 0.25 * d))
 
 
 def unitary(ham: HamiltonianSpec, t: float) -> np.ndarray:

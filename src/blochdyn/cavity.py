@@ -38,16 +38,17 @@ entries that enters rho_S the free phases cancel:
   carries the one common phase exp(-i omega0 t) left over from adjacent
   free phases.
 
-The weights are fixed per call, and a sweep keeps only the blocks that
-carry them: it drops the lightest blocks while their summed |weight| stays
-at most 2^-64, so no value moves by more than that (|S_n|, |C_n| <= 1) and
-zero-weight blocks always go. Each sum then runs over the kept blocks of
-(kept, times) trig arrays: in a fixed order, with no BLAS call, for at most
-two kept blocks (every Fock field), so those bits do not depend on the BLAS
-kernel, and as a real matrix product otherwise.
+rho_gg's weights are rho_ee's negated, so the populations are one sum D:
+rho_ee = ee0 + D, rho_gg = gg0 - D. The weights are fixed per call, and a
+sweep keeps only the blocks that carry them: it drops the lightest blocks
+while their summed |weight| stays at most 2^-64, so no value moves by more
+than that (|S_n|, |C_n| <= 1) and zero-weight blocks always go. Direct trig
+sums the kept blocks of (kept, times) trig arrays in a fixed order, with no
+BLAS call, so its bits depend on no BLAS kernel or thread count.
 
-The matrix-product sweeps over a uniform grid t_j = t_0 + j h (bit for bit
-np.linspace, as perr_series builds it) never sample S_n and C_n at all.
+Sweeps keeping more than two blocks (no Fock field does) over a uniform grid
+t_j = t_0 + j h (bit for bit np.linspace, as perr_series builds it) take
+the matrix path, the one BLAS caller, and never sample S_n and C_n at all.
 With j = a K + k and K = 128, row j is the angle sum of its anchor a K and
 its offset k, S = sA cK + cA sK and C = cA cK - sA sK, so every weighted
 sum above is bilinear in the anchor values (sA, cA) and the offset values
@@ -109,8 +110,8 @@ __all__ = [
 # Largest Fock cutoff CavityConfig accepts. A sweep that keeps every block
 # then holds an offset basis of 7 * 128 floats per block, 72 MB per call,
 # over a uniform grid (a 3000-step sweep peaked at 136 MB RSS, interpreter
-# included), and three real (n_max, _MIN_CHUNK) arrays of 41 MB each over
-# other grids.
+# included), and four real (n_max, _MIN_CHUNK) arrays of 41 MB each over
+# other grids (a 3000-step sweep peaked at 196 MB).
 N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
 # Time rows per direct-trig sweep chunk: a power of two in [_MIN_CHUNK,
@@ -122,7 +123,7 @@ _MIN_CHUNK = 512
 _CHUNK_CELLS = 1 << 17
 # A sweep drops its lightest blocks while their summed |weight| stays at
 # most _DROP_MASS (see _SweepWeights); kept widths up to _FIXED_ORDER_WIDTH
-# take the fixed-order contraction, wider ones BLAS.
+# take direct trig on any grid, wider ones the matrix path on uniform grids.
 _DROP_MASS = 2.0**-64
 _FIXED_ORDER_WIDTH = 2
 # Rows per anchor of the matrix path (see _SweepWeights). Its blocks of
@@ -137,9 +138,9 @@ _BLOCK_CELLS = 1 << 18
 # rows, Prescott, to 384, SkylakeX) in two parts split where its thread
 # count says, and splits rows that are no multiple of the kernel's tile
 # between threads by other kernels; either moves the last bit. So every
-# sweep product (_sliced_matmul) cuts its depth to _GEMM_DEPTH rows, added
-# in order, and the matrix path pads its anchor side to a multiple of
-# 2 * _GEMM_ALIGN rows and its offset side to _ANCHOR columns: then 1 to 4
+# product of the matrix path (_sliced_matmul) cuts its depth to _GEMM_DEPTH
+# rows, added in order, and pads its anchor side to a multiple of
+# _GEMM_ALIGN rows per column and its offset side to _ANCHOR columns: 1 to 4
 # threads gave the same bits under the SkylakeX, Haswell, Zen, Sandybridge
 # and Prescott kernels.
 _GEMM_DEPTH = 128
@@ -192,13 +193,18 @@ class FieldState:
         amps = _as_float(self.amplitudes, f"{self.label} amplitudes", complex)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-d array with n_max >= 1")
-        if not abs(math.hypot(*amps.real.tolist(), *amps.imag.tolist()) - 1.0) <= 1e-10:
+        if not abs(_norm(amps) - 1.0) <= 1e-10:
             raise ValueError(f"{self.label} amplitudes must be finite and normalized within 1e-10")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n_max(self) -> int:
         return self.amplitudes.size - 1
+
+
+def _norm(amps: np.ndarray) -> float:
+    # math.hypot, not np.linalg.norm: a BLAS dot's bits depend on the kernel
+    return math.hypot(*amps.real.tolist(), *amps.imag.tolist())
 
 
 def mean_photon(field: FieldState) -> float:
@@ -255,7 +261,7 @@ def coherent_field(alpha, n_max: int = 100) -> FieldState:
     alpha, n_max = _complex(alpha, "alpha"), _cutoff(n_max)
     _check_tail(coherent_tail(alpha, n_max), f"coherent alpha={alpha}")
     amps = _coherent_amplitudes(alpha, n_max)
-    return FieldState("coherent", amps / np.linalg.norm(amps), alpha)
+    return FieldState("coherent", amps / _norm(amps), alpha)
 
 
 def _phase_sum_field(label, alpha, n_max, k, residue, total) -> FieldState:
@@ -265,7 +271,7 @@ def _phase_sum_field(label, alpha, n_max, k, residue, total) -> FieldState:
     amps = np.where(n % k == residue, k * _coherent_amplitudes(alpha, n_max), 0.0 + 0.0j)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)) / total)
     _check_tail(tail, f"{label} alpha={alpha}")
-    return FieldState(label, amps / np.linalg.norm(amps), alpha)
+    return FieldState(label, amps / _norm(amps), alpha)
 
 
 def cat_field(alpha, n_max: int = 100, parity: str = "even") -> FieldState:
@@ -312,7 +318,7 @@ def fock_field(n, n_max: int = 100) -> FieldState:
 def custom_field(amplitudes) -> FieldState:
     """Wrap raw Fock amplitudes (normalized within 1e-10) as a field state."""
     amps = FieldState("custom", amplitudes).amplitudes  # validated, then renormalized
-    return FieldState("custom", amps / np.linalg.norm(amps), None)
+    return FieldState("custom", amps / _norm(amps), None)
 
 
 def make_field(label: str, alpha=0j, n_max: int = 100) -> FieldState:
@@ -472,26 +478,28 @@ class _SweepWeights:
     """Per-call weights of the real trig contractions in _sweep.
 
     Only the kept blocks enter a sweep, listed ascending in kept; every
-    array below runs over them. pairs holds the (re, im) columns of rho_eg
-    against C_m S_{m-1}, S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1} for kept
-    neighbours (row j for kept[j] and kept[j+1]; zero when the two are not
-    adjacent blocks); edges the complex coefficients of C_0 and S_0
-    (from |g,0>) and of C_{n_max-1} and S_{n_max-1} (from |e,n_max>), zero
-    when that block is dropped.
+    array below runs over them. rho_gg's weights are diag_ss and diag_sc
+    negated. pairs holds the (re, im) columns of rho_eg against C_m S_{m-1},
+    S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1} for kept neighbours (row j for
+    kept[j] and kept[j+1]; zero when the two are not adjacent blocks);
+    edges the complex coefficients of C_0 and S_0 (from |g,0>) and of
+    C_{n_max-1} and S_{n_max-1} (from |e,n_max>), zero when that block is
+    dropped.
 
     A block's mass is the summed |re| + |im| of every weight that reads its
-    S_n or C_n: its diag_ss and diag_sc rows, each pair row it is one of the
-    two blocks of, and its edge. Blocks are dropped lightest first while
-    their summed mass, dropped, stays at most _DROP_MASS; as |S_n| and
-    |C_n| are at most 1, no ee, gg or eg value moves by more than dropped
-    (up to the rounding of that sum). Zero-mass blocks are always dropped:
-    a Fock field keeps at most two. path names the contraction,
-    "fixed-order" up to _FIXED_ORDER_WIDTH kept blocks, else "blas".
+    S_n or C_n: its diag_ss and diag_sc weights, twice (rho_ee's and
+    rho_gg's), each pair row it is one of the two blocks of, and its edge.
+    Blocks are dropped lightest first while their summed mass, dropped,
+    stays at most _DROP_MASS; as |S_n| and |C_n| are at most 1, no ee, gg
+    or eg value moves by more than dropped (up to the rounding of that
+    sum). Zero-mass blocks are always dropped: a Fock field keeps at most
+    two.
 
     trig names how a chunk meets S_n and C_n. "direct" calls sin and cos
-    on every cell. "anchored", the matrix path, is taken only on the "blas"
-    path over a grid that is bit for bit np.linspace(t[0], t[-1], n),
-    n >= 2, with spacing h. Row j = a K + k (K = _ANCHOR) is there the angle
+    on every cell and adds the blocks in a fixed order. "anchored", the
+    matrix path, is taken when more than _FIXED_ORDER_WIDTH blocks are kept
+    over a grid that is bit for bit np.linspace(t[0], t[-1], n), n >= 2,
+    with spacing h. Row j = a K + k (K = _ANCHOR) is there the angle
     sum of its anchor row a K (libm at that t_j itself) and offset k, with
     sK = sin(Om_n k h) and cK = cos(Om_n k h), k h read as t_k - t_0, for
     k < min(n, K), once per call (zero for k >= n). basis holds the offset
@@ -506,16 +514,15 @@ class _SweepWeights:
     om: np.ndarray  # (kept,) Om_n
     ee0: float  # p sum |c_n|^2
     gg0: float  # q sum |c_n|^2
-    diag_ss: np.ndarray  # (kept, 2): (ee, gg) columns against S_n^2
-    diag_sc: np.ndarray  # (kept, 2): (ee, gg) columns against S_n C_n
+    diag_ss: np.ndarray  # (kept,): rho_ee against S_n^2
+    diag_sc: np.ndarray  # (kept,): rho_ee against S_n C_n
     pairs: tuple  # four (kept-1, 2) arrays
     edges: tuple  # four complex scalars
     kept: np.ndarray  # (kept,) block indices n, ascending
     dropped: float  # summed mass of the dropped blocks
-    path: str  # "fixed-order" or "blas"
     trig: str  # "direct" or "anchored"
     basis: tuple | None  # anchored: the offset side, see above
-    mix: tuple | None  # anchored: (kept, 6, 4) and (kept-1, 8, 4) arrays
+    mix: tuple | None  # anchored: (kept, 3, 4) and (kept-1, 8, 4) arrays
 
 
 def _uniform(t: np.ndarray) -> bool:
@@ -530,15 +537,13 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times=None) -> _S
     p, q, b = rho0[0, 0].real, rho0[1, 1].real, rho0[0, 1]
     norm = float(np.sum(a2))
 
-    # populations: |u_n|^2 = 1 - y_n^2 S_n^2, |v_n|^2 = y_n^2 S_n^2,
+    # rho_ee's populations: |u_n|^2 = 1 - y_n^2 S_n^2, |v_n|^2 = y_n^2 S_n^2,
     # u_n conj(v_n) = y_n (r_n S_n^2 + i S_n C_n)
     lo2 = a2[:-1] * y * y  # |c_n|^2 y_n^2
     hi2 = a2[1:] * y * y  # |c_{n+1}|^2 y_n^2
     bw = b * c[:-1] * np.conj(c[1:]) * y  # b c_n conj(c_{n+1}) y_n
-    ee_ss = q * hi2 - p * lo2 + 2.0 * r * bw.real
-    gg_ss = p * lo2 - q * hi2 - 2.0 * r * bw.real
-    diag_ss = np.column_stack([ee_ss, gg_ss])
-    diag_sc = np.column_stack([-2.0 * bw.imag, 2.0 * bw.imag])
+    diag_ss = q * hi2 - p * lo2 + 2.0 * r * bw.real
+    diag_sc = -2.0 * bw.imag
 
     # coherence, adjacent blocks m and m-1 for m = 1 .. n_max-1
     cm, cl, ch = c[1:-1], c[:-2], c[2:]  # c_m, c_{m-1}, c_{m+1}
@@ -567,7 +572,7 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times=None) -> _S
         1j * (p * c[-1] * np.conj(c[-2]) * y[-1] - bt * r[-1]),
     )
 
-    mass = np.abs(diag_ss).sum(axis=1) + np.abs(diag_sc).sum(axis=1)
+    mass = 2.0 * (np.abs(diag_ss) + np.abs(diag_sc))  # read by rho_ee and rho_gg
     pair_mass = sum(np.abs(w).sum(axis=1) for w in pairs)  # row m reads m and m-1
     mass[1:] += pair_mass
     mass[:-1] += pair_mass
@@ -584,18 +589,16 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times=None) -> _S
     ends = kept[[0, -1]].tolist() if kept.size else [-1, -1]
     edges = (edges[:2] if ends[0] == 0 else (0j, 0j)) + (
         edges[2:] if ends[1] == cfg.n_max - 1 else (0j, 0j))
-    path = "fixed-order" if kept.size <= _FIXED_ORDER_WIDTH else "blas"
     om = om[kept]
     basis = mix = None
-    if times is not None and path == "blas" and _uniform(times):
+    if times is not None and kept.size > _FIXED_ORDER_WIDTH and _uniform(times):
         # k h as the grid spells it, t_k - t_0 (no larger than the last time)
         trig = _cos_sin(om, times[:_ANCHOR] - times[0], _ANCHOR)  # cK, sK
         basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
                  _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), trig[[0, -1]])
         mix = _anchor_mix(diag_ss[kept], diag_sc[kept], pairs)
     return _SweepWeights(om, p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs, edges,
-                         kept, dropped, path, "direct" if basis is None else "anchored",
-                         basis, mix)
+                         kept, dropped, "direct" if basis is None else "anchored", basis, mix)
 
 
 def _cos_sin(om: np.ndarray, t: np.ndarray, cols: int) -> np.ndarray:
@@ -614,7 +617,8 @@ def _products(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 def _anchor_mix(ss: np.ndarray, sc: np.ndarray, pairs: tuple) -> tuple:
     # The weights against the anchor products cA cA', cA sA', sA cA', sA sA'
-    # (' the lower block of a pair), as (n, (basis row, column), 4) arrays.
+    # (' the lower block of a pair), as (n, (basis row, column), 4) arrays,
+    # the columns rho_ee's (populations) or (re, im) (pairs).
     # With S = sA cK + cA sK and C = cA cK - sA sK, ss S^2 + sc S C is
     # (ss sA^2 + sc sA cA) cK^2 + (2 ss sA cA + sc (cA^2 - sA^2)) cK sK
     # + (ss cA^2 - sc sA cA) sK^2, and the four pair products expand alike
@@ -631,8 +635,8 @@ def _anchor_mix(ss: np.ndarray, sc: np.ndarray, pairs: tuple) -> tuple:
 
 
 def _chunk_rows(kept: int) -> int:
-    # Direct trig: set by the kept width alone, so the chunk bounds, and with
-    # them the bits of every contraction, are the same for any grid length.
+    # Direct trig: set by the kept width alone, the same for any grid
+    # length (each row is summed on its own, so no bound moves a bit).
     rows = _CHUNK
     while rows > _MIN_CHUNK and rows * kept > _CHUNK_CELLS:
         rows //= 2
@@ -654,32 +658,28 @@ def _sweep_rows(w: _SweepWeights) -> int:
 
 
 def _contract_fixed(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # (2, rows): sum over kept blocks k of prod[k] * w[k, j], one block after
-    # the other (a reduction along the outer axis), each product rounded
-    # before its add, so no BLAS kernel or FMA touches the bits
-    return np.add.reduce(prod[:, None, :] * w[:, :, None], axis=0)
+    # (rows,): sum over kept blocks k of prod[k] * w[k], one block after the
+    # other (a reduction along the outer axis), each product rounded before
+    # its add, so no BLAS kernel, thread count or FMA touches the bits
+    return np.add.reduce(prod * w[:, None], axis=0)
 
 
 def _sliced_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # a @ b with its depth cut into _GEMM_DEPTH slices, added in order, so
-    # its bits do not depend on the BLAS thread count
+    # the matrix path's bits do not depend on the BLAS thread count
     out = a[:, :_GEMM_DEPTH] @ b[:_GEMM_DEPTH]
     for lo in range(_GEMM_DEPTH, b.shape[0], _GEMM_DEPTH):
         out += a[:, lo:lo + _GEMM_DEPTH] @ b[lo:lo + _GEMM_DEPTH]
     return out
 
 
-def _contract_blas(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _sliced_matmul(w.T, prod)
-
-
 def _fold(mix: np.ndarray, prods: np.ndarray, basis: np.ndarray, rows: int) -> np.ndarray:
-    # (2, rows) sums over blocks n and basis rows b of the anchor side
+    # (columns, rows) sums over blocks n and basis rows b of the anchor side
     # mix_n @ prods_n, laid out ((n, b), (column, anchor)), times the offset
-    # basis ((n, b), K): a matrix product whose (2 anchors, K) result is the
-    # grid's rows in order.
+    # basis ((n, b), K): a matrix product whose (columns anchors, K) result
+    # is the grid's rows in order.
     side = np.matmul(mix, prods).reshape(basis.shape[0], -1).T
-    return _sliced_matmul(side, basis).reshape(2, -1)[:, :rows]
+    return _sliced_matmul(side, basis).reshape(-1, prods.shape[-1] * _ANCHOR)[:, :rows]
 
 
 def _anchored_sums(w: _SweepWeights, t: np.ndarray):
@@ -693,13 +693,13 @@ def _anchored_sums(w: _SweepWeights, t: np.ndarray):
     diag_mix, pair_mix = w.mix
     anchors = t[::_ANCHOR]
     trig = _cos_sin(w.om, anchors, -(-anchors.size // _GEMM_ALIGN) * _GEMM_ALIGN)  # cA, sA
-    diag = _fold(diag_mix, _products(trig, trig), diag_basis, t.size)
+    pop = _fold(diag_mix, _products(trig, trig), diag_basis, t.size)[0]
     coh = _fold(pair_mix, _products(trig[1:], trig[:-1]), pair_basis, t.size)
     ca, sa = trig[[0, -1]].transpose(1, 0, 2)[..., None]  # (2 end blocks, anchors, 1)
     ck, sk = ends.transpose(1, 0, 2)[:, :, None]  # (2 end blocks, 1, K)
     S = (sa * ck + ca * sk).reshape(2, -1)[:, :t.size]
     C = (ca * ck - sa * sk).reshape(2, -1)[:, :t.size]
-    return diag, coh, S, C
+    return pop, coh, S, C
 
 
 def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg, buf) -> None:
@@ -710,11 +710,11 @@ def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg,
         ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
         return
     if w.trig == "anchored":
-        diag, coh, S, C = _anchored_sums(w, t)
+        pop, coh, S, C = _anchored_sums(w, t)
     else:
-        diag, coh, S, C = _direct_sums(w, t, buf)
-    ee[:] = w.ee0 + diag[0]
-    gg[:] = w.gg0 + diag[1]
+        pop, coh, S, C = _direct_sums(w, t, buf)
+    ee[:] = w.ee0 + pop
+    gg[:] = w.gg0 - pop
     c0, s0, ct, st = w.edges
     edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
     eg[:] = coh[0] + 1j * coh[1] + edge * np.exp(-0.5j * cfg.detuning * t)
@@ -725,22 +725,22 @@ def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg,
 def _direct_sums(w: _SweepWeights, t: np.ndarray, buf):
     # libm on every (kept, rows) cell, then each trig product contracted
     # with its weights
-    contract = _contract_fixed if w.path == "fixed-order" else _contract_blas
     S, C, prod = (plane[:, :t.size] for plane in buf)
     np.multiply.outer(w.om, t, out=C)
     np.sin(C, out=S)
     np.cos(C, out=C)
     np.multiply(S, S, out=prod)
-    diag = contract(prod, w.diag_ss)
+    pop = _contract_fixed(prod, w.diag_ss)
     np.multiply(S, C, out=prod)
-    diag += contract(prod, w.diag_sc)
+    pop += _contract_fixed(prod, w.diag_sc)
 
     adj = prod[1:]  # reused for each product of kept neighbours
     coh = np.zeros((2, t.size))
     for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
         np.multiply(hi[1:], lo[:-1], out=adj)
-        coh += contract(adj, weight)
-    return diag, coh, S, C
+        for part, col in zip(coh, weight.T):  # re, im
+            part += _contract_fixed(adj, col)
+    return pop, coh, S, C
 
 
 def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
@@ -751,24 +751,22 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
     their summed |weight| stays at most 2^-64, which bounds the change to
     every entry. Each chunk of times evaluates S_n = sin(Om_n t) and
     C_n = cos(Om_n t) once, on the kept blocks only, as real (kept, chunk)
-    arrays and contracts their products with the weights: rho_ee and
-    rho_gg from S_n^2 and S_n C_n, rho_eg from the four products of kept
-    neighbours (adjacent blocks; others carry zero weight) plus the |g,0>
-    and |e,n_max> edge terms, times exp(-i omega0 t) in the lab frame. Up
-    to two kept blocks (a Fock field keeps at most two) are summed one
-    after the other in block order, with no BLAS call; wider sets go
-    through a BLAS matrix product.
+    arrays and contracts their products with the weights block by block,
+    with no BLAS call: one population sum D of S_n^2 and S_n C_n
+    (rho_ee = ee0 + D, rho_gg = gg0 - D), and rho_eg from the four
+    products of kept neighbours (adjacent blocks; others carry zero weight)
+    plus the |g,0> and |e,n_max> edge terms, times exp(-i omega0 t) in the
+    lab frame.
 
-    When the wider sets meet a uniform grid, bit for bit
-    np.linspace(times[0], times[-1], len(times)) as perr_series builds it,
-    no (kept, chunk) array is built: sin and cos run only on every 128th
-    row (the anchors) and on 128 offsets per call, every row is the angle
-    sum of the two, and each weighted sum is a matrix product of an anchor
-    side (the weights folded into the anchor values) and an offset basis
-    built once per call. That moves each entry by at most a few
-    eps * max |Om_n t|, the scale at which the argument Om_n t is rounded
-    either way. Other grids, and sparse sweeps, call sin and cos on every
-    cell.
+    More than two kept blocks (no Fock field keeps more) over a uniform
+    grid, bit for bit np.linspace(times[0], times[-1], len(times)), take
+    the matrix path, the one BLAS caller, with no (kept, chunk) array: sin
+    and cos run only on every 128th row (the anchors) and on 128 offsets
+    per call, every row is the angle sum of the two, and each weighted sum
+    is a matrix product of an anchor side (the weights folded into the
+    anchor values) and an offset basis built once per call. That moves
+    each entry by at most a few eps * max |Om_n t|, the scale at which the
+    argument Om_n t is rounded either way.
 
     A chunk of the matrix path holds 64 anchors (8192 rows) while its
     anchor side, 8 anchors * kept floats, fits 2 MiB (up to 512 kept
@@ -776,9 +774,9 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
     anchors from 2049 kept blocks. Other chunks have the most time rows, a
     power of two from 512 to 4096, whose (kept, rows) arrays fit 1 MiB:
     4096 up to 32 kept blocks (every Fock field), 512 from 129. Both rules
-    read the kept width alone. The chunks run inline, one after the other,
-    as OpenBLAS threads the products, and every product's depth is cut
-    into 128-row slices added in order, so no BLAS thread count moves a bit.
+    read the kept width alone. The chunks run inline, as OpenBLAS threads
+    the matrix path's products, whose depth is cut into 128-row slices
+    added in order, so no BLAS thread count moves a bit.
     """
     w = _sweep_weights(field, cfg, rho0, tgrid)
     ee = np.empty(tgrid.size)

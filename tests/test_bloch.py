@@ -157,6 +157,18 @@ def test_p_err_symmetric_and_matches_dense_oracle():
         assert p_err_bloch(r1, r2) == pytest.approx(p_err(a, b), abs=1e-12)
 
 
+@pytest.mark.parametrize("excess", [1e-12, 1.9e-12])
+def test_p_err_just_outside_the_ball(excess):
+    # check_density accepts |r| up to about 1 + 2 NORM_EPS, as_bloch only to
+    # 1 + NORM_EPS: p_err reads the Bloch vectors without as_bloch's bound
+    r = np.array([0.36, -0.48, 0.8]) * (1.0 + excess)
+    rho, antipode, other = rho_of(r), rho_of(-r), rho_of(np.array([0.1, 0.2, -0.3]))
+    assert p_err(rho, rho) == 0.5
+    assert p_err(rho, antipode) == 0.0  # 1/2 - (2 + 2 excess) / 4, clamped
+    assert dense_p_err(rho, antipode) < 0.0
+    assert p_err(rho, other) == pytest.approx(dense_p_err(rho, other), abs=1e-12)
+
+
 def test_hamiltonian_spec_validation():
     with pytest.raises(ValueError):
         HamiltonianSpec(axis=np.array([0.0, 0.0, 2.0]))

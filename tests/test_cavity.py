@@ -548,8 +548,8 @@ def test_block_rows_are_whole_anchors_set_by_the_kept_width():
 
 @pytest.mark.parametrize("name, trig", [
     ("coherent", "anchored"),  # the matrix path: blocks of whole anchors
-    ("coherent_bent_grid", "direct"),  # BLAS contractions of direct trig
-    ("fock", "direct"),  # the fixed-order path
+    ("coherent_bent_grid", "direct"),  # direct trig of a wide sweep
+    ("fock", "direct"),  # direct trig of a sparse sweep
 ])
 def test_chunk_bounds_ignore_grid_length(monkeypatch, name, trig):
     seen = []
@@ -622,8 +622,9 @@ def _full_width_weights(monkeypatch, f, cfg, rho0):
 
 def _block_mass(w):
     # summed |re| + |im| of every weight of a full-width sweep that reads
-    # each block: its diag rows, each pair row it is in, its edge
-    mass = np.abs(w.diag_ss).sum(axis=1) + np.abs(w.diag_sc).sum(axis=1)
+    # each block: its diag weights for rho_ee and, negated, for rho_gg,
+    # each pair row it is in, its edge
+    mass = 2.0 * (np.abs(w.diag_ss) + np.abs(w.diag_sc))
     for pair in w.pairs:
         row = np.abs(pair).sum(axis=1)  # pair row m reads blocks m and m-1
         mass[1:] += row
@@ -659,10 +660,10 @@ def _fold_reference(w, cfg, t, i):
     arg = np.multiply.outer(w.om, t)
     S, C = np.sin(arg)[:, i].tolist(), np.cos(arg)[:, i].tolist()
     k = range(len(S))
-    ee_gg = [
-        _fold((S[n] * S[n], w.diag_ss[n, j]) for n in k)
-        + _fold((S[n] * C[n], w.diag_sc[n, j]) for n in k)
-        for j in range(2)
+    ee_gg = [  # rho_gg reads rho_ee's weights negated
+        _fold((S[n] * S[n], sign * w.diag_ss[n]) for n in k)
+        + _fold((S[n] * C[n], sign * w.diag_sc[n]) for n in k)
+        for sign in (1.0, -1.0)
     ]
     coh = [0.0, 0.0]
     for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
@@ -689,17 +690,17 @@ FOLD_FIELDS = {
 @pytest.mark.parametrize("frame, detuning", [("rotating", 0.0), ("rotating", 0.03), ("lab", 0.03)])
 @pytest.mark.parametrize("qubit", ["excited", "mixed"])
 def test_fixed_order_path_is_a_left_to_right_fold(monkeypatch, name, frame, detuning, qubit):
-    # the Fock fields take this path anyway; the wider ones are sent down
-    # it, so the fold runs over more than two blocks
+    # the Fock fields take direct trig on any grid; the wider ones are kept
+    # off the matrix path, so the fold runs over more than two blocks
     f = FOLD_FIELDS[name]()
     monkeypatch.setattr(cavity, "_FIXED_ORDER_WIDTH", f.n_max)
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
-    w = cavity._sweep_weights(f, cfg, EXCITED if qubit == "excited" else MIXED)
-    assert w.path == "fixed-order"
+    t = np.linspace(0.0, 160.0, 512)
+    w = cavity._sweep_weights(f, cfg, EXCITED if qubit == "excited" else MIXED, t)
+    assert w.trig == "direct"
     if name == "fock_top" and qubit == "excited":
         assert w.kept.size == 0  # |e,n_max> is uncoupled: nothing moves
         return
-    t = np.linspace(0.0, 160.0, 512)
     ee, eg, gg = _run_chunk(w, cfg, t)
     unit_phase = frame == "rotating" and detuning == 0.0
     for i in (0, 1, 97, 255, 384, 511):
@@ -736,7 +737,7 @@ def test_pruned_sweep_is_within_its_dropped_mass_of_the_full_width_sweep(
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
     w = cavity._sweep_weights(f, cfg, MIXED)
     assert 0 < w.kept.size < f.n_max and 0.0 < w.dropped <= cavity._DROP_MASS
-    assert w.path == "blas"
+    assert w.kept.size > cavity._FIXED_ORDER_WIDTH
     times = _multi_chunk_times(f, cfg)
     pruned = reduced_series(f, MIXED, cfg, times)
     with monkeypatch.context() as m:
@@ -802,7 +803,7 @@ def test_blocks_read_only_by_the_coherence_are_kept(monkeypatch, n, kept):
     full = _full_width_weights(monkeypatch, f, cfg, MIXED)
     assert not w.diag_ss.any() and not w.diag_sc.any()
     assert w.kept.tolist() == kept == _nonzero_weight_blocks(full)
-    assert w.dropped == 0.0 and w.path == "fixed-order"
+    assert w.dropped == 0.0 and w.kept.size <= cavity._FIXED_ORDER_WIDTH
     t = np.linspace(0.0, 160.0, 512)
     for pruned, every in zip(_run_chunk(w, cfg, t), _run_chunk(full, cfg, t)):
         assert np.abs(pruned - every).max() <= 1e-15
@@ -872,7 +873,7 @@ def test_a_grid_one_ulp_off_uniform_takes_direct_trig(monkeypatch):
     nudged[1234] = np.nextafter(nudged[1234], np.inf)
     assert _trig(f, cfg, times) == "anchored" and _trig(f, cfg, nudged) == "direct"
     w = cavity._sweep_weights(f, cfg, MIXED, nudged)
-    assert w.basis is None and w.mix is None and w.path == "blas"
+    assert w.basis is None and w.mix is None and w.kept.size > cavity._FIXED_ORDER_WIDTH
     assert np.array_equal(reduced_series(f, MIXED, cfg, nudged),
                           _direct_trig_series(monkeypatch, f, MIXED, cfg, nudged))
 
@@ -898,7 +899,8 @@ def test_fixed_order_sweeps_take_direct_trig(monkeypatch, n, frame):
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=64, frame=frame)
     times = _multi_chunk_times(f, cfg)
     w = cavity._sweep_weights(f, cfg, MIXED, times)
-    assert (w.path, w.trig, w.basis, w.mix) == ("fixed-order", "direct", None, None)
+    assert (w.trig, w.basis, w.mix) == ("direct", None, None)
+    assert w.kept.size <= cavity._FIXED_ORDER_WIDTH
     cells = _libm_cells(monkeypatch)
     reduced_series(f, MIXED, cfg, times)
     assert cells == {"sin": w.kept.size * times.size, "cos": w.kept.size * times.size}
@@ -928,26 +930,29 @@ cfg = CavityConfig(n_max=999)
 qubit = np.array([[0.62, 0.18 - 0.27j], [0.18 + 0.27j, 0.38]])
 times = np.linspace(0.0, 100.0, 2000) ** 1.2
 w = _sweep_weights(f, cfg, qubit, times)
-print(w.kept.size, w.path, w.trig)
+print(w.kept.size, w.trig)
 print(hashlib.sha256(reduced_series(f, qubit, cfg, times).tobytes()).hexdigest())
 """
 
 
 def test_dense_bent_grid_bytes_ignore_the_blas_thread_count():
-    # every block of a random-phase field kept over a non-uniform grid: the
-    # BLAS contractions of direct trig are 999 blocks deep, past every
-    # kernel's GEMM_Q, so only their depth slices keep the bits the same
-    # under one and two OpenBLAS threads
+    # every block of a random-phase field kept over a non-uniform grid, 999
+    # blocks deep, past every kernel's GEMM_Q: direct trig adds them in a
+    # fixed order with no BLAS call, and the amplitudes are normalized with
+    # none, so the bits are the same under one and two OpenBLAS threads and
+    # under the Haswell and Prescott kernels
     out = []
-    for threads in ("1", "2"):
+    for kernel, threads in ((None, "1"), (None, "2"), ("Haswell", "2"), ("Prescott", "2")):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(cavity.__file__).parents[1]))
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
         r = subprocess.run([sys.executable, "-c", _BENT_GRID_SWEEP], capture_output=True,
                            text=True, env=env, check=True)
         out.append(r.stdout)
-    kept, path, trig = out[0].splitlines()[0].split()
-    assert int(kept) > 384 and (path, trig) == ("blas", "direct")  # SkylakeX's GEMM_Q is 384
-    assert out[0] == out[1]
+    kept, trig = out[0].splitlines()[0].split()
+    assert int(kept) > 384 and trig == "direct"  # SkylakeX's GEMM_Q is 384
+    assert out[1:] == out[:1] * 3
 
 
 def test_sliced_matmul_adds_its_depth_slices_in_order():
@@ -958,7 +963,6 @@ def test_sliced_matmul_adds_its_depth_slices_in_order():
         for lo in range(cavity._GEMM_DEPTH, depth, cavity._GEMM_DEPTH):
             want = want + a[:, lo:lo + cavity._GEMM_DEPTH] @ b[lo:lo + cavity._GEMM_DEPTH]
         assert np.array_equal(cavity._sliced_matmul(a, b), want)
-        assert np.array_equal(cavity._contract_blas(b, a.T), want)
         npt.assert_allclose(want, a @ b, rtol=1e-12, atol=1e-12)
 
 
