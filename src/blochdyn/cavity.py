@@ -109,15 +109,17 @@ __all__ = [
 
 # Largest Fock cutoff CavityConfig accepts. A sweep that keeps every block
 # then holds an offset basis of 7 * 128 floats per block, 72 MB per call,
-# over a uniform grid (a 3000-step sweep peaked at 136 MB RSS, interpreter
+# over a uniform grid (a 3000-step sweep peaked at 134 MB RSS, interpreter
 # included), and four real (n_max, _MIN_CHUNK) arrays of 41 MB each over
-# other grids (a 3000-step sweep peaked at 196 MB).
+# other grids: cos and sin, a trig product and its weighted copy (a
+# 3000-step sweep peaked at 196 MB).
 N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
 # Time rows per direct-trig sweep chunk: a power of two in [_MIN_CHUNK,
 # _CHUNK], the largest whose (kept, rows) float64 arrays hold at most
 # _CHUNK_CELLS (1 MiB), so the passes over a chunk run from L2 rather than
-# from memory.
+# from memory: 4096 rows up to 32 kept blocks (every Fock field), 512 from
+# 129.
 _CHUNK = 4096
 _MIN_CHUNK = 512
 _CHUNK_CELLS = 1 << 17
@@ -129,8 +131,10 @@ _FIXED_ORDER_WIDTH = 2
 # Rows per anchor of the matrix path (see _SweepWeights). Its blocks of
 # time rows hold whole anchors, a multiple of _GEMM_ALIGN up to
 # _BLOCK_ANCHORS, with an anchor side (8 anchors * kept floats) of at most
-# _BLOCK_CELLS (2 MiB) where it can. Every block of 16 to 256 anchors ran
-# the benchmark's dense sweeps in the same time, within 5 %.
+# _BLOCK_CELLS (2 MiB) where it can: 64 anchors (8192 rows) up to 512 kept
+# blocks, halved each time the kept width doubles, 8 from 2049. Every
+# block of 16 to 256 anchors ran the benchmark's dense sweeps in the same
+# time, within 5 %.
 _ANCHOR = 128
 _BLOCK_ANCHORS = 64
 _BLOCK_CELLS = 1 << 18
@@ -413,7 +417,7 @@ def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -
     # block, whose rate bounds the detuning edge phase too, and in the lab
     # frame of free phases up to lab_rate * t_end; past the largest float
     # these are NaN, so refuse such a time.
-    rate = math.hypot(0.5 * cfg.detuning, cfg.g * math.sqrt(cfg.n_max))
+    rate = float(cfg._rates[0][-1])
     if cfg.frame == "lab":
         rate = max(rate, lab_rate)
     _phase(rate, t_end, name)
@@ -530,7 +534,7 @@ def _uniform(t: np.ndarray) -> bool:
     return t.size >= 2 and np.array_equal(t, np.linspace(t[0], t[-1], t.size))
 
 
-def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times=None) -> _SweepWeights:
+def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times) -> _SweepWeights:
     c = field.amplitudes
     a2 = np.abs(c) ** 2
     om, y, r = cfg._rates
@@ -591,7 +595,7 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times=None) -> _S
         edges[2:] if ends[1] == cfg.n_max - 1 else (0j, 0j))
     om = om[kept]
     basis = mix = None
-    if times is not None and kept.size > _FIXED_ORDER_WIDTH and _uniform(times):
+    if kept.size > _FIXED_ORDER_WIDTH and _uniform(times):
         # k h as the grid spells it, t_k - t_0 (no larger than the last time)
         trig = _cos_sin(om, times[:_ANCHOR] - times[0], _ANCHOR)  # cK, sK
         basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
@@ -653,10 +657,6 @@ def _block_rows(kept: int) -> int:
     return anchors * _ANCHOR
 
 
-def _sweep_rows(w: _SweepWeights) -> int:
-    return (_block_rows if w.trig == "anchored" else _chunk_rows)(w.om.size)
-
-
 def _contract_fixed(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
     # (rows,): sum over kept blocks k of prod[k] * w[k], one block after the
     # other (a reduction along the outer axis), each product rounded before
@@ -683,7 +683,7 @@ def _fold(mix: np.ndarray, prods: np.ndarray, basis: np.ndarray, rows: int) -> n
 
 
 def _anchored_sums(w: _SweepWeights, t: np.ndarray):
-    # The weighted sums of _sweep_chunk at the rows t of a uniform grid, t[0]
+    # The weighted sums of _direct_sums at the rows t of a uniform grid, t[0]
     # an anchor row: libm's sA, cA at the anchors t[a K], folded with the
     # weights, meet the offset basis (see _SweepWeights); zero anchors pad
     # the anchor side to a multiple of _GEMM_ALIGN. The end blocks' S and C,
@@ -702,93 +702,53 @@ def _anchored_sums(w: _SweepWeights, t: np.ndarray):
     return pop, coh, S, C
 
 
-def _sweep_chunk(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, ee, eg, gg, buf) -> None:
-    # Fills ee, eg, gg (views of the output at t). Direct trig lays its trig
-    # products out (kept, rows) in buf's three float planes (S_n, C_n,
-    # products) of at least t.size columns; the matrix path needs no buf.
-    if not w.kept.size:  # every weight dropped: the constant state
-        ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
-        return
-    if w.trig == "anchored":
-        pop, coh, S, C = _anchored_sums(w, t)
-    else:
-        pop, coh, S, C = _direct_sums(w, t, buf)
-    ee[:] = w.ee0 + pop
-    gg[:] = w.gg0 - pop
-    c0, s0, ct, st = w.edges
-    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
-    eg[:] = coh[0] + 1j * coh[1] + edge * np.exp(-0.5j * cfg.detuning * t)
-    if cfg.frame == "lab":
-        eg *= np.exp(-1j * cfg.omega0 * t)
-
-
-def _direct_sums(w: _SweepWeights, t: np.ndarray, buf):
+def _direct_sums(w: _SweepWeights, t: np.ndarray):
     # libm on every (kept, rows) cell, then each trig product contracted
-    # with its weights
-    S, C, prod = (plane[:, :t.size] for plane in buf)
-    np.multiply.outer(w.om, t, out=C)
-    np.sin(C, out=S)
-    np.cos(C, out=C)
-    np.multiply(S, S, out=prod)
-    pop = _contract_fixed(prod, w.diag_ss)
-    np.multiply(S, C, out=prod)
-    pop += _contract_fixed(prod, w.diag_sc)
-
-    adj = prod[1:]  # reused for each product of kept neighbours
+    # with its weights; only the end blocks' S and C leave, so no trig plane
+    # outlives its chunk
+    C, S = _cos_sin(w.om, t, t.size).transpose(1, 0, 2)
+    pop = _contract_fixed(S * S, w.diag_ss) + _contract_fixed(S * C, w.diag_sc)
     coh = np.zeros((2, t.size))
     for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
-        np.multiply(hi[1:], lo[:-1], out=adj)
+        adj = hi[1:] * lo[:-1]  # kept neighbours
         for part, col in zip(coh, weight.T):  # re, im
             part += _contract_fixed(adj, col)
-    return pop, coh, S, C
+        del adj  # freed before the next product is made
+    return pop, coh, S[[0, -1]], C[[0, -1]]
 
 
 def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
     """(ee, eg, gg): rho_ee, rho_eg and rho_gg at the checked times tgrid.
 
-    Weights are built once per call (see the module docstring), and only
-    the blocks that carry them are kept: the lightest are dropped while
-    their summed |weight| stays at most 2^-64, which bounds the change to
-    every entry. Each chunk of times evaluates S_n = sin(Om_n t) and
-    C_n = cos(Om_n t) once, on the kept blocks only, as real (kept, chunk)
-    arrays and contracts their products with the weights block by block,
-    with no BLAS call: one population sum D of S_n^2 and S_n C_n
-    (rho_ee = ee0 + D, rho_gg = gg0 - D), and rho_eg from the four
-    products of kept neighbours (adjacent blocks; others carry zero weight)
-    plus the |g,0> and |e,n_max> edge terms, times exp(-i omega0 t) in the
-    lab frame.
-
-    More than two kept blocks (no Fock field keeps more) over a uniform
-    grid, bit for bit np.linspace(times[0], times[-1], len(times)), take
-    the matrix path, the one BLAS caller, with no (kept, chunk) array: sin
-    and cos run only on every 128th row (the anchors) and on 128 offsets
-    per call, every row is the angle sum of the two, and each weighted sum
-    is a matrix product of an anchor side (the weights folded into the
-    anchor values) and an offset basis built once per call. That moves
-    each entry by at most a few eps * max |Om_n t|, the scale at which the
-    argument Om_n t is rounded either way.
-
-    A chunk of the matrix path holds 64 anchors (8192 rows) while its
-    anchor side, 8 anchors * kept floats, fits 2 MiB (up to 512 kept
-    blocks), then half as many each time the kept width doubles, down to 8
-    anchors from 2049 kept blocks. Other chunks have the most time rows, a
-    power of two from 512 to 4096, whose (kept, rows) arrays fit 1 MiB:
-    4096 up to 32 kept blocks (every Fock field), 512 from 129. Both rules
-    read the kept width alone. The chunks run inline, as OpenBLAS threads
-    the matrix path's products, whose depth is cut into 128-row slices
-    added in order, so no BLAS thread count moves a bit.
+    The weights, the dropped blocks and the two ways to sum are the module
+    docstring's. The chunk rows (_chunk_rows, _block_rows) read the kept
+    width alone, and the matrix path cuts its depth into slices added in
+    order, so neither the grid length nor the BLAS thread count moves a bit.
     """
     w = _sweep_weights(field, cfg, rho0, tgrid)
     ee = np.empty(tgrid.size)
     gg = np.empty(tgrid.size)
     eg = np.empty(tgrid.size, dtype=complex)
-
-    rows = _sweep_rows(w)
-    # one direct-trig buffer, reused by every chunk; the matrix path needs none
-    buf = None if w.trig == "anchored" else np.empty((3, w.om.size, min(rows, tgrid.size)))
-    for lo in range(0, tgrid.size, rows):
-        sl = slice(lo, lo + rows)
-        _sweep_chunk(w, cfg, tgrid[sl], ee[sl], eg[sl], gg[sl], buf)
+    if not w.kept.size:  # every weight dropped: the constant state
+        ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
+    else:
+        anchored = w.trig == "anchored"
+        sums = _anchored_sums if anchored else _direct_sums
+        rows = (_block_rows if anchored else _chunk_rows)(w.om.size)
+        c0, s0, ct, st = w.edges
+        for lo in range(0, tgrid.size, rows):
+            sl = slice(lo, lo + rows)
+            t = tgrid[sl]
+            pop, coh, S, C = sums(w, t)
+            ee[sl] = w.ee0 + pop
+            gg[sl] = w.gg0 - pop
+            # The phase products stay per chunk: numpy's complex product may
+            # round a row differently at another position in an array, so
+            # one pass over the whole grid would move last bits.
+            edge = C[0] * c0 + S[0] * s0 + C[1] * ct + S[1] * st
+            eg[sl] = coh[0] + 1j * coh[1] + edge * np.exp(-0.5j * cfg.detuning * t)
+            if cfg.frame == "lab":
+                np.multiply(eg[sl], np.exp(-1j * cfg.omega0 * t), out=eg[sl])
     _check_physical(ee, eg, gg)
     return ee, eg, gg
 
@@ -927,7 +887,5 @@ def nonunitary_tau(series: DistinguishabilitySeries, delta, atol: float = 1e-9):
         return float(series.times[0])
     t0, t1 = float(series.times[i - 1]), float(series.times[i])
     p0, p1 = float(series.p_err[i - 1]), float(series.p_err[i])
-    if p0 <= p1:
-        return t1
     frac = min(max((p0 - d) / (p0 - p1), 0.0), 1.0)
     return t0 + frac * (t1 - t0)

@@ -518,7 +518,8 @@ def test_sweep_starts_no_thread_for_any_worker_count(monkeypatch):
 
 def _rows(f, cfg, times=np.linspace(0.0, 160.0, 3), qubit=MIXED):
     # the chunk rows of a sweep of f over a grid like times (uniform by default)
-    return cavity._sweep_rows(cavity._sweep_weights(f, cfg, qubit, times))
+    w = cavity._sweep_weights(f, cfg, qubit, times)
+    return (cavity._block_rows if w.trig == "anchored" else cavity._chunk_rows)(w.om.size)
 
 
 def test_chunk_rows_are_a_cache_sized_power_of_two_set_by_the_kept_width():
@@ -552,14 +553,13 @@ def test_block_rows_are_whole_anchors_set_by_the_kept_width():
     ("fock", "direct"),  # direct trig of a sparse sweep
 ])
 def test_chunk_bounds_ignore_grid_length(monkeypatch, name, trig):
-    seen = []
-    real_chunk = cavity._sweep_chunk
+    seen = []  # (sums function, first time) of each chunk
+    for sums in ("_direct_sums", "_anchored_sums"):
+        def spy(w, t, _sums=sums, _real=getattr(cavity, sums)):
+            seen.append((_sums, t[0]))
+            return _real(w, t)
 
-    def spy(w, cfg, t, *out):
-        seen.append((t[0], t.size))
-        return real_chunk(w, cfg, t, *out)
-
-    monkeypatch.setattr(cavity, "_sweep_chunk", spy)
+        monkeypatch.setattr(cavity, sums, spy)
     f = fock_field(5, n_max=100) if name == "fock" else coherent_field(2.0, n_max=100)
     cfg = CavityConfig(n_max=100)
 
@@ -567,16 +567,14 @@ def test_chunk_bounds_ignore_grid_length(monkeypatch, name, trig):
         times = np.linspace(0.0, 50.0, steps)
         return times ** 1.5 if name == "coherent_bent_grid" else times
 
-    w = cavity._sweep_weights(f, cfg, MIXED, grid(3))
-    assert w.trig == trig
-    rows = (cavity._block_rows if trig == "anchored" else cavity._chunk_rows)(w.kept.size)
-    assert cavity._sweep_rows(w) == rows
+    assert cavity._sweep_weights(f, cfg, MIXED, grid(3)).trig == trig
+    rows = _rows(f, cfg, grid(3))
     for steps in (rows - 1, 3 * rows + 5):
         times = grid(steps)
         assert cavity._sweep_weights(f, cfg, MIXED, times).trig == trig
         seen.clear()
         reduced_series(f, MIXED, cfg, times)
-        assert [t0 for t0, _ in seen] == times[:steps:rows].tolist()
+        assert seen == [(f"_{trig}_sums", t0) for t0 in times[:steps:rows].tolist()]
 
 
 MULTI_CHUNK_FIELDS = {
@@ -611,12 +609,17 @@ def test_multi_chunk_series_matches_dense_oracle(name, frame, detuning):
     assert worst < 1e-9
 
 
+# a non-uniform grid: weights built over it take direct trig at any kept width
+BENT = np.linspace(0.0, 160.0, 3) ** 1.5
+
+
 def _full_width_weights(monkeypatch, f, cfg, rho0):
     # a drop bound below zero keeps every block: the unpruned sweep
     with monkeypatch.context() as m:
         m.setattr(cavity, "_DROP_MASS", -1.0)
-        w = cavity._sweep_weights(f, cfg, rho0)
+        w = cavity._sweep_weights(f, cfg, rho0, BENT)
     assert w.kept.tolist() == list(range(cfg.n_max)) and w.dropped == 0.0
+    assert w.trig == "direct"
     return w
 
 
@@ -638,10 +641,11 @@ def _nonzero_weight_blocks(w):
     return np.flatnonzero(_block_mass(w)).tolist()
 
 
-def _run_chunk(w, cfg, t):
-    ee, eg, gg = np.empty(t.size), np.empty(t.size, dtype=complex), np.empty(t.size)
-    cavity._sweep_chunk(w, cfg, t, ee, eg, gg, np.empty((3, w.om.size, t.size)))
-    return ee, eg, gg
+def _run_chunk(monkeypatch, w, cfg, t):
+    # (ee, eg, gg) of a sweep over t with the weights w; one chunk here
+    with monkeypatch.context() as m:
+        m.setattr(cavity, "_sweep_weights", lambda *args: w)
+        return cavity._sweep(None, None, cfg, t)
 
 
 def _fold(terms):
@@ -701,7 +705,7 @@ def test_fixed_order_path_is_a_left_to_right_fold(monkeypatch, name, frame, detu
     if name == "fock_top" and qubit == "excited":
         assert w.kept.size == 0  # |e,n_max> is uncoupled: nothing moves
         return
-    ee, eg, gg = _run_chunk(w, cfg, t)
+    ee, eg, gg = _run_chunk(monkeypatch, w, cfg, t)
     unit_phase = frame == "rotating" and detuning == 0.0
     for i in (0, 1, 97, 255, 384, 511):
         ee_ref, eg_ref, gg_ref = _fold_reference(w, cfg, t, i)
@@ -735,10 +739,10 @@ def test_pruned_sweep_is_within_its_dropped_mass_of_the_full_width_sweep(
         monkeypatch, name, frame, detuning):
     f = PRUNED_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
-    w = cavity._sweep_weights(f, cfg, MIXED)
+    times = _multi_chunk_times(f, cfg)
+    w = cavity._sweep_weights(f, cfg, MIXED, times)
     assert 0 < w.kept.size < f.n_max and 0.0 < w.dropped <= cavity._DROP_MASS
     assert w.kept.size > cavity._FIXED_ORDER_WIDTH
-    times = _multi_chunk_times(f, cfg)
     pruned = reduced_series(f, MIXED, cfg, times)
     with monkeypatch.context() as m:
         m.setattr(cavity, "_DROP_MASS", -1.0)
@@ -758,7 +762,7 @@ def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, fr
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max, frame=frame)
     full = _full_width_weights(monkeypatch, f, cfg, MIXED)
     monkeypatch.setattr(cavity, "_DROP_MASS", 1e-9)
-    w = cavity._sweep_weights(f, cfg, MIXED)
+    w = cavity._sweep_weights(f, cfg, MIXED, BENT)
     assert w.kept.tolist() == [n for n in range(1, 23) if n != 10]
     mass = _block_mass(full)
     assert w.dropped == pytest.approx(mass[[0, 10, 23]].sum(), rel=1e-15)
@@ -785,7 +789,7 @@ def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, fr
 def test_kept_blocks_are_the_nonzero_weight_blocks_of_sparse_fields(monkeypatch, make, qubit, kept):
     f = make()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    w = cavity._sweep_weights(f, cfg, qubit)
+    w = cavity._sweep_weights(f, cfg, qubit, BENT)
     assert w.kept.tolist() == kept == _nonzero_weight_blocks(
         _full_width_weights(monkeypatch, f, cfg, qubit))
     assert w.dropped == 0.0
@@ -799,13 +803,14 @@ def test_blocks_read_only_by_the_coherence_are_kept(monkeypatch, n, kept):
     # blocks: the pair row m = n, or the |g,0> or |e,n_max> edge
     f = fock_field(n, n_max=40)
     cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40)
-    w = cavity._sweep_weights(f, cfg, MIXED)
+    w = cavity._sweep_weights(f, cfg, MIXED, BENT)
     full = _full_width_weights(monkeypatch, f, cfg, MIXED)
     assert not w.diag_ss.any() and not w.diag_sc.any()
     assert w.kept.tolist() == kept == _nonzero_weight_blocks(full)
     assert w.dropped == 0.0 and w.kept.size <= cavity._FIXED_ORDER_WIDTH
     t = np.linspace(0.0, 160.0, 512)
-    for pruned, every in zip(_run_chunk(w, cfg, t), _run_chunk(full, cfg, t)):
+    for pruned, every in zip(_run_chunk(monkeypatch, w, cfg, t),
+                             _run_chunk(monkeypatch, full, cfg, t)):
         assert np.abs(pruned - every).max() <= 1e-15
 
 
@@ -816,9 +821,9 @@ def test_empty_kept_set_gives_the_constant_series(monkeypatch, frame):
     f = coherent_field(2.0, n_max=40)
     half = np.eye(2) / 2.0
     cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40, frame=frame)
-    w = cavity._sweep_weights(f, cfg, half)
-    assert w.kept.size == 0 and 0.0 < w.dropped <= cavity._DROP_MASS
     times = _multi_chunk_times(f, cfg, half)
+    w = cavity._sweep_weights(f, cfg, half, times)
+    assert w.kept.size == 0 and 0.0 < w.dropped <= cavity._DROP_MASS
     rho = reduced_series(f, half, cfg, times)
     assert np.all(rho[:, 0, 0] == w.ee0) and np.all(rho[:, 1, 1] == w.gg0)
     assert not rho[:, 0, 1].any() and not rho[:, 1, 0].any()
@@ -1246,6 +1251,8 @@ def test_nonunitary_tau_interpolates_linearly():
     assert nonunitary_tau(s, 0.3) == pytest.approx(1.0, abs=1e-15)
     assert nonunitary_tau(s, 0.25) == pytest.approx(1.25, abs=1e-15)
     assert nonunitary_tau(s, 0.5) == 0.0
+    # p1 = 0.3 lies in (delta, delta + atol]: the clipped fraction gives t1
+    assert nonunitary_tau(s, 0.29, atol=0.02) == 1.0
 
 
 def test_nonunitary_tau_absence_and_validation():
