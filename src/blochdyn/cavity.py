@@ -55,13 +55,17 @@ sum above is bilinear in the anchor values (sA, cA) and the offset values
 (sK, cK): the weights fold into products of anchor values, the offsets
 into the basis cK^2, cK sK, sK^2 (populations) and cK_m cK_{m-1},
 cK_m sK_{m-1}, sK_m cK_{m-1}, sK_m sK_{m-1} (coherence), and each sum is
-one (anchors, basis) x (basis, K) matrix product. libm runs once per call
-on the offsets Om_n k h, k < K, and once per anchor row. Both this and
-direct trig round the argument Om_n t at about |Om_n t| eps, so they
-differ at that scale (|Delta rho| up to 0.31 eps max |Om_n t| measured on
-the benchmark's dense sweeps, 4 eps (1 + max |Om_n t|) tested), and neither
-is nearer the exact value. Sparse sweeps and other grids call libm on every
-cell.
+one (anchors, basis) x (basis, K) matrix product; the edge terms, bilinear
+alike in the end blocks' values, are one more. Each phase, exp(-i detuning
+t / 2) and the lab frame's exp(-i omega0 t), is its anchor's times its
+offset's. libm runs once per call on the offsets Om_n k h, k < K, and once
+per anchor row. No sweep takes the detuning phase at zero detuning. Both
+this and direct trig round each argument, Om_n t or omega0 t, at about its
+size times eps (t_aK + k h against t_j adds as much), so they differ at
+that scale: |Delta rho| up to 0.38 eps t max(omega0, Om_n) on the
+benchmark's dense sweeps, where the lab phase's omega0 t is the larger
+argument; 4 eps (1 + max |Om_n t|) tested at omega0 = 1.3, g = 0.07.
+Sparse sweeps and other grids call libm on every cell.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -509,10 +513,12 @@ class _SweepWeights:
     k < min(n, K), once per call (zero for k >= n). basis holds the offset
     side of the sums: (3 kept, K) rows cK^2, cK sK, sK^2 of each block,
     (4 (kept-1), K) rows cK_m cK_{m-1}, cK_m sK_{m-1}, sK_m cK_{m-1},
-    sK_m sK_{m-1} of each kept neighbour pair, and the (2, 2, K) cK, sK of
-    the first and last kept block, for the edge terms. mix folds diag_ss,
-    diag_sc and pairs into weights against the products of anchor values
-    (see _anchor_mix), which a chunk turns into its anchor side.
+    sK_m sK_{m-1} of each kept neighbour pair, the (8, K) re and im of cK,
+    sK of the end blocks times exp(-i detuning k h / 2), for the edge terms
+    (None if no edge weight), and exp(-i omega0 k h) (None in the rotating
+    frame). mix folds diag_ss, diag_sc and pairs into weights against the
+    products of anchor values (see _anchor_mix), which a chunk turns into
+    its anchor side.
     """
 
     om: np.ndarray  # (kept,) Om_n
@@ -527,6 +533,7 @@ class _SweepWeights:
     trig: str  # "direct" or "anchored"
     basis: tuple | None  # anchored: the offset side, see above
     mix: tuple | None  # anchored: (kept, 3, 4) and (kept-1, 8, 4) arrays
+    cfg: CavityConfig  # the phases' detuning, omega0 and frame
 
 
 def _uniform(t: np.ndarray) -> bool:
@@ -597,12 +604,21 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times) -> _SweepW
     basis = mix = None
     if kept.size > _FIXED_ORDER_WIDTH and _uniform(times):
         # k h as the grid spells it, t_k - t_0 (no larger than the last time)
-        trig = _cos_sin(om, times[:_ANCHOR] - times[0], _ANCHOR)  # cK, sK
+        tk = times[:_ANCHOR] - times[0]
+        trig = _cos_sin(om, tk, _ANCHOR)  # cK, sK
+        edge_basis = None
+        if any(edges):
+            edge = trig[[0, -1]].reshape(4, _ANCHOR).astype(complex)
+            if cfg.detuning:
+                edge[:, :tk.size] *= np.exp(-0.5j * cfg.detuning * tk)
+            edge_basis = np.concatenate([edge.real, edge.imag])
+        lab = np.exp(-1j * cfg.omega0 * tk) if cfg.frame == "lab" else None
         basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
-                 _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), trig[[0, -1]])
+                 _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), edge_basis, lab)
         mix = _anchor_mix(diag_ss[kept], diag_sc[kept], pairs)
     return _SweepWeights(om, p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs, edges,
-                         kept, dropped, "direct" if basis is None else "anchored", basis, mix)
+                         kept, dropped, "direct" if basis is None else "anchored", basis, mix,
+                         cfg)
 
 
 def _cos_sin(om: np.ndarray, t: np.ndarray, cols: int) -> np.ndarray:
@@ -683,29 +699,39 @@ def _fold(mix: np.ndarray, prods: np.ndarray, basis: np.ndarray, rows: int) -> n
 
 
 def _anchored_sums(w: _SweepWeights, t: np.ndarray):
-    # The weighted sums of _direct_sums at the rows t of a uniform grid, t[0]
-    # an anchor row: libm's sA, cA at the anchors t[a K], folded with the
+    # The population sum and rho_eg at the rows t of a uniform grid, t[0] an
+    # anchor row: libm's sA, cA at the anchors t[a K], folded with the
     # weights, meet the offset basis (see _SweepWeights); zero anchors pad
-    # the anchor side to a multiple of _GEMM_ALIGN. The end blocks' S and C,
-    # for the edge terms, are their angle sums. The last chunk may end
-    # inside an anchor's rows.
-    diag_basis, pair_basis, ends = w.basis
+    # the anchor side to a multiple of _GEMM_ALIGN. The edge side is four
+    # complex columns times the anchor's detuning phase, as a real product.
+    # The last chunk may end inside an anchor's rows.
+    diag_basis, pair_basis, edge_basis, lab = w.basis
     diag_mix, pair_mix = w.mix
     anchors = t[::_ANCHOR]
     trig = _cos_sin(w.om, anchors, -(-anchors.size // _GEMM_ALIGN) * _GEMM_ALIGN)  # cA, sA
     pop = _fold(diag_mix, _products(trig, trig), diag_basis, t.size)[0]
     coh = _fold(pair_mix, _products(trig[1:], trig[:-1]), pair_basis, t.size)
-    ca, sa = trig[[0, -1]].transpose(1, 0, 2)[..., None]  # (2 end blocks, anchors, 1)
-    ck, sk = ends.transpose(1, 0, 2)[:, :, None]  # (2 end blocks, 1, K)
-    S = (sa * ck + ca * sk).reshape(2, -1)[:, :t.size]
-    C = (ca * ck - sa * sk).reshape(2, -1)[:, :t.size]
-    return pop, coh, S, C
+    if edge_basis is not None:
+        (ca0, sa0), (cat, sat) = trig[0], trig[-1]
+        c0, s0, ct, st = w.edges
+        side = np.stack([c0 * ca0 + s0 * sa0, s0 * ca0 - c0 * sa0,
+                         ct * cat + st * sat, st * cat - ct * sat], axis=1)  # (anchors, 4)
+        if w.cfg.detuning:
+            side[:anchors.size] *= np.exp(-0.5j * w.cfg.detuning * anchors)[:, None]
+        side = np.block([[side.real, -side.imag], [side.imag, side.real]])  # re, im rows
+        coh += _sliced_matmul(side, edge_basis).reshape(2, -1)[:, :t.size]
+    eg = np.empty(t.size, dtype=complex)
+    eg.real, eg.imag = coh
+    if lab is not None:
+        eg *= (np.exp(-1j * w.cfg.omega0 * anchors)[:, None] * lab).ravel()[:t.size]
+    return pop, eg
 
 
 def _direct_sums(w: _SweepWeights, t: np.ndarray):
     # libm on every (kept, rows) cell, then each trig product contracted
-    # with its weights; only the end blocks' S and C leave, so no trig plane
-    # outlives its chunk
+    # with its weights. The phase products stay per chunk: numpy's complex
+    # product may round a row differently at another position in an array,
+    # so one pass over the whole grid would move last bits.
     C, S = _cos_sin(w.om, t, t.size).transpose(1, 0, 2)
     pop = _contract_fixed(S * S, w.diag_ss) + _contract_fixed(S * C, w.diag_sc)
     coh = np.zeros((2, t.size))
@@ -714,7 +740,14 @@ def _direct_sums(w: _SweepWeights, t: np.ndarray):
         for part, col in zip(coh, weight.T):  # re, im
             part += _contract_fixed(adj, col)
         del adj  # freed before the next product is made
-    return pop, coh, S[[0, -1]], C[[0, -1]]
+    c0, s0, ct, st = w.edges
+    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
+    if w.cfg.detuning:
+        edge = edge * np.exp(-0.5j * w.cfg.detuning * t)
+    eg = coh[0] + 1j * coh[1] + edge
+    if w.cfg.frame == "lab":
+        eg *= np.exp(-1j * w.cfg.omega0 * t)
+    return pop, eg
 
 
 def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
@@ -735,20 +768,11 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
         anchored = w.trig == "anchored"
         sums = _anchored_sums if anchored else _direct_sums
         rows = (_block_rows if anchored else _chunk_rows)(w.om.size)
-        c0, s0, ct, st = w.edges
         for lo in range(0, tgrid.size, rows):
             sl = slice(lo, lo + rows)
-            t = tgrid[sl]
-            pop, coh, S, C = sums(w, t)
+            pop, eg[sl] = sums(w, tgrid[sl])
             ee[sl] = w.ee0 + pop
             gg[sl] = w.gg0 - pop
-            # The phase products stay per chunk: numpy's complex product may
-            # round a row differently at another position in an array, so
-            # one pass over the whole grid would move last bits.
-            edge = C[0] * c0 + S[0] * s0 + C[1] * ct + S[1] * st
-            eg[sl] = coh[0] + 1j * coh[1] + edge * np.exp(-0.5j * cfg.detuning * t)
-            if cfg.frame == "lab":
-                np.multiply(eg[sl], np.exp(-1j * cfg.omega0 * t), out=eg[sl])
     _check_physical(ee, eg, gg)
     return ee, eg, gg
 
@@ -813,7 +837,8 @@ def photon_number_expectation(kraus: KrausSet, qubit) -> float:
 class DistinguishabilitySeries:
     """Sampled curve t -> p_err(rho_S(0), rho_S(t)) with its provenance.
 
-    times are raw; multiply by config.omega0 for dimensionless units.
+    times are raw; multiply by config.omega0 for dimensionless units. The
+    times are finite and nondecreasing, each p_err in [0, 1/2].
     """
 
     times: np.ndarray
@@ -822,6 +847,17 @@ class DistinguishabilitySeries:
     qubit_r: np.ndarray
     field_label: str
     field_alpha: complex | None
+
+    def __post_init__(self):
+        t, pe = _as_float(self.times, "times"), _as_float(self.p_err, "p_err")
+        if t.ndim != 1 or pe.shape != t.shape:
+            raise ValueError(f"times and p_err must be 1-d of one length: {t.shape}, {pe.shape}")
+        if not (np.isfinite(t).all() and np.all(t[1:] >= t[:-1])):
+            raise ValueError("times must be finite and nondecreasing")
+        if not np.all((pe >= 0.0) & (pe <= 0.5)):  # NaN fails too
+            raise ValueError("p_err must be finite and lie in [0, 1/2]")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "p_err", pe)
 
     @property
     def samples(self):
@@ -840,9 +876,12 @@ def perr_series(
     """Helstrom error of the evolved vs initial qubit on a uniform grid.
 
     The grid is ``steps`` samples spanning [0, t_max] inclusive, with
-    t_max defaulting to 100 / omega0. The first sample is always
-    (0, 1/2). Deterministic for fixed inputs. ``workers`` (an integer, at
-    least 1) is accepted and changes nothing: the sweep runs inline.
+    t_max defaulting to 100 / omega0. At t = 0 every sine is 0, so p_err[0]
+    is 1/2 up to the rounding of sums of |c_n|^2: exactly 1/2 where they sum
+    to 1 (a Fock field), else a few ulp below (at most 3 ulp of 2^-54 over
+    229 random matrix-path sweeps). Deterministic for fixed inputs.
+    ``workers`` (an integer, at least 1) is accepted and changes nothing:
+    the sweep runs inline.
     """
     r0 = as_bloch(qubit_r)
     t_max = 100.0 / cfg.omega0 if t_max is None else _real(t_max, "t_max", 0.0)

@@ -609,6 +609,49 @@ def test_multi_chunk_series_matches_dense_oracle(name, frame, detuning):
     assert worst < 1e-9
 
 
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize("detuning", [0.0, 0.03, -0.03])
+@pytest.mark.parametrize("steps", [2 * 8192 + 900, 100])  # three blocks; under one anchor
+def test_matrix_path_edge_phases_match_dense_oracle(frame, detuning, steps):
+    # weight on block 0 and on the top block: both edge terms are kept, so
+    # the edge product and the anchor x offset phases all enter rho_eg
+    f = _edge_field(n_max=64)
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
+    times = np.linspace(0.0, 160.0, steps)
+    w = cavity._sweep_weights(f, cfg, MIXED, times)
+    assert w.trig == "anchored" and all(w.edges) and w.basis[2] is not None
+    assert (w.basis[3] is not None) == (frame == "lab")
+    rho = reduced_series(f, MIXED, cfg, times)
+    rows = np.linspace(0, steps - 1, 16).astype(int).tolist()
+    rows += [i for i in (127, 128, 8191, 8192, 8193, 2 * 8192) if i < steps]
+    worst = 0.0
+    for i in rows:
+        t = times[i]
+        ref = dense_reduced(f.amplitudes, MIXED, f.n_max, 1.3, 0.07, t, detuning=detuning)
+        if frame == "rotating":
+            ref = _lab_to_rotating(ref, 1.3, t)
+        worst = max(worst, np.abs(rho[i] - ref).max())
+    assert worst < 1e-9
+
+
+@pytest.mark.parametrize("make, trig", [(lambda: fock_field(5, n_max=64), "direct"),
+                                        (lambda: _edge_field(n_max=64), "anchored")])
+def test_zero_detuning_takes_no_phase_exp(monkeypatch, make, trig):
+    # exp(-i detuning t / 2) is 1 at detuning 0 (or -0.0): neither sweep path
+    # computes it, so a rotating-frame sweep calls no exp at all
+    f = make()
+    times = np.linspace(0.0, 160.0, 9000)
+    cfgs = [CavityConfig(omega0=1.3, g=0.07, detuning=d, n_max=64, frame="rotating")
+            for d in (0.0, -0.0)]
+    assert _trig(f, cfgs[0], times) == trig
+    calls = []
+    real = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *a, **k: calls.append(x) or real(x, *a, **k))
+    plus, minus = (reduced_series(f, MIXED, cfg, times) for cfg in cfgs)
+    assert not calls
+    assert plus.tobytes() == minus.tobytes()
+
+
 # a non-uniform grid: weights built over it take direct trig at any kept width
 BENT = np.linspace(0.0, 160.0, 3) ** 1.5
 
@@ -1169,6 +1212,47 @@ def test_perr_series_vacuum_closed_form():
     series = perr_series(f, (0, 0, 1), cfg, t_max=100.0, steps=2001)
     expect = 0.5 - 0.5 * np.sin(0.05 * series.times) ** 2
     npt.assert_allclose(series.p_err, expect, atol=1e-8)
+
+
+def test_first_sample_is_half_up_to_the_rounding_of_the_norm_sums():
+    # at t = 0 every sine is 0 and every cosine 1, so rho(0) is rho0 times
+    # sums of |c_n|^2: p_err is exactly 1/2 where those sum to exactly 1 (a
+    # Fock field), and within a few ulp below it on the matrix path; these
+    # two sweeps (seed 1 of the benchmark) sit 2 and 1 ulp below
+    fock = fock_field(7, n_max=60)
+    cfg = CavityConfig(omega0=1.1, g=0.053, detuning=-0.07, n_max=60, frame="rotating")
+    series = perr_series(fock, (0.6, 0.0, -0.8), cfg, t_max=120.0, steps=2500)
+    assert _trig(fock, cfg, series.times) == "direct" and series.p_err[0] == 0.5
+    ulp = 2.0**-54  # the spacing of floats just below 1/2
+    for f, cfg, r in (
+        (coherent_field(-0.4308940790952926 + 2.5133283097032524j, n_max=60),
+         CavityConfig(omega0=1.0017868144995223, g=0.05163619912134891, n_max=60),
+         (0.6506112455593974, -0.37284651354046, 0.5198523576613825)),
+        (cat_field(1.6560176874356367 - 1.669331174214424j, n_max=80),
+         CavityConfig(omega0=1.0940462264060256, g=0.06126396469493193, n_max=80),
+         (0.30879860948881926, 0.24911477505869103, -0.8042887173672011)),
+    ):
+        series = perr_series(f, r, cfg, t_max=100.0, steps=1500)
+        assert _trig(f, cfg, series.times, bloch_to_density(np.array(r))) == "anchored"
+        assert 0.5 - 4 * ulp <= series.p_err[0] <= 0.5
+
+
+def test_series_arrays_are_checked():
+    good = synthetic_series([0.0, 1.0, 2.0], [0.5, 0.3, 0.1])
+    assert good.times.dtype == good.p_err.dtype == np.float64
+    for times, p in (
+        ([0.0, 1.0, 2.0], [0.5, np.nan, 0.1]),  # nonunitary_tau gave nan at delta 0.2
+        ([0.0, 1.0, 2.0], [0.5, 0.4]),  # 0.5 at delta 0.45
+        ([0.0, 2.0, 1.0], [0.5, 0.4, 0.3]),  # 1.4999999999999998 at delta 0.35
+        ([0.0, 1.0, np.inf], [0.5, 0.4, 0.3]),
+        ([np.nan, 1.0, 2.0], [0.5, 0.4, 0.3]),
+        ([[0.0, 1.0]], [[0.5, 0.4]]),
+        ([0.0, 1.0], [0.5, 0.6]),
+        ([0.0, 1.0], [0.5, -1e-300]),
+        ([0.0, 1.0], [0.5, -np.inf]),
+    ):
+        with pytest.raises(ValueError):
+            synthetic_series(times, p)
 
 
 def test_perr_series_worker_count_is_invisible():
