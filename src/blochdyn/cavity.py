@@ -64,8 +64,10 @@ this and direct trig round each argument, Om_n t or omega0 t, at about its
 size times eps (t_aK + k h against t_j adds as much), so they differ at
 that scale: |Delta rho| up to 0.38 eps t max(omega0, Om_n) on the
 benchmark's dense sweeps, where the lab phase's omega0 t is the larger
-argument; 4 eps (1 + max |Om_n t|) tested at omega0 = 1.3, g = 0.07.
-Sparse sweeps and other grids call libm on every cell.
+argument; 4 eps (1 + max |Om_n t|) tested at omega0 = 1.3, g = 0.07, and
+4 eps (1 + t max(omega0, Om_n)) in the lab frame at omega0 = 1, g = 0.002,
+t up to 1e4 (coherent, n_max = 60), where omega0 t is 65 times the largest
+Om_n t. Sparse sweeps and other grids call libm on every cell.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -349,51 +351,87 @@ def make_field(label: str, alpha=0j, n_max: int = 100) -> FieldState:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Family of 2x2 qubit operators E_n(t) = <n|V(t)|psi>, n = 0 .. n_max."""
+    """Family of 2x2 qubit operators E_n(t) = <n|V(t)|psi>, n = 0 .. n_max.
+
+    operators is read as a finite complex (n, 2, 2) array, n >= 1, and t as
+    a finite float >= 0.
+    """
 
     t: float
     operators: np.ndarray
+
+    def __post_init__(self):
+        ops = _as_float(self.operators, "operators", complex)
+        if ops.shape[1:] != (2, 2) or not ops.shape[0]:
+            raise ValueError(
+                f"operators must be an (n, 2, 2) array with n >= 1, got shape {ops.shape}")
+        # ravel is a view where ops is one block; count_nonzero is the cheaper reduction
+        if np.count_nonzero(np.isfinite(ops.ravel(order="K"))) < ops.size:
+            raise ValueError("operators must be finite")
+        object.__setattr__(self, "t", _real(self.t, "t", 0.0))
+        object.__setattr__(self, "operators", ops)
 
     def completeness_error(self) -> float:
         """Spectral norm of sum_n E_n' E_n - I. Machine-level for unit-norm fields."""
         m = _gram(self.operators)
         s = (m[:2, :2] + m[2:, 2:]).T  # sum_n E_n' E_n
-        return float(_spectral_norms(s - np.eye(2))[0])  # Hermitian: max |eigenvalue|
+        return float(_spectral_norms((s - np.eye(2))[None])[0])  # Hermitian: max |eigenvalue|
 
     def norms(self) -> np.ndarray:
         """Operator (spectral) norm of each E_n."""
         return _spectral_norms(self.operators)
 
 
+def _entries(ops: np.ndarray) -> np.ndarray:
+    # (4, n) rows a, b, c, d of an (n, 2, 2) stack of operators [[a, b], [c, d]]:
+    # a view, which for _kraus_ops' (2, 2, n) array is that array itself
+    return ops.transpose(1, 2, 0).reshape(4, -1)
+
+
 def _gram(ops: np.ndarray) -> np.ndarray:
     # M[2i+k, 2j+l] = sum_n E_n[i, k] conj(E_n[j, l]), the channel's Choi
     # matrix with its two tensor factors swapped
-    a = ops.reshape(-1, 4)
-    return a.T @ a.conj()
+    a = _entries(ops)
+    return a @ a.conj().T
 
 
 def _spectral_norms(ops: np.ndarray) -> np.ndarray:
     # ||E|| of each E = [[a, b], [c, d]]: the larger eigenvalue of
     # E E' = [[p, x], [conj(x), q]] is (p + q)/2 + hypot((p - q)/2, |x|), a sum
-    # of nonnegative terms. A nonzero E whose p + q leaves [lo, hi] (under- or
-    # overflow) is first scaled by an exact power of two, to a largest part
-    # in [1/2, 1).
-    e = np.ascontiguousarray(ops, dtype=complex).reshape(-1, 4)  # rows (a, b, c, d)
-    lo, hi = 2.0**-960, 2.0**960
+    # of nonnegative terms, exactly 0 for a zero E. Where no step under- or
+    # overflows (a zero E makes none) that is all; else each nonzero E whose
+    # p + q leaves [2^-960, 2^960] is first scaled by an exact power of two, to
+    # a largest part in [1/2, 1), as the closed form is scale-free in between.
+    e = np.ascontiguousarray(_entries(ops), dtype=complex)
+    try:
+        with np.errstate(all="raise"):
+            return _norm_terms(e)[0]
+    except FloatingPointError:
+        pass
+    lo, hi = 2.0**-961, 2.0**959  # on (p + q) / 2
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.square(e.view(float))
-        sq = sq[:, 0::2] + sq[:, 1::2]  # |a|^2, |b|^2, |c|^2, |d|^2
-        p, q = sq[:, 0] + sq[:, 1], sq[:, 2] + sq[:, 3]
-        x = np.abs(e[:, 0] * e[:, 2].conj() + e[:, 1] * e[:, 3].conj())
-        s = p + q
-        out = np.sqrt(0.5 * s + np.hypot(0.5 * (p - q), x))
-        if not lo <= s.min(initial=1.0) <= s.max(initial=1.0) <= hi:  # NaN fails too
-            m = np.abs(e.view(float)).max(axis=1)
-            far = ((s < lo) | ~(s <= hi)) & (0.0 < m) & (m < math.inf)
+        out, s = _norm_terms(e)
+        m = np.abs(e.view(float))
+        m = np.maximum(m[:, 0::2], m[:, 1::2]).max(axis=0)  # largest part of each E
+        far = ((s < lo) | ~(s <= hi)) & (0.0 < m) & (m < math.inf)
+        if far.any():
             k = np.frexp(m[far])[1]
-            scaled = np.ldexp(e[far].view(float), -k[:, None]).view(complex)
-            out[far] = np.ldexp(_spectral_norms(scaled), k)
+            scaled = np.ldexp(np.ascontiguousarray(e[:, far]).view(float), -np.repeat(k, 2))
+            out[far] = np.ldexp(_norm_terms(scaled.view(complex))[0], k)
     return out
+
+
+def _norm_terms(e: np.ndarray):
+    # the norms of the operators with rows a, b, c, d in e, and s = (p + q) / 2.
+    # Halving p and q moves no bit of a norm whose s is in [2^-961, 2^959]: a
+    # subnormal one sits below the other's last bit.
+    sq = np.square(e.view(float))
+    sq = sq[:, 0::2] + sq[:, 1::2]  # |a|^2, |b|^2, |c|^2, |d|^2
+    p, q = 0.5 * (sq[0::2] + sq[1::2])  # p / 2, q / 2
+    x = e[:2] * e[2:].conj()
+    x = np.abs(x[0] + x[1])
+    s = p + q
+    return np.sqrt(s + np.hypot(p - q, x)), s
 
 
 def _check_field(field: FieldState, cfg: CavityConfig) -> None:
@@ -428,39 +466,37 @@ def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -
 
 
 def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
-    # E_m(t) for m = 0 .. n_max at one time t, shape (n_max+1, 2, 2): block n,
+    # E_m(t) for m = 0 .. n_max at one time t in the rotating frame, shape
+    # (n_max+1, 2, 2), a view of a (2, 2, n_max+1) array: block n,
     # [[u, v], [v, conj(u)]] with u = cos(Om t) - i r sin(Om t) and
-    # v = -i y sin(Om t), meets a = c_n and b = c_{n+1} (times its free phase)
-    # as <e|E_n|e> = a u, <e|E_n|g> = b v, <g|E_{n+1}|e> = a v and
-    # <g|E_{n+1}|g> = b conj(u); |g,0> and |e,n_max> are uncoupled.
+    # v = -i y sin(Om t), meets a = c_n and b = c_{n+1} as <e|E_n|e> = a u,
+    # <e|E_n|g> = b v, <g|E_{n+1}|e> = a v and <g|E_{n+1}|g> = b conj(u);
+    # |g,0> and |e,n_max> are uncoupled and turn at +-detuning / 2. The lab
+    # frame's E_m is diag(ph_m, ph_{m-1}) times it (see jc_propagate), a
+    # diagonal unitary that leaves every norm as it is.
     _check_field(field, cfg)
     t = _real(t, "t", 0.0)
     c, n_max = field.amplitudes, cfg.n_max
-    wq = cfg.omega0 + cfg.detuning  # qubit splitting
     # the lab-frame phase of |e,n_max> is the largest free phase
-    _check_phases(cfg, t, "t", n_max * cfg.omega0 + 0.5 * abs(wq))
+    _check_phases(cfg, t, "t", n_max * cfg.omega0 + 0.5 * abs(cfg.omega0 + cfg.detuning))
     om, y, r = cfg._rates
     arg = om * t
     st = np.sin(arg)
-    u = np.cos(arg) - 1j * r * st
+    uc = np.empty(n_max, dtype=complex)  # conj(u), written part by part
+    np.cos(arg, out=uc.real)
+    np.multiply(r, st, out=uc.imag)
     v = -1j * y * st
     a, b = c[:n_max], c[1:]
-    if cfg.frame == "lab":
-        ph = np.exp((-1j * cfg.omega0 * t) * np.arange(0.5, n_max))
-        a, b = a * ph, b * ph
-        ph_g0 = cmath.exp(0.5j * wq * t)
-        ph_etop = cmath.exp(-1j * (n_max * cfg.omega0 + 0.5 * wq) * t)
-    else:
-        ph_g0 = cmath.exp(0.5j * cfg.detuning * t)
-        ph_etop = ph_g0.conjugate()
-    ops = np.zeros((n_max + 1, 2, 2), dtype=complex)
-    np.multiply(a, u, out=ops[:n_max, 0, 0])
-    np.multiply(b, v, out=ops[:n_max, 0, 1])
-    np.multiply(a, v, out=ops[1:, 1, 0])
-    np.multiply(b, u.conj(), out=ops[1:, 1, 1])
-    ops[n_max, 0, 0] = c[n_max] * ph_etop
-    ops[0, 1, 1] = c[0] * ph_g0
-    return ops
+    ops = np.zeros((2, 2, n_max + 1), dtype=complex)  # <i|E_m|k> at [i, k, m]
+    e00, e01, e10, e11 = ops.reshape(4, -1)
+    np.multiply(a, uc.conj(), out=e00[:n_max])
+    np.multiply(b, v, out=e01[:n_max])
+    np.multiply(a, v, out=e10[1:])
+    np.multiply(b, uc, out=e11[1:])
+    ph = cmath.exp(0.5j * cfg.detuning * t)
+    e00[n_max] = c[n_max] * ph.conjugate()
+    e11[0] = c[0] * ph
+    return ops.transpose(2, 0, 1)
 
 
 def _check_physical(ee, eg, gg) -> None:
@@ -808,20 +844,36 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
     """
     rho0 = check_density(qubit)
     ops = _kraus_ops(field, cfg, t)
+    t = float(t)
+    if cfg.frame == "lab":
+        # row i of E_n carries the free phase of |n - i>:
+        # ph_m = exp(-i omega0 t (m + 1/2)), m = -1 .. n_max
+        ph = np.exp((-1j * cfg.omega0 * t) * np.arange(-0.5, cfg.n_max + 1))
+        rows = ops.transpose(1, 2, 0)  # [i, k, n], as _kraus_ops lays it out
+        rows[0] *= ph[1:]
+        rows[1] *= ph[:-1]
     # rho_S[i, j] = sum_n (E_n rho0 E_n')[i, j] = sum_kl rho0[k, l] M[2i+k, 2j+l]
-    rho = np.einsum("ikjl,kl->ij", _gram(ops).reshape(2, 2, 2, 2), rho0)
-    ee, eg, gg = rho[0, 0].real, rho[0, 1], rho[1, 1].real
-    rho_t = np.array([[ee, eg], [np.conj(eg), gg]])
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (_, _, m22, m23), (_, _, m32, m33) = (
+        _gram(ops).tolist())
+    (p, b), (c, q) = rho0.tolist()
+    ee = p * m00 + b * m01 + c * m10 + q * m11
+    eg = p * m02 + b * m03 + c * m12 + q * m13
+    gg = p * m22 + b * m23 + c * m32 + q * m33
+    rho_t = np.array([[ee.real, eg], [eg.conjugate(), gg.real]])
     try:  # _check_physical's tests, in closed form on floats: no reduction of 0-d arrays
         check_density(rho_t, _PHYS_TOL)
     except ValueError as exc:
         raise NonphysicalOutput(f"reduced state broke physicality: {exc}") from None
-    return rho_t, KrausSet(t=float(t), operators=ops)
+    return rho_t, KrausSet(t=t, operators=ops)
 
 
 def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1e-12):
-    """Indices n with operator norm ||E_n(t)|| > tol, ascending."""
-    return np.flatnonzero(_spectral_norms(_kraus_ops(field, cfg, t)) > _real(tol, "tol", 0.0))
+    """Indices n with operator norm ||E_n(t)|| > tol, ascending.
+
+    The norms are read in the rotating frame in both frames: the lab
+    frame's free phases multiply each E_n by a diagonal unitary.
+    """
+    return np.nonzero(_spectral_norms(_kraus_ops(field, cfg, t)) > _real(tol, "tol", 0.0))[0]
 
 
 def photon_number_expectation(kraus: KrausSet, qubit) -> float:

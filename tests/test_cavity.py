@@ -913,6 +913,21 @@ def test_anchored_trig_is_within_the_argument_rounding_of_direct_trig(
     assert np.abs(anchored - direct).max() <= _anchored_bound(f, cfg, times)
 
 
+def test_lab_phase_rounding_scales_with_omega0_t(monkeypatch):
+    # the lab phase's argument omega0 t dwarfs every Om_n t here (Om_n up to
+    # 0.0155), so both ways differ at eps omega0 t: about 5e-13, past
+    # _anchored_bound's 1.3e-13
+    f = coherent_field(3.0, n_max=60)
+    cfg = CavityConfig(omega0=1.0, g=0.002, n_max=60)
+    times = np.linspace(0.0, 1e4, 20000)
+    assert _trig(f, cfg, times) == "anchored"
+    anchored = reduced_series(f, MIXED, cfg, times)
+    direct = _direct_trig_series(monkeypatch, f, MIXED, cfg, times)
+    om = cavity._sweep_weights(f, cfg, MIXED, times).om
+    bound = 4.0 * np.finfo(float).eps * (1.0 + times.max() * max(om.max(), cfg.omega0))
+    assert np.abs(anchored - direct).max() <= bound
+
+
 def test_a_grid_one_ulp_off_uniform_takes_direct_trig(monkeypatch):
     f = PRUNED_FIELDS["coherent"]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
@@ -1189,6 +1204,80 @@ def test_kraus_support_matches_an_svd_support(name, frame):
         npt.assert_array_equal(kraus_support(f, cfg, t), ref)
 
 
+ZERO_OPERATOR_FIELDS = {
+    # E_n is zero where c_{n-1}, c_n and c_{n+1} all are: n = 2 mod 4 for e0
+    # (50 of 201), every n but 6, 7 and 8 for Fock 7 (58 of 61)
+    "e0": (lambda: e0_field(5.0, n_max=200), 50),
+    "fock": (lambda: fock_field(7, n_max=60), 58),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_OPERATOR_FIELDS))
+def test_zero_operators_take_no_rescale_pass(monkeypatch, name):
+    make, zeros = ZERO_OPERATOR_FIELDS[name]
+    f = make()
+    calls = []
+    frexp = np.frexp
+    monkeypatch.setattr(np, "frexp", lambda *args: calls.append(args) or frexp(*args))
+    for frame in ("lab", "rotating"):
+        cfg = CavityConfig(g=0.05, detuning=-0.02, n_max=f.n_max, frame=frame)
+        for t in (13.1, 58.7, 99.0):
+            ops = cavity._kraus_ops(f, cfg, t)
+            zero = ~ops.reshape(-1, 4).any(axis=1)
+            assert zero.sum() == zeros
+            norms = cavity._spectral_norms(ops)
+            assert np.all(norms[zero] == 0.0) and np.all(norms[~zero] > 0.0)
+    assert calls == []
+    # the spy sees the pass that a nonzero operator out of range takes
+    assert cavity._spectral_norms(np.full((1, 2, 2), 1e-200))[0] == pytest.approx(2e-200)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_OPERATOR_FIELDS))
+def test_lab_kraus_support_is_the_svd_support_of_the_phased_family(name):
+    f = ZERO_OPERATOR_FIELDS[name][0]()
+    lab = CavityConfig(g=0.05, detuning=-0.02, n_max=f.n_max)
+    rot = CavityConfig(g=0.05, detuning=-0.02, n_max=f.n_max, frame="rotating")
+    for t in (0.0, 13.1, 58.7, 99.0):
+        ops = jc_propagate(f, MIXED, lab, t)[1].operators
+        # row i of the lab E_n is the rotating one's times exp(-i omega0 t (n - i + 1/2))
+        n = np.arange(f.n_max + 1)[:, None, None]
+        phases = np.exp(-1j * lab.omega0 * t * (n - np.arange(2)[:, None] + 0.5))
+        npt.assert_allclose(ops, phases * cavity._kraus_ops(f, rot, t), rtol=0, atol=1e-15)
+        ref = np.flatnonzero(np.linalg.svd(ops, compute_uv=False)[:, 0] > 1e-12)
+        npt.assert_array_equal(kraus_support(f, lab, t), ref)
+
+
+def test_kraus_set_checks_its_inputs():
+    f = coherent_field(1.5, n_max=20)
+    ops = jc_propagate(f, MIXED, CavityConfig(n_max=20), 3.0)[1].operators
+    given = cavity.KrausSet(3.0, ops)
+    # nested lists are read as the array they spell
+    listed = cavity.KrausSet(3, ops.tolist())
+    assert listed.t == 3.0 and listed.operators.dtype == complex
+    assert listed.completeness_error() == given.completeness_error()
+    assert photon_number_expectation(listed, MIXED) == photon_number_expectation(given, MIXED)
+    npt.assert_array_equal(listed.norms(), given.norms())
+    nan, inf = ops.copy(), ops.copy()
+    nan[4, 0, 1] = complex(math.nan, 0.0)
+    inf[0, 1, 1] = complex(0.0, -math.inf)
+    for bad, match in (
+        (nan, r"^operators must be finite"),
+        (inf, r"^operators must be finite"),
+        (np.eye(2), r"^operators must be an \(n, 2, 2\) array with n >= 1, got shape \(2, 2\)"),
+        (ops[:0], r"^operators must be an \(n, 2, 2\) array with n >= 1, got shape \(0, 2, 2\)"),
+        (ops.reshape(-1, 4), r"^operators must be an \(n, 2, 2\) array"),
+        (ops[:, :1], r"^operators must be an \(n, 2, 2\) array"),
+        ([[[1, 0], [0]]], r"^operators must be numeric"),
+        ("ops", r"^operators must be numeric"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            cavity.KrausSet(1.0, bad)
+    for t in (-1.0, math.nan, math.inf, None, "soon", 10**400):
+        with pytest.raises(ValueError, match=r"^t must be"):
+            cavity.KrausSet(t, ops)
+
+
 # ---------------------------------------------------------------- p_err series
 
 
@@ -1198,12 +1287,16 @@ def test_perr_series_basic_shape():
     series = perr_series(f, (0, 0, 1), cfg, t_max=20.0, steps=201)
     assert series.times.shape == (201,)
     assert series.times[0] == 0.0 and series.times[-1] == 20.0
-    assert series.p_err[0] == 0.5
+    # a matrix-path sweep: 1/2 up to the rounding of the |c_n|^2 sums
+    assert _trig(f, cfg, series.times) == "anchored"
+    assert 0.5 - 4 * 2.0**-54 <= series.p_err[0] <= 0.5
     assert np.all(series.p_err >= 0.0) and np.all(series.p_err <= 0.5)
     assert series.field_label == "coherent"
     assert series.field_alpha == 1.0
-    first = next(iter(series.samples))
-    assert first == (0.0, 0.5)
+    # a Fock field's first sample is exactly 1/2
+    fock = perr_series(fock_field(3, n_max=20), (0, 0, 1), cfg, t_max=20.0, steps=201)
+    assert fock.p_err[0] == 0.5
+    assert next(iter(fock.samples)) == (0.0, 0.5)
 
 
 def test_perr_series_vacuum_closed_form():
