@@ -6,7 +6,11 @@ Hamiltonian H = omega0 * (n . sigma), optionally shifted by +omega0 * I to
 make the spectrum nonnegative, rotates r about n at angular speed
 2 * omega0. hbar = 1 everywhere; omega0 carries units of inverse time.
 
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently. One-vector arithmetic
+runs on Python floats, which round each operation as numpy does; math.sin and
+math.cos give np.sin's and np.cos's bits. numpy stays where its bits differ:
+every norm and every n . r is a BLAS dot (_vec_norm), arcsin and arctan2 are
+np.arcsin and np.arctan2, and complex products are numpy's.
 """
 
 from __future__ import annotations
@@ -126,25 +130,47 @@ def _phase(rate: float, t: float, name: str = "t") -> float:
     return phase
 
 
+def _instance(value, cls, name: str):
+    """value if it is a cls, else a ValueError naming the parameter."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _as_vec3(value, name: str):
-    """value as a float 3-vector and its length (math.hypot: no overflow, no warning)."""
-    vec = _as_float(value, name)
-    if vec.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {vec.shape}")
-    return vec, math.hypot(*vec.tolist())
+    """value as a float 3-vector, its entries as floats and its length (math.hypot: no
+    overflow, no warning). A native float64 (3,) ndarray is taken as it is, else _as_float's."""
+    if not (type(value) is np.ndarray and value.dtype == float and value.shape == (3,)):
+        value = _as_float(value, name)
+        if value.shape != (3,):
+            raise ValueError(f"{name} must have shape (3,), got {value.shape}")
+    xyz = value.tolist()
+    return value, xyz, math.hypot(*xyz)
+
+
+def _vec_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a real vector by its formula, without its dispatch: the square
+    root of the BLAS dot of v raveled, whose last bit depends on the kernel."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
+def _bloch(r):
+    """as_bloch's vector and its entries as floats."""
+    vec, xyz, norm = _as_vec3(r, "Bloch vector")
+    if not norm <= 1.0 + NORM_EPS:
+        if norm != norm:  # a NaN entry
+            raise ValueError(f"Bloch vector must be finite, got {xyz}")
+        raise NormViolation(f"Bloch vector norm {norm:.17g} exceeds 1")
+    return vec, xyz
 
 
 def as_bloch(r) -> np.ndarray:
     """Validate r as a real 3-vector inside the closed unit ball."""
-    vec, norm = _as_vec3(r, "Bloch vector")
-    if not norm <= 1.0 + NORM_EPS:
-        if norm != norm:  # a NaN entry
-            raise ValueError(f"Bloch vector must be finite, got {vec.tolist()}")
-        raise NormViolation(f"Bloch vector norm {norm:.17g} exceeds 1")
-    return vec
+    return _bloch(r)[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class HamiltonianSpec:
     """Fixed rotation axis (unit 3-vector), rate omega0 (see RATE_LIMIT), optional +I shift.
 
@@ -157,21 +183,21 @@ class HamiltonianSpec:
     omega0: float = 1.0
     identity_shift: bool = False
 
-    def __post_init__(self):
-        axis, norm = _as_vec3(self.axis, "axis")
+    def __init__(self, axis, omega0: float = 1.0, identity_shift: bool = False):
+        # checks and sets each field once; frozen, so through the instance dict
+        axis, _, norm = _as_vec3(axis, "axis")
         if not abs(norm - 1.0) <= NORM_EPS:  # NaN fails too
             raise ValueError("axis must be a finite unit vector; see from_axis()")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "omega0", _rate(self.omega0, "omega0"))
-        object.__setattr__(self, "identity_shift", _flag(self.identity_shift, "identity_shift"))
+        vars(self).update(axis=axis, omega0=_rate(omega0, "omega0"),
+                          identity_shift=_flag(identity_shift, "identity_shift"))
 
     @classmethod
     def from_axis(cls, axis, omega0: float = 1.0, identity_shift: bool = False):
         """Build a spec from a not-necessarily-normalized axis."""
-        vec, norm = _as_vec3(axis, "axis")
+        vec, _, norm = _as_vec3(axis, "axis")
         # within these bounds BLAS's norm, whose bits the axis keeps, cannot overflow
         _real(norm, "axis length", 1.0 / RATE_LIMIT, RATE_LIMIT)
-        return cls(vec / np.linalg.norm(vec), omega0, identity_shift)
+        return cls(vec / _vec_norm(vec), omega0, identity_shift)
 
     def matrix(self) -> np.ndarray:
         """2x2 matrix omega0 * (n . sigma [+ I])."""
@@ -230,7 +256,9 @@ def _unit_state(psi) -> np.ndarray:
     a, b = vec.tolist()
     if not abs(math.hypot(a.real, a.imag, b.real, b.imag) - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("state vector must be finite and normalized")
-    return vec / np.linalg.norm(vec)  # no overflow at norm 1; BLAS's bits
+    # no overflow at norm 1: np.linalg.norm's complex formula, and numpy's division
+    x = vec.ravel()
+    return vec / math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def pure_state_bloch(psi) -> np.ndarray:
@@ -259,13 +287,13 @@ def p_err_bloch(r1, r2) -> float:
 
 
 def _helstrom(dr: np.ndarray) -> float:
-    # 1/2 - |dr| / 4 clamped to [0, 1/2]; dr is finite (both ends were checked)
-    d = float(np.linalg.norm(dr))
-    return max(0.0, min(0.5, 0.5 - 0.25 * d))
+    """1/2 - _vec_norm(dr) / 4, clamped to [0, 1/2] on floats; dr is finite (both ends checked)."""
+    return max(0.0, min(0.5, 0.5 - 0.25 * _vec_norm(dr)))
 
 
 def unitary(ham: HamiltonianSpec, t: float) -> np.ndarray:
     """Closed-form propagator exp(-i H t)."""
+    _instance(ham, HamiltonianSpec, "ham")
     angle = _phase(ham.omega0, _real(t, "t"))
     n_sigma = np.einsum("i,ijk->jk", ham.axis, PAULI)
     u = np.cos(angle) * ID2 - 1j * np.sin(angle) * n_sigma
@@ -284,14 +312,14 @@ def evolve_bloch(r, ham: HamiltonianSpec, t: float) -> np.ndarray:
     Norm and the component perpendicular to the axis are conserved. The
     identity shift is a global phase and has no effect here.
     """
-    vec = as_bloch(r)
-    n = ham.axis
+    vec, r3 = _bloch(r)
+    n = _instance(ham, HamiltonianSpec, "ham").axis
     phi = _phase(2.0 * ham.omega0, _real(t, "t"))
-    return (
-        np.cos(phi) * vec
-        - np.sin(phi) * _cross(vec, n)
-        + (1.0 - np.cos(phi)) * np.dot(n, vec) * n
-    )
+    c, s = math.cos(phi), math.sin(phi)  # libm's, as np.cos and np.sin round them
+    k = (1.0 - c) * float(n.dot(vec))
+    n3 = n.tolist()
+    (x, y, z), (u, v, w), (a, b, d) = r3, _cross(r3, n3), n3
+    return np.array([c * x - s * u + k * a, c * y - s * v + k * b, c * z - s * w + k * d])
 
 
 def evolve_density(rho, ham: HamiltonianSpec, t: float) -> np.ndarray:
@@ -314,31 +342,30 @@ class SLDResult:
 
 
 def _cross(a, b):
-    """a x b for 3-vectors or columns, in either order; numpy's bits.
+    """a x b of two triples, each three floats or three coordinate columns; numpy's bits.
 
-    Columns are a tuple of three coordinate arrays, which may broadcast,
-    and give a tuple back. Each component is two products and their
-    difference, each rounded on its own, as numpy's cross computes them,
-    without the axis bookkeeping that is most of numpy's cost on one
-    vector. Two vectors go through Python floats.
+    Columns are arrays, which may broadcast. Each component is two products
+    and their difference, each rounded on its own, as numpy's cross computes
+    them, without the axis bookkeeping that is most of numpy's cost on one
+    vector. Returns the triple as a tuple.
     """
-    vectors = not (isinstance(a, tuple) or isinstance(b, tuple))
-    (a0, a1, a2), (b0, b1, b2) = (a.tolist(), b.tolist()) if vectors else (a, b)
-    c = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    return np.array(c) if vectors else c
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def _perp(axis, r):
     """n x r and the orbit radius |n x r|, for one r or for columns.
 
-    np.linalg.norm rounds one vector (BLAS dot); columns take
-    sqrt((x*x + y*y) + z*z), the plain sum of np.linalg.norm(axis=-1). The
-    two differ in the last bit; each keeps what qsl and scan print.
+    One r (floats) gives an array and _vec_norm's float, np.linalg.norm's
+    bits (a BLAS dot); columns give columns and sqrt((x*x + y*y) + z*z),
+    the plain sum of np.linalg.norm(axis=-1). The two differ in the last
+    bit; each keeps what qsl and scan print.
     """
     x = _cross(axis, r)
-    if isinstance(x, tuple):
-        return x, np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
-    return x, np.linalg.norm(x)
+    if isinstance(x[0], float):
+        x = np.array(x)
+        return x, _vec_norm(x)
+    return x, np.sqrt((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2])
 
 
 def _fisher(s, omega0):
@@ -357,10 +384,11 @@ def sld(r, ham: HamiltonianSpec) -> SLDResult:
     |n x r|. The zero vector is a legal result for states that commute
     with the Hamiltonian.
     """
-    perp, s = _perp(ham.axis, as_bloch(r))
-    return SLDResult(v=2.0 * ham.omega0 * perp, fisher=float(_fisher(s, ham.omega0)))
+    perp, s = _perp(_instance(ham, HamiltonianSpec, "ham").axis.tolist(), _bloch(r)[1])
+    return SLDResult(v=2.0 * ham.omega0 * perp, fisher=_fisher(s, ham.omega0))
 
 
 def qfi(r, ham: HamiltonianSpec) -> float:
     """Quantum Fisher information F = 4 * omega0^2 * |n x r|^2; sld's bits, no SLD."""
-    return float(_fisher(_perp(ham.axis, as_bloch(r))[1], ham.omega0))
+    return _fisher(_perp(_instance(ham, HamiltonianSpec, "ham").axis.tolist(), _bloch(r)[1])[1],
+                   ham.omega0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _cross, _fisher, _rate, _unit_state, as_bloch
+from .bloch import _bloch, _cross, _fisher, _rate, _unit_state, _vec_norm
 from .errors import CollinearInput, LinearlyDependent, OverlapNotReal, RadiusMismatch
 
 __all__ = ["BrachResult", "brach_hamiltonian", "brach_time", "pure_brach"]
@@ -40,13 +40,13 @@ def _fallback_axis(r1: np.ndarray) -> np.ndarray:
     # Deterministic unit axis orthogonal to r1: project e1 out of r1's
     # direction, switching to e2 when r1 (nearly) shadows e1. For r1 = 0
     # any axis is valid; e1 is returned.
-    norm = float(np.linalg.norm(r1))
+    norm = _vec_norm(r1)
     if norm <= _POINT_TOL:
         return np.array([1.0, 0.0, 0.0])
     unit = r1 / norm
     for basis in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
         perp = basis - (basis @ unit) * unit
-        pnorm = float(np.linalg.norm(perp))
+        pnorm = _vec_norm(perp)
         if pnorm > 1e-6:
             return perp / pnorm
     raise AssertionError("unreachable: a unit vector cannot shadow e1 and e2")
@@ -60,26 +60,24 @@ def brach_hamiltonian(r1, r2, omega0: float = 1.0) -> BrachResult:
     output is reproducible. Vectors collinear within tolerance but
     neither equal nor antipodal have no rotation plane and are rejected.
     """
-    a = as_bloch(r1)
-    b = as_bloch(r2)
+    (a, a3), (b, b3) = _bloch(r1), _bloch(r2)
     omega0 = _rate(omega0, "omega0")
-    ra = float(np.linalg.norm(a))
-    rb = float(np.linalg.norm(b))
+    ra, rb = _vec_norm(a), _vec_norm(b)
     if abs(ra - rb) > RADIUS_TOL:
         raise RadiusMismatch(
             f"|r1| = {ra:.17g}, |r2| = {rb:.17g}: rotations preserve the radius"
         )
 
-    cross = _cross(a, b)
-    cross_norm = float(np.linalg.norm(cross))
-    phi12 = float(np.arctan2(cross_norm, float(a @ b)))
+    cross = np.array(_cross(a3, b3))
+    cross_norm = _vec_norm(cross)
+    phi12 = float(np.arctan2(cross_norm, float(a.dot(b))))  # math.atan2 rounds apart
 
     if cross_norm > _POINT_TOL:
         axis = cross / cross_norm
-    elif float(np.linalg.norm(a - b)) <= _POINT_TOL:
+    elif _vec_norm(a - b) <= _POINT_TOL:
         axis = _fallback_axis(a)
         phi12 = 0.0
-    elif float(np.linalg.norm(a + b)) <= _POINT_TOL:
+    elif _vec_norm(a + b) <= _POINT_TOL:
         axis = _fallback_axis(a)
         phi12 = float(np.pi)
     else:
@@ -129,5 +127,5 @@ def pure_brach(psi1, psi2, omega0: float = 1.0) -> np.ndarray:
     if zr < 0.0:
         b = -b
         zr = -zr
-    outer = np.outer(a, b.conj())
+    outer = a[:, None] * b.conj()  # np.outer's product; numpy's complex multiply
     return (-1j * omega0 / np.sqrt(1.0 - zr * zr)) * (outer - outer.conj().T)

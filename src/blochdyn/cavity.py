@@ -85,8 +85,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (RATE_LIMIT, _as_float, _complex, _integer, _phase, _rate, _real, as_bloch,
-                    bloch_to_density, check_density)
+from .bloch import (RATE_LIMIT, _as_float, _complex, _instance, _integer, _phase, _rate, _real,
+                    as_bloch, bloch_to_density, check_density)
 from .errors import TAIL_LIMIT, NonphysicalOutput, TruncationTooSmall
 from .speedlimits import check_delta
 
@@ -219,7 +219,7 @@ def _norm(amps: np.ndarray) -> float:
 
 def mean_photon(field: FieldState) -> float:
     """<a'a> of the field state."""
-    n = np.arange(field.amplitudes.size)
+    n = np.arange(_instance(field, FieldState, "field").amplitudes.size)
     return float(np.sum(n * np.abs(field.amplitudes) ** 2))
 
 
@@ -435,7 +435,7 @@ def _norm_terms(e: np.ndarray):
 
 
 def _check_field(field: FieldState, cfg: CavityConfig) -> None:
-    if field.n_max != cfg.n_max:
+    if _instance(field, FieldState, "field").n_max != _instance(cfg, CavityConfig, "cfg").n_max:
         raise ValueError(
             f"field cutoff {field.n_max} does not match config n_max {cfg.n_max}"
         )
@@ -878,6 +878,7 @@ def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1
 
 def photon_number_expectation(kraus: KrausSet, qubit) -> float:
     """<a'a> at the KrausSet's time: sum_n n tr(E_n rho E_n')."""
+    _instance(kraus, KrausSet, "kraus")
     rho0 = check_density(qubit)
     weights = np.einsum(
         "nij,jk,nik->n", kraus.operators, rho0, kraus.operators.conj()
@@ -936,12 +937,12 @@ def perr_series(
     the sweep runs inline.
     """
     r0 = as_bloch(qubit_r)
+    _check_field(field, cfg)
     t_max = 100.0 / cfg.omega0 if t_max is None else _real(t_max, "t_max", 0.0)
     if t_max == 0.0:
         raise ValueError("t_max must be positive, got 0")
     _check_phases(cfg, t_max, "t_max", cfg.omega0)
     times = np.linspace(0.0, t_max, _integer(steps, "steps", 2))
-    _check_field(field, cfg)
     _integer(workers, "workers", 1)
     ee, eg, gg = _sweep(field, bloch_to_density(r0), cfg, times)
 
@@ -969,6 +970,7 @@ def nonunitary_tau(series: DistinguishabilitySeries, delta, atol: float = 1e-9):
     atol=0 for the strict test. Quadratic refinement is deliberately not
     attempted; near oscillation extrema it is spurious.
     """
+    _instance(series, DistinguishabilitySeries, "series")
     d, atol = check_delta(delta), _real(atol, "atol", 0.0)
     hits = np.flatnonzero(series.p_err <= d + atol)
     if hits.size == 0:

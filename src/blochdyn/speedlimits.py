@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import NORM_EPS, HamiltonianSpec, _fisher, _flag, _integer, _perp, _real, as_bloch, qfi
+from .bloch import (NORM_EPS, HamiltonianSpec, _bloch, _fisher, _flag, _instance, _integer, _perp,
+                    _real, qfi)
 from .errors import DegenerateOrbit, GroundState, NotReachable
 
 __all__ = [
@@ -53,24 +54,28 @@ def check_delta(delta) -> float:
 
 def perp_norm(r, ham: HamiltonianSpec) -> float:
     """|n x r|, the radius of the orbit around the rotation axis."""
-    return float(_perp(ham.axis, as_bloch(r))[1])
+    return _perp(_instance(ham, HamiltonianSpec, "ham").axis.tolist(), _bloch(r)[1])[1]
 
 
 # The three times as functions of s = |n x r|, c = n . r, target = 1 - 2*delta
-# and omega0. Each works on floats and on arrays; callers keep their own
-# domain checks (s > 0 and target <= s, F > 0, c + 1 > 0).
+# and omega0, as floats; _exact_time takes an array s too (the scan). Callers
+# keep their own domain checks (s > 0 and target <= s, F > 0, c + 1 > 0). Only
+# arcsin stays numpy, on floats: math.asin rounds apart from it.
 
 
 def _exact_time(s, target, omega0):
-    return np.arcsin(np.minimum(target / s, 1.0)) / omega0
+    q = target / s  # one orbit's float, or the scan's array
+    if isinstance(q, float):
+        return float(np.arcsin(min(q, 1.0))) / omega0
+    return np.arcsin(np.minimum(q, 1.0)) / omega0
 
 
 def _mt_time(fisher, target):
-    return 2.0 * np.arcsin(target) / np.sqrt(fisher)
+    return 2.0 * float(np.arcsin(target)) / math.sqrt(fisher)
 
 
 def _ml_time(c, target, omega0):
-    return np.pi * (1.0 - np.sqrt(1.0 - target * target)) / (2.0 * omega0 * (c + 1.0))
+    return math.pi * (1.0 - math.sqrt(1.0 - target * target)) / (2.0 * omega0 * (c + 1.0))
 
 
 def tau_exact(r, ham: HamiltonianSpec, delta) -> float:
@@ -92,7 +97,7 @@ def tau_exact(r, ham: HamiltonianSpec, delta) -> float:
         raise NotReachable(
             f"delta={d:.17g} needs |n x r| >= {target:.17g}, orbit has {s:.17g}"
         )
-    return float(_exact_time(s, target, ham.omega0))
+    return _exact_time(s, target, ham.omega0)
 
 
 def tau_mt(r, ham: HamiltonianSpec, delta) -> float:
@@ -107,7 +112,7 @@ def tau_mt(r, ham: HamiltonianSpec, delta) -> float:
         return 0.0
     if fisher <= (2.0 * ham.omega0 * _DEGENERATE_TOL) ** 2:
         raise DegenerateOrbit("zero quantum Fisher information on this orbit")
-    return float(_mt_time(fisher, 1.0 - 2.0 * d))
+    return _mt_time(fisher, 1.0 - 2.0 * d)
 
 
 def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
@@ -121,16 +126,16 @@ def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
     never exceeds the Mandelstam-Tamm bound.
     """
     d, symmetrized = check_delta(delta), _flag(symmetrized, "symmetrized")
-    if not ham.identity_shift:
+    if not _instance(ham, HamiltonianSpec, "ham").identity_shift:
         raise ValueError("the mean-energy bound requires identity_shift=True")
-    c = float(np.dot(ham.axis, as_bloch(r)))
+    c = float(ham.axis.dot(_bloch(r)[0]))
     if d == 0.5:
         return 0.0
     if symmetrized:
         c = abs(c)
     if c + 1.0 <= _GROUND_TOL:
         raise GroundState("state sits at the bottom of the spectrum")
-    return float(_ml_time(c, 1.0 - 2.0 * d, ham.omega0))
+    return _ml_time(c, 1.0 - 2.0 * d, ham.omega0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +165,8 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
     (the shift does not change its value).
     """
     d, ml_symmetrized = check_delta(delta), _flag(ml_symmetrized, "ml_symmetrized")
-    vec = as_bloch(r)
-    s = float(_perp(ham.axis, vec)[1])
+    vec, r3 = _bloch(r)
+    s = _perp(_instance(ham, HamiltonianSpec, "ham").axis.tolist(), r3)[1]
     fisher = _fisher(s, ham.omega0)
     target = 1.0 - 2.0 * d
     # tau_exact's rules: 0 at delta = 1/2, else degenerate or too far is unreachable
@@ -173,22 +178,14 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
         t_mt = 0.0
         t_ml = 0.0
     else:
-        t_exact = float(_exact_time(s, target, ham.omega0)) if reachable else None
-        t_mt = float(_mt_time(fisher, target)) if s > _DEGENERATE_TOL else math.inf
-        c = float(np.dot(ham.axis, vec))
+        t_exact = _exact_time(s, target, ham.omega0) if reachable else None
+        t_mt = _mt_time(fisher, target) if s > _DEGENERATE_TOL else math.inf
+        c = float(ham.axis.dot(vec))
         if ml_symmetrized:
             c = abs(c)
-        t_ml = float(_ml_time(c, target, ham.omega0)) if c + 1.0 > _GROUND_TOL else math.inf
+        t_ml = _ml_time(c, target, ham.omega0) if c + 1.0 > _GROUND_TOL else math.inf
 
-    return ReachabilityReport(
-        reachable=bool(reachable),
-        tau_exact=t_exact,
-        tau_mt=t_mt,
-        tau_ml=t_ml,
-        fisher=fisher,
-        perp_norm=s,
-        min_perr=min_perr,
-    )
+    return ReachabilityReport(bool(reachable), t_exact, t_mt, t_ml, fisher, s, min_perr)
 
 
 def faster_set_contains(r_ref, sigma, ham: HamiltonianSpec) -> bool:
@@ -228,6 +225,7 @@ def _ring_slabs(ham: HamiltonianSpec, theta_psi, grid):
     |r|^2 is (x^2 + y^2) + z^2 of squared ticks: it keeps the points a
     per-point einsum keeps on every grid, though not always its bits.
     """
+    _instance(ham, HamiltonianSpec, "ham")
     theta = _real(theta_psi, "theta_psi", 0.0, np.pi / 2.0)
     res = _integer(grid, "grid", 2, GRID_LIMIT)
 

@@ -303,3 +303,42 @@ def test_a_flag_takes_only_a_bool(call, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must be True or False, got "):
         call(bad)
     assert call(np.bool_(True)) == call(True) != call(False) == call(np.bool_(False))
+
+
+R, RHO = (0.3, 0.0, 0.0), np.eye(2) / 2
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: bd.classify(R, bad, 0.1), "ham"),
+    (lambda bad: bd.tau_exact(R, bad, 0.1), "ham"),
+    (lambda bad: bd.tau_mt(R, bad, 0.1), "ham"),
+    (lambda bad: bd.tau_ml(R, bad, 0.1), "ham"),
+    (lambda bad: bd.qfi(R, bad), "ham"),
+    (lambda bad: bd.sld(R, bad), "ham"),
+    (lambda bad: bd.perp_norm(R, bad), "ham"),
+    (lambda bad: bd.faster_set_contains(R, R, bad), "ham"),
+    (lambda bad: bd.evolve_bloch(R, bad, 1.0), "ham"),
+    (lambda bad: bd.unitary(bad, 1.0), "ham"),
+    (lambda bad: bd.evolve_density(RHO, bad, 1.0), "ham"),
+    (lambda bad: bd.scan_ring(bad, 0.3, 10), "ham"),
+    (lambda bad: bd.jc_propagate(bd.fock_field(1, 4), RHO, bad, 1.0), "cfg"),
+    (lambda bad: bd.perr_series(bd.fock_field(1, 4), R, bad), "cfg"),
+    (lambda bad: bd.reduced_series(bd.fock_field(1, 4), RHO, bad, [0.0]), "cfg"),
+    (lambda bad: bd.kraus_support(bd.fock_field(1, 4), bad, 1.0), "cfg"),
+    (lambda bad: bd.jc_propagate(bad, RHO, SMALL, 1.0), "field"),
+    (lambda bad: bd.perr_series(bad, R, SMALL), "field"),
+    (lambda bad: bd.mean_photon(bad), "field"),
+    (lambda bad: bd.nonunitary_tau(bad, 0.1), "series"),
+    (lambda bad: bd.photon_number_expectation(bad, RHO), "kraus"),
+], ids=["classify", "tau_exact", "tau_mt", "tau_ml", "qfi", "sld", "perp_norm",
+        "faster_set_contains", "evolve_bloch", "unitary", "evolve_density", "scan_ring",
+        "jc_propagate_cfg", "perr_series_cfg", "reduced_series_cfg", "kraus_support_cfg",
+        "jc_propagate_field", "perr_series_field", "mean_photon", "nonunitary_tau",
+        "photon_number_expectation"])
+@pytest.mark.parametrize("bad", ["x", None, 1.0, SMALL, Z], ids=["text", "none", "float", "cfg", "ham"])
+def test_a_wrong_type_object_is_refused_naming_the_parameter(call, name, bad):
+    # each used to raise AttributeError; the parameter's own type is skipped
+    if type(bad).__name__ == {"ham": "HamiltonianSpec", "cfg": "CavityConfig"}.get(name):
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be a [A-Za-z]+, got {type(bad).__name__}$"):
+        call(bad)
