@@ -116,34 +116,28 @@ __all__ = [
 # Largest Fock cutoff CavityConfig accepts. A sweep that keeps every block
 # then holds an offset basis of 7 * 128 floats per block, 72 MB per call,
 # over a uniform grid (a 3000-step sweep peaked at 134 MB RSS, interpreter
-# included), and four real (n_max, _MIN_CHUNK) arrays of 41 MB each over
-# other grids: cos and sin, a trig product and its weighted copy (a
-# 3000-step sweep peaked at 196 MB).
+# included), and four real (n_max, 512) arrays of 41 MB each over other
+# grids: cos and sin, a trig product and its weighted copy (a 3000-step
+# sweep peaked at 196 MB).
 N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
-# Time rows per direct-trig sweep chunk: a power of two in [_MIN_CHUNK,
-# _CHUNK], the largest whose (kept, rows) float64 arrays hold at most
-# _CHUNK_CELLS (1 MiB), so the passes over a chunk run from L2 rather than
-# from memory: 4096 rows up to 32 kept blocks (every Fock field), 512 from
-# 129.
-_CHUNK = 4096
-_MIN_CHUNK = 512
-_CHUNK_CELLS = 1 << 17
 # A sweep drops its lightest blocks while their summed |weight| stays at
 # most _DROP_MASS (see _SweepWeights); kept widths up to _FIXED_ORDER_WIDTH
 # take direct trig on any grid, wider ones the matrix path on uniform grids.
 _DROP_MASS = 2.0**-64
 _FIXED_ORDER_WIDTH = 2
-# Rows per anchor of the matrix path (see _SweepWeights). Its blocks of
-# time rows hold whole anchors, a multiple of _GEMM_ALIGN up to
-# _BLOCK_ANCHORS, with an anchor side (8 anchors * kept floats) of at most
-# _BLOCK_CELLS (2 MiB) where it can: 64 anchors (8192 rows) up to 512 kept
-# blocks, halved each time the kept width doubles, 8 from 2049. Every
-# block of 16 to 256 anchors ran the benchmark's dense sweeps in the same
-# time, within 5 %.
+# Rows per anchor of the matrix path (see _anchored_basis).
 _ANCHOR = 128
-_BLOCK_ANCHORS = 64
-_BLOCK_CELLS = 1 << 18
+# (lo, hi, cells) of each path's chunk rows (_chunk_rows). Direct trig: 512
+# to 4096 rows whose (kept, rows) float64 arrays hold at most 1 MiB, so the
+# passes over a chunk run from L2 rather than from memory: 4096 rows up to
+# 32 kept blocks (every Fock field), 512 from 129. The matrix path: 8 to 64
+# whole anchors (a multiple of _GEMM_ALIGN) whose anchor side, 8 anchors *
+# kept floats, holds at most 2 MiB where it can: 64 anchors (8192 rows) up
+# to 512 kept blocks, 8 from 2049. Every block of 16 to 256 anchors ran the
+# benchmark's dense sweeps in the same time, within 5 %.
+_DIRECT_ROWS = (512, 4096, 1 << 17)
+_ANCHORED_ROWS = (8 * _ANCHOR, 64 * _ANCHOR, 1 << 22)
 # OpenBLAS sums a matrix product deeper than its kernel's GEMM_Q (from 128
 # rows, Prescott, to 384, SkylakeX) in two parts split where its thread
 # count says, and splits rows that are no multiple of the kernel's tile
@@ -372,10 +366,15 @@ class KrausSet:
         object.__setattr__(self, "operators", ops)
 
     def completeness_error(self) -> float:
-        """Spectral norm of sum_n E_n' E_n - I. Machine-level for unit-norm fields."""
-        m = _gram(self.operators)
-        s = (m[:2, :2] + m[2:, 2:]).T  # sum_n E_n' E_n
-        return float(_spectral_norms((s - np.eye(2))[None])[0])  # Hermitian: max |eigenvalue|
+        """Spectral norm of sum_n E_n' E_n - I. Machine-level for unit-norm fields;
+        a ValueError where that sum overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            m = _gram(self.operators)
+            s = (m[:2, :2] + m[2:, 2:]).T  # sum_n E_n' E_n
+        err = float(_spectral_norms((s - np.eye(2))[None])[0])  # Hermitian: max |eigenvalue|
+        if not err < math.inf:  # NaN too
+            raise ValueError("completeness_error overflows: sum_n E_n' E_n leaves the float range")
+        return err
 
     def norms(self) -> np.ndarray:
         """Operator (spectral) norm of each E_n."""
@@ -521,6 +520,10 @@ def _re_im(z) -> np.ndarray:
 class _SweepWeights:
     """Per-call weights of the real trig contractions in _sweep.
 
+    They read no grid, so one set serves any rows: _direct_sums(w, cfg, t)
+    sums the rows t, one row alone included, and _anchored_basis builds the
+    matrix path's per-grid side from them.
+
     Only the kept blocks enter a sweep, listed ascending in kept; every
     array below runs over them. rho_gg's weights are diag_ss and diag_sc
     negated. pairs holds the (re, im) columns of rho_eg against C_m S_{m-1},
@@ -538,23 +541,6 @@ class _SweepWeights:
     or eg value moves by more than dropped (up to the rounding of that
     sum). Zero-mass blocks are always dropped: a Fock field keeps at most
     two.
-
-    trig names how a chunk meets S_n and C_n. "direct" calls sin and cos
-    on every cell and adds the blocks in a fixed order. "anchored", the
-    matrix path, is taken when more than _FIXED_ORDER_WIDTH blocks are kept
-    over a grid that is bit for bit np.linspace(t[0], t[-1], n), n >= 2,
-    with spacing h. Row j = a K + k (K = _ANCHOR) is there the angle
-    sum of its anchor row a K (libm at that t_j itself) and offset k, with
-    sK = sin(Om_n k h) and cK = cos(Om_n k h), k h read as t_k - t_0, for
-    k < min(n, K), once per call (zero for k >= n). basis holds the offset
-    side of the sums: (3 kept, K) rows cK^2, cK sK, sK^2 of each block,
-    (4 (kept-1), K) rows cK_m cK_{m-1}, cK_m sK_{m-1}, sK_m cK_{m-1},
-    sK_m sK_{m-1} of each kept neighbour pair, the (8, K) re and im of cK,
-    sK of the end blocks times exp(-i detuning k h / 2), for the edge terms
-    (None if no edge weight), and exp(-i omega0 k h) (None in the rotating
-    frame). mix folds diag_ss, diag_sc and pairs into weights against the
-    products of anchor values (see _anchor_mix), which a chunk turns into
-    its anchor side.
     """
 
     om: np.ndarray  # (kept,) Om_n
@@ -566,10 +552,6 @@ class _SweepWeights:
     edges: tuple  # four complex scalars
     kept: np.ndarray  # (kept,) block indices n, ascending
     dropped: float  # summed mass of the dropped blocks
-    trig: str  # "direct" or "anchored"
-    basis: tuple | None  # anchored: the offset side, see above
-    mix: tuple | None  # anchored: (kept, 3, 4) and (kept-1, 8, 4) arrays
-    cfg: CavityConfig  # the phases' detuning, omega0 and frame
 
 
 def _uniform(t: np.ndarray) -> bool:
@@ -577,7 +559,7 @@ def _uniform(t: np.ndarray) -> bool:
     return t.size >= 2 and np.array_equal(t, np.linspace(t[0], t[-1], t.size))
 
 
-def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times) -> _SweepWeights:
+def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
     c = field.amplitudes
     a2 = np.abs(c) ** 2
     om, y, r = cfg._rates
@@ -636,25 +618,40 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0, times) -> _SweepW
     ends = kept[[0, -1]].tolist() if kept.size else [-1, -1]
     edges = (edges[:2] if ends[0] == 0 else (0j, 0j)) + (
         edges[2:] if ends[1] == cfg.n_max - 1 else (0j, 0j))
-    om = om[kept]
-    basis = mix = None
-    if kept.size > _FIXED_ORDER_WIDTH and _uniform(times):
-        # k h as the grid spells it, t_k - t_0 (no larger than the last time)
-        tk = times[:_ANCHOR] - times[0]
-        trig = _cos_sin(om, tk, _ANCHOR)  # cK, sK
-        edge_basis = None
-        if any(edges):
-            edge = trig[[0, -1]].reshape(4, _ANCHOR).astype(complex)
-            if cfg.detuning:
-                edge[:, :tk.size] *= np.exp(-0.5j * cfg.detuning * tk)
-            edge_basis = np.concatenate([edge.real, edge.imag])
-        lab = np.exp(-1j * cfg.omega0 * tk) if cfg.frame == "lab" else None
-        basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
-                 _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), edge_basis, lab)
-        mix = _anchor_mix(diag_ss[kept], diag_sc[kept], pairs)
-    return _SweepWeights(om, p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs, edges,
-                         kept, dropped, "direct" if basis is None else "anchored", basis, mix,
-                         cfg)
+    return _SweepWeights(om[kept], p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs,
+                         edges, kept, dropped)
+
+
+def _anchored_basis(w: _SweepWeights, cfg: CavityConfig, times: np.ndarray):
+    """The matrix path's per-grid side of the sums: (basis, mix).
+
+    times is bit for bit np.linspace(t[0], t[-1], n), n >= 2, with spacing
+    h. Row j = a K + k (K = _ANCHOR) is there the angle sum of its anchor
+    row a K (libm at that t_j itself) and offset k, with sK = sin(Om_n k h)
+    and cK = cos(Om_n k h), k h read as t_k - t_0, for k < min(n, K), once
+    per call (zero for k >= n). basis holds the offset side of the sums:
+    (3 kept, K) rows cK^2, cK sK, sK^2 of each block, (4 (kept-1), K) rows
+    cK_m cK_{m-1}, cK_m sK_{m-1}, sK_m cK_{m-1}, sK_m sK_{m-1} of each kept
+    neighbour pair, the (8, K) re and im of cK, sK of the end blocks times
+    exp(-i detuning k h / 2), for the edge terms (None if no edge weight),
+    and exp(-i omega0 k h) (None in the rotating frame). mix folds diag_ss,
+    diag_sc and pairs into (kept, 3, 4) and (kept-1, 8, 4) weights against
+    the products of anchor values (see _anchor_mix), which _anchored_sums
+    turns into each chunk's anchor side.
+    """
+    # k h as the grid spells it, t_k - t_0 (no larger than the last time)
+    tk = times[:_ANCHOR] - times[0]
+    trig = _cos_sin(w.om, tk, _ANCHOR)  # cK, sK
+    edge_basis = None
+    if any(w.edges):
+        edge = trig[[0, -1]].reshape(4, _ANCHOR).astype(complex)
+        if cfg.detuning:
+            edge[:, :tk.size] *= np.exp(-0.5j * cfg.detuning * tk)
+        edge_basis = np.concatenate([edge.real, edge.imag])
+    lab = np.exp(-1j * cfg.omega0 * tk) if cfg.frame == "lab" else None
+    basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
+             _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), edge_basis, lab)
+    return basis, _anchor_mix(w.diag_ss, w.diag_sc, w.pairs)
 
 
 def _cos_sin(om: np.ndarray, t: np.ndarray, cols: int) -> np.ndarray:
@@ -690,30 +687,26 @@ def _anchor_mix(ss: np.ndarray, sc: np.ndarray, pairs: tuple) -> tuple:
     return tuple(out)
 
 
-def _chunk_rows(kept: int) -> int:
-    # Direct trig: set by the kept width alone, the same for any grid
-    # length (each row is summed on its own, so no bound moves a bit).
-    rows = _CHUNK
-    while rows > _MIN_CHUNK and rows * kept > _CHUNK_CELLS:
+def _chunk_rows(kept: int, lo: int, hi: int, cells: int) -> int:
+    # A path's chunk rows (_DIRECT_ROWS, _ANCHORED_ROWS): the largest power
+    # of two in [lo, hi] whose (kept, rows) cells fit, else lo. Set by the
+    # kept width alone, so no grid length moves a chunk bound.
+    rows = hi
+    while rows > lo and rows * kept > cells:
         rows //= 2
     return rows
-
-
-def _block_rows(kept: int) -> int:
-    # The matrix path: whole anchors, a power of two of them from _GEMM_ALIGN
-    # to _BLOCK_ANCHORS, the most whose anchor side, 8 anchors * kept floats,
-    # fits _BLOCK_CELLS; like _chunk_rows, set by the kept width alone.
-    anchors = _BLOCK_ANCHORS
-    while anchors > _GEMM_ALIGN and 8 * anchors * kept > _BLOCK_CELLS:
-        anchors //= 2
-    return anchors * _ANCHOR
 
 
 def _contract_fixed(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
     # (rows,): sum over kept blocks k of prod[k] * w[k], one block after the
     # other (a reduction along the outer axis), each product rounded before
-    # its add, so no BLAS kernel, thread count or FMA touches the bits
-    return np.add.reduce(prod * w[:, None], axis=0)
+    # its add, so no BLAS kernel, thread count or FMA touches the bits. One
+    # row is accumulated instead: numpy reduces a single contiguous column
+    # pairwise from 8 terms up, other bits than the row gets in a longer chunk.
+    terms = prod * w[:, None]
+    if terms.shape[1] == 1 and terms.size:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.reduce(terms, axis=0)
 
 
 def _sliced_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -734,15 +727,15 @@ def _fold(mix: np.ndarray, prods: np.ndarray, basis: np.ndarray, rows: int) -> n
     return _sliced_matmul(side, basis).reshape(-1, prods.shape[-1] * _ANCHOR)[:, :rows]
 
 
-def _anchored_sums(w: _SweepWeights, t: np.ndarray):
+def _anchored_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, basis, mix):
     # The population sum and rho_eg at the rows t of a uniform grid, t[0] an
     # anchor row: libm's sA, cA at the anchors t[a K], folded with the
-    # weights, meet the offset basis (see _SweepWeights); zero anchors pad
+    # weights, meet the offset basis (see _anchored_basis); zero anchors pad
     # the anchor side to a multiple of _GEMM_ALIGN. The edge side is four
     # complex columns times the anchor's detuning phase, as a real product.
     # The last chunk may end inside an anchor's rows.
-    diag_basis, pair_basis, edge_basis, lab = w.basis
-    diag_mix, pair_mix = w.mix
+    diag_basis, pair_basis, edge_basis, lab = basis
+    diag_mix, pair_mix = mix
     anchors = t[::_ANCHOR]
     trig = _cos_sin(w.om, anchors, -(-anchors.size // _GEMM_ALIGN) * _GEMM_ALIGN)  # cA, sA
     pop = _fold(diag_mix, _products(trig, trig), diag_basis, t.size)[0]
@@ -752,18 +745,18 @@ def _anchored_sums(w: _SweepWeights, t: np.ndarray):
         c0, s0, ct, st = w.edges
         side = np.stack([c0 * ca0 + s0 * sa0, s0 * ca0 - c0 * sa0,
                          ct * cat + st * sat, st * cat - ct * sat], axis=1)  # (anchors, 4)
-        if w.cfg.detuning:
-            side[:anchors.size] *= np.exp(-0.5j * w.cfg.detuning * anchors)[:, None]
+        if cfg.detuning:
+            side[:anchors.size] *= np.exp(-0.5j * cfg.detuning * anchors)[:, None]
         side = np.block([[side.real, -side.imag], [side.imag, side.real]])  # re, im rows
         coh += _sliced_matmul(side, edge_basis).reshape(2, -1)[:, :t.size]
     eg = np.empty(t.size, dtype=complex)
     eg.real, eg.imag = coh
     if lab is not None:
-        eg *= (np.exp(-1j * w.cfg.omega0 * anchors)[:, None] * lab).ravel()[:t.size]
+        eg *= (np.exp(-1j * cfg.omega0 * anchors)[:, None] * lab).ravel()[:t.size]
     return pop, eg
 
 
-def _direct_sums(w: _SweepWeights, t: np.ndarray):
+def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray):
     # libm on every (kept, rows) cell, then each trig product contracted
     # with its weights. The phase products stay per chunk: numpy's complex
     # product may round a row differently at another position in an array,
@@ -778,11 +771,11 @@ def _direct_sums(w: _SweepWeights, t: np.ndarray):
         del adj  # freed before the next product is made
     c0, s0, ct, st = w.edges
     edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
-    if w.cfg.detuning:
-        edge = edge * np.exp(-0.5j * w.cfg.detuning * t)
+    if cfg.detuning:
+        edge = edge * np.exp(-0.5j * cfg.detuning * t)
     eg = coh[0] + 1j * coh[1] + edge
-    if w.cfg.frame == "lab":
-        eg *= np.exp(-1j * w.cfg.omega0 * t)
+    if cfg.frame == "lab":
+        eg *= np.exp(-1j * cfg.omega0 * t)
     return pop, eg
 
 
@@ -790,23 +783,29 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
     """(ee, eg, gg): rho_ee, rho_eg and rho_gg at the checked times tgrid.
 
     The weights, the dropped blocks and the two ways to sum are the module
-    docstring's. The chunk rows (_chunk_rows, _block_rows) read the kept
-    width alone, and the matrix path cuts its depth into slices added in
-    order, so neither the grid length nor the BLAS thread count moves a bit.
+    docstring's. The path is decided here, once: more than
+    _FIXED_ORDER_WIDTH kept blocks over a uniform grid (_uniform) take the
+    matrix path, _anchored_sums with the side _anchored_basis builds for
+    this grid, and every other sweep direct trig, _direct_sums. The chunk
+    rows (_chunk_rows) read the path and the kept width alone, and the
+    matrix path cuts its depth into slices added in order, so neither the
+    grid length nor the BLAS thread count moves a bit.
     """
-    w = _sweep_weights(field, cfg, rho0, tgrid)
-    ee = np.empty(tgrid.size)
-    gg = np.empty(tgrid.size)
+    w = _sweep_weights(field, cfg, rho0)
+    ee, gg = np.empty((2, tgrid.size))
     eg = np.empty(tgrid.size, dtype=complex)
-    if not w.kept.size:  # every weight dropped: the constant state
+    kept = w.kept.size
+    if not kept:  # every weight dropped: the constant state
         ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
     else:
-        anchored = w.trig == "anchored"
-        sums = _anchored_sums if anchored else _direct_sums
-        rows = (_block_rows if anchored else _chunk_rows)(w.om.size)
+        if kept > _FIXED_ORDER_WIDTH and _uniform(tgrid):
+            sums, side, rule = _anchored_sums, _anchored_basis(w, cfg, tgrid), _ANCHORED_ROWS
+        else:
+            sums, side, rule = _direct_sums, (), _DIRECT_ROWS
+        rows = _chunk_rows(kept, *rule)
         for lo in range(0, tgrid.size, rows):
             sl = slice(lo, lo + rows)
-            pop, eg[sl] = sums(w, tgrid[sl])
+            pop, eg[sl] = sums(w, cfg, tgrid[sl], *side)
             ee[sl] = w.ee0 + pop
             gg[sl] = w.gg0 - pop
     _check_physical(ee, eg, gg)
@@ -826,12 +825,7 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times):
     _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)", cfg.omega0)
 
     ee, eg, gg = _sweep(field, rho0, cfg, tgrid)
-    out = np.empty((tgrid.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = ee
-    out[:, 0, 1] = eg
-    out[:, 1, 0] = np.conj(eg)
-    out[:, 1, 1] = gg
-    return out
+    return np.stack([ee, eg, eg.conj(), gg], axis=1).reshape(-1, 2, 2)
 
 
 def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
@@ -877,13 +871,17 @@ def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1
 
 
 def photon_number_expectation(kraus: KrausSet, qubit) -> float:
-    """<a'a> at the KrausSet's time: sum_n n tr(E_n rho E_n')."""
+    """<a'a> at the KrausSet's time: sum_n n tr(E_n rho E_n'); a ValueError where it
+    overflows."""
     _instance(kraus, KrausSet, "kraus")
     rho0 = check_density(qubit)
-    weights = np.einsum(
-        "nij,jk,nik->n", kraus.operators, rho0, kraus.operators.conj()
-    ).real
-    return float(np.sum(np.arange(weights.size) * weights))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        ops = kraus.operators
+        weights = np.einsum("nij,jk,nik->n", ops, rho0, ops.conj()).real
+        total = float(np.sum(np.arange(weights.size) * weights))
+    if not abs(total) < math.inf:  # NaN too
+        raise ValueError("photon_number_expectation overflows the float range")
+    return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -477,7 +477,7 @@ def _lab_to_rotating(rho, omega0, t):
 def test_reduced_series_matches_dense_oracle(name, frame, detuning):
     f = SERIES_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
-    times = np.linspace(0.0, 160.0, cavity._CHUNK + 1500)  # two chunks
+    times = np.linspace(0.0, 160.0, cavity._DIRECT_ROWS[1] + 1500)  # two direct-trig chunks
     rho = reduced_series(f, MIXED, cfg, times)
     worst = 0.0
     for i in np.linspace(0, times.size - 1, 24).astype(int):
@@ -493,7 +493,7 @@ def test_reduced_series_matches_dense_oracle(name, frame, detuning):
 def test_reduced_series_agrees_with_jc_propagate(frame):
     for f in (_edge_field(), coherent_field(2.0 * np.exp(0.4j), n_max=40)):
         cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.02, n_max=f.n_max, frame=frame)
-        times = np.linspace(0.0, 160.0, cavity._CHUNK + 700)
+        times = np.linspace(0.0, 160.0, cavity._DIRECT_ROWS[1] + 700)
         rho = reduced_series(f, MIXED, cfg, times)
         for i in np.linspace(0, times.size - 1, 20).astype(int):
             got, _ = jc_propagate(f, MIXED, cfg, times[i])
@@ -518,33 +518,54 @@ def test_sweep_starts_no_thread_for_any_worker_count(monkeypatch):
 
 def _rows(f, cfg, times=np.linspace(0.0, 160.0, 3), qubit=MIXED):
     # the chunk rows of a sweep of f over a grid like times (uniform by default)
-    w = cavity._sweep_weights(f, cfg, qubit, times)
-    return (cavity._block_rows if w.trig == "anchored" else cavity._chunk_rows)(w.om.size)
+    kept = cavity._sweep_weights(f, cfg, qubit).kept.size
+    anchored = kept > 0 and _trig(f, cfg, times, qubit) == "anchored"  # no kept block, no path
+    return cavity._chunk_rows(kept, *(cavity._ANCHORED_ROWS if anchored else cavity._DIRECT_ROWS))
 
 
-def test_chunk_rows_are_a_cache_sized_power_of_two_set_by_the_kept_width():
+def _old_direct_rows(kept):
+    # the direct-trig chunk rows before the one rule, as they were written
+    rows = 4096
+    while rows > 512 and rows * kept > 1 << 17:
+        rows //= 2
+    return rows
+
+
+def _old_block_rows(kept):
+    # the matrix path's block rows before the one rule, as they were written
+    anchors = 64
+    while anchors > 8 and 8 * anchors * kept > 1 << 18:
+        anchors //= 2
+    return anchors * 128
+
+
+def test_chunk_rows_of_direct_trig_are_a_cache_sized_power_of_two_set_by_the_kept_width():
+    lo, hi, cells = cavity._DIRECT_ROWS
     for kept in range(cavity.N_MAX_LIMIT + 1):
-        rows = cavity._chunk_rows(kept)
-        assert rows & (rows - 1) == 0 and 512 <= rows <= cavity._CHUNK
+        rows = cavity._chunk_rows(kept, lo, hi, cells)
+        assert rows == _old_direct_rows(kept)
+        assert rows & (rows - 1) == 0 and 512 <= rows <= 4096
         if rows > 512:
-            assert rows * kept <= cavity._CHUNK_CELLS
-        if rows < cavity._CHUNK:  # the largest that fits
-            assert 2 * rows * kept > cavity._CHUNK_CELLS
+            assert rows * kept <= cells
+        if rows < 4096:  # the largest that fits
+            assert 2 * rows * kept > cells
         if kept <= 32:  # the golden sweeps keep one chunk of today's shape
-            assert rows == cavity._CHUNK
+            assert rows == 4096
 
 
-def test_block_rows_are_whole_anchors_set_by_the_kept_width():
-    for kept in range(3, cavity.N_MAX_LIMIT + 1):  # the matrix path keeps three or more
-        rows = cavity._block_rows(kept)
+def test_chunk_rows_of_the_matrix_path_are_whole_anchors_set_by_the_kept_width():
+    lo, hi, cells = cavity._ANCHORED_ROWS
+    for kept in range(cavity.N_MAX_LIMIT + 1):
+        rows = cavity._chunk_rows(kept, lo, hi, cells)
+        assert rows == _old_block_rows(kept)
         anchors = rows // cavity._ANCHOR
         assert rows == anchors * cavity._ANCHOR and anchors & (anchors - 1) == 0
         assert anchors % cavity._GEMM_ALIGN == 0
-        assert cavity._GEMM_ALIGN <= anchors <= cavity._BLOCK_ANCHORS
-        if anchors > cavity._GEMM_ALIGN:  # the anchor side fits
-            assert 8 * anchors * kept <= cavity._BLOCK_CELLS
-        if anchors < cavity._BLOCK_ANCHORS:  # the most that fit
-            assert 16 * anchors * kept > cavity._BLOCK_CELLS
+        assert cavity._GEMM_ALIGN <= anchors <= 64
+        if anchors > cavity._GEMM_ALIGN:  # the anchor side, 8 anchors * kept floats, fits 2 MiB
+            assert 8 * anchors * kept <= 1 << 18
+        if anchors < 64:  # the most that fit
+            assert 16 * anchors * kept > 1 << 18
 
 
 @pytest.mark.parametrize("name, trig", [
@@ -555,9 +576,9 @@ def test_block_rows_are_whole_anchors_set_by_the_kept_width():
 def test_chunk_bounds_ignore_grid_length(monkeypatch, name, trig):
     seen = []  # (sums function, first time) of each chunk
     for sums in ("_direct_sums", "_anchored_sums"):
-        def spy(w, t, _sums=sums, _real=getattr(cavity, sums)):
+        def spy(w, cfg, t, *side, _sums=sums, _real=getattr(cavity, sums)):
             seen.append((_sums, t[0]))
-            return _real(w, t)
+            return _real(w, cfg, t, *side)
 
         monkeypatch.setattr(cavity, sums, spy)
     f = fock_field(5, n_max=100) if name == "fock" else coherent_field(2.0, n_max=100)
@@ -567,11 +588,9 @@ def test_chunk_bounds_ignore_grid_length(monkeypatch, name, trig):
         times = np.linspace(0.0, 50.0, steps)
         return times ** 1.5 if name == "coherent_bent_grid" else times
 
-    assert cavity._sweep_weights(f, cfg, MIXED, grid(3)).trig == trig
     rows = _rows(f, cfg, grid(3))
     for steps in (rows - 1, 3 * rows + 5):
         times = grid(steps)
-        assert cavity._sweep_weights(f, cfg, MIXED, times).trig == trig
         seen.clear()
         reduced_series(f, MIXED, cfg, times)
         assert seen == [(f"_{trig}_sums", t0) for t0 in times[:steps:rows].tolist()]
@@ -618,9 +637,11 @@ def test_matrix_path_edge_phases_match_dense_oracle(frame, detuning, steps):
     f = _edge_field(n_max=64)
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
     times = np.linspace(0.0, 160.0, steps)
-    w = cavity._sweep_weights(f, cfg, MIXED, times)
-    assert w.trig == "anchored" and all(w.edges) and w.basis[2] is not None
-    assert (w.basis[3] is not None) == (frame == "lab")
+    assert _trig(f, cfg, times) == "anchored"
+    w = cavity._sweep_weights(f, cfg, MIXED)
+    basis, _ = cavity._anchored_basis(w, cfg, times)
+    assert all(w.edges) and basis[2] is not None
+    assert (basis[3] is not None) == (frame == "lab")
     rho = reduced_series(f, MIXED, cfg, times)
     rows = np.linspace(0, steps - 1, 16).astype(int).tolist()
     rows += [i for i in (127, 128, 8191, 8192, 8193, 2 * 8192) if i < steps]
@@ -652,17 +673,12 @@ def test_zero_detuning_takes_no_phase_exp(monkeypatch, make, trig):
     assert plus.tobytes() == minus.tobytes()
 
 
-# a non-uniform grid: weights built over it take direct trig at any kept width
-BENT = np.linspace(0.0, 160.0, 3) ** 1.5
-
-
 def _full_width_weights(monkeypatch, f, cfg, rho0):
     # a drop bound below zero keeps every block: the unpruned sweep
     with monkeypatch.context() as m:
         m.setattr(cavity, "_DROP_MASS", -1.0)
-        w = cavity._sweep_weights(f, cfg, rho0, BENT)
+        w = cavity._sweep_weights(f, cfg, rho0)
     assert w.kept.tolist() == list(range(cfg.n_max)) and w.dropped == 0.0
-    assert w.trig == "direct"
     return w
 
 
@@ -685,7 +701,7 @@ def _nonzero_weight_blocks(w):
 
 
 def _run_chunk(monkeypatch, w, cfg, t):
-    # (ee, eg, gg) of a sweep over t with the weights w; one chunk here
+    # (ee, eg, gg) of a sweep over t with the weights w
     with monkeypatch.context() as m:
         m.setattr(cavity, "_sweep_weights", lambda *args: w)
         return cavity._sweep(None, None, cfg, t)
@@ -733,24 +749,37 @@ FOLD_FIELDS = {
 }
 
 
+FOLD_GRIDS = {  # a grid and the rows read from it
+    "one_chunk": (np.linspace(0.0, 160.0, 512), (0, 1, 97, 255, 384, 511)),
+    "one_row": (np.array([37.5]), (0,)),
+    # 4096-row chunks (every fold field keeps at most 32 blocks): the last is one row
+    "last_chunk_one_row": (np.linspace(0.0, 160.0, 4097), (0, 1, 4095, 4096)),
+}
+
+
 @pytest.mark.parametrize("name", sorted(FOLD_FIELDS))
 @pytest.mark.parametrize("frame, detuning", [("rotating", 0.0), ("rotating", 0.03), ("lab", 0.03)])
 @pytest.mark.parametrize("qubit", ["excited", "mixed"])
-def test_fixed_order_path_is_a_left_to_right_fold(monkeypatch, name, frame, detuning, qubit):
+@pytest.mark.parametrize("grid", sorted(FOLD_GRIDS))
+def test_fixed_order_path_is_a_left_to_right_fold(monkeypatch, name, frame, detuning, qubit,
+                                                  grid):
     # the Fock fields take direct trig on any grid; the wider ones are kept
-    # off the matrix path, so the fold runs over more than two blocks
+    # off the matrix path, so the fold runs over more than two blocks (up to
+    # 17: a row alone in its chunk is folded like any other)
     f = FOLD_FIELDS[name]()
     monkeypatch.setattr(cavity, "_FIXED_ORDER_WIDTH", f.n_max)
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
-    t = np.linspace(0.0, 160.0, 512)
-    w = cavity._sweep_weights(f, cfg, EXCITED if qubit == "excited" else MIXED, t)
-    assert w.trig == "direct"
+    t, rows = FOLD_GRIDS[grid]
+    rho0 = EXCITED if qubit == "excited" else MIXED
+    w = cavity._sweep_weights(f, cfg, rho0)
     if name == "fock_top" and qubit == "excited":
         assert w.kept.size == 0  # |e,n_max> is uncoupled: nothing moves
         return
+    assert _trig(f, cfg, t, rho0) == "direct"
+    assert cavity._chunk_rows(w.kept.size, *cavity._DIRECT_ROWS) == 4096
     ee, eg, gg = _run_chunk(monkeypatch, w, cfg, t)
     unit_phase = frame == "rotating" and detuning == 0.0
-    for i in (0, 1, 97, 255, 384, 511):
+    for i in rows:
         ee_ref, eg_ref, gg_ref = _fold_reference(w, cfg, t, i)
         assert ee[i] == ee_ref and gg[i] == gg_ref
         if unit_phase:
@@ -783,7 +812,7 @@ def test_pruned_sweep_is_within_its_dropped_mass_of_the_full_width_sweep(
     f = PRUNED_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
     times = _multi_chunk_times(f, cfg)
-    w = cavity._sweep_weights(f, cfg, MIXED, times)
+    w = cavity._sweep_weights(f, cfg, MIXED)
     assert 0 < w.kept.size < f.n_max and 0.0 < w.dropped <= cavity._DROP_MASS
     assert w.kept.size > cavity._FIXED_ORDER_WIDTH
     pruned = reduced_series(f, MIXED, cfg, times)
@@ -805,7 +834,7 @@ def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, fr
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max, frame=frame)
     full = _full_width_weights(monkeypatch, f, cfg, MIXED)
     monkeypatch.setattr(cavity, "_DROP_MASS", 1e-9)
-    w = cavity._sweep_weights(f, cfg, MIXED, BENT)
+    w = cavity._sweep_weights(f, cfg, MIXED)
     assert w.kept.tolist() == [n for n in range(1, 23) if n != 10]
     mass = _block_mass(full)
     assert w.dropped == pytest.approx(mass[[0, 10, 23]].sum(), rel=1e-15)
@@ -832,7 +861,7 @@ def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, fr
 def test_kept_blocks_are_the_nonzero_weight_blocks_of_sparse_fields(monkeypatch, make, qubit, kept):
     f = make()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
-    w = cavity._sweep_weights(f, cfg, qubit, BENT)
+    w = cavity._sweep_weights(f, cfg, qubit)
     assert w.kept.tolist() == kept == _nonzero_weight_blocks(
         _full_width_weights(monkeypatch, f, cfg, qubit))
     assert w.dropped == 0.0
@@ -846,12 +875,12 @@ def test_blocks_read_only_by_the_coherence_are_kept(monkeypatch, n, kept):
     # blocks: the pair row m = n, or the |g,0> or |e,n_max> edge
     f = fock_field(n, n_max=40)
     cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40)
-    w = cavity._sweep_weights(f, cfg, MIXED, BENT)
+    w = cavity._sweep_weights(f, cfg, MIXED)
     full = _full_width_weights(monkeypatch, f, cfg, MIXED)
     assert not w.diag_ss.any() and not w.diag_sc.any()
     assert w.kept.tolist() == kept == _nonzero_weight_blocks(full)
     assert w.dropped == 0.0 and w.kept.size <= cavity._FIXED_ORDER_WIDTH
-    t = np.linspace(0.0, 160.0, 512)
+    t = np.linspace(0.0, 160.0, 512) ** 1.2  # not uniform: direct trig for the full width too
     for pruned, every in zip(_run_chunk(monkeypatch, w, cfg, t),
                              _run_chunk(monkeypatch, full, cfg, t)):
         assert np.abs(pruned - every).max() <= 1e-15
@@ -865,7 +894,7 @@ def test_empty_kept_set_gives_the_constant_series(monkeypatch, frame):
     half = np.eye(2) / 2.0
     cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40, frame=frame)
     times = _multi_chunk_times(f, cfg, half)
-    w = cavity._sweep_weights(f, cfg, half, times)
+    w = cavity._sweep_weights(f, cfg, half)
     assert w.kept.size == 0 and 0.0 < w.dropped <= cavity._DROP_MASS
     rho = reduced_series(f, half, cfg, times)
     assert np.all(rho[:, 0, 0] == w.ee0) and np.all(rho[:, 1, 1] == w.gg0)
@@ -889,12 +918,23 @@ def _direct_trig_series(monkeypatch, *args, **kwargs):
 
 
 def _trig(f, cfg, times, qubit=MIXED):
-    return cavity._sweep_weights(f, cfg, qubit, times).trig
+    # the path a sweep of f over times takes, read from the sums its chunks call
+    seen = set()
+    with pytest.MonkeyPatch.context() as m:
+        for path in ("direct", "anchored"):
+            def spy(*args, _path=path, _real=getattr(cavity, f"_{path}_sums")):
+                seen.add(_path)
+                return _real(*args)
+
+            m.setattr(cavity, f"_{path}_sums", spy)
+        reduced_series(f, qubit, cfg, times)
+    (path,) = seen
+    return path
 
 
 def _anchored_bound(f, cfg, times):
     # both ways round the argument Om_n t at about |Om_n t| eps
-    w = cavity._sweep_weights(f, cfg, MIXED, times)
+    w = cavity._sweep_weights(f, cfg, MIXED)
     return 4.0 * np.finfo(float).eps * (1.0 + w.om.max() * times.max())
 
 
@@ -913,6 +953,36 @@ def test_anchored_trig_is_within_the_argument_rounding_of_direct_trig(
     assert np.abs(anchored - direct).max() <= _anchored_bound(f, cfg, times)
 
 
+@pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+@pytest.mark.parametrize("detuning", [0.0, 0.03])
+def test_one_row_chunks_from_prebuilt_weights_match_the_series(name, frame, detuning):
+    # weights built once, with no grid, then _direct_sums on one row at a
+    # time: a direct-trig series holds the same bits in its populations,
+    # and in rho_eg in the rotating frame (the lab phase is a complex
+    # product whose rounding may depend on a row's place in its array); the
+    # matrix path's series lies within the argument rounding
+    f = PRUNED_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
+    w = cavity._sweep_weights(f, cfg, MIXED)
+    assert w.kept.size >= 9  # more blocks than numpy sums in order as one column
+    uniform = np.linspace(0.0, 160.0, 700)
+    for times, path in ((uniform ** 1.2, "direct"), (uniform, "anchored")):
+        assert _trig(f, cfg, times) == path
+        rho = reduced_series(f, MIXED, cfg, times)
+        for i in (0, 1, 350, 699):
+            pop, eg = cavity._direct_sums(w, cfg, times[i:i + 1])
+            one = np.array([[w.ee0 + pop[0], eg[0]], [np.conj(eg[0]), w.gg0 - pop[0]]])
+            if path == "anchored":
+                assert np.abs(one - rho[i]).max() <= _anchored_bound(f, cfg, times)
+                continue
+            assert one[0, 0] == rho[i, 0, 0] and one[1, 1] == rho[i, 1, 1]
+            if frame == "rotating":
+                assert eg[0] == rho[i, 0, 1]
+            else:
+                assert abs(eg[0] - rho[i, 0, 1]) <= 4e-16 * abs(rho[i, 0, 1])
+
+
 def test_lab_phase_rounding_scales_with_omega0_t(monkeypatch):
     # the lab phase's argument omega0 t dwarfs every Om_n t here (Om_n up to
     # 0.0155), so both ways differ at eps omega0 t: about 5e-13, past
@@ -923,7 +993,7 @@ def test_lab_phase_rounding_scales_with_omega0_t(monkeypatch):
     assert _trig(f, cfg, times) == "anchored"
     anchored = reduced_series(f, MIXED, cfg, times)
     direct = _direct_trig_series(monkeypatch, f, MIXED, cfg, times)
-    om = cavity._sweep_weights(f, cfg, MIXED, times).om
+    om = cavity._sweep_weights(f, cfg, MIXED).om
     bound = 4.0 * np.finfo(float).eps * (1.0 + times.max() * max(om.max(), cfg.omega0))
     assert np.abs(anchored - direct).max() <= bound
 
@@ -935,8 +1005,7 @@ def test_a_grid_one_ulp_off_uniform_takes_direct_trig(monkeypatch):
     nudged = times.copy()
     nudged[1234] = np.nextafter(nudged[1234], np.inf)
     assert _trig(f, cfg, times) == "anchored" and _trig(f, cfg, nudged) == "direct"
-    w = cavity._sweep_weights(f, cfg, MIXED, nudged)
-    assert w.basis is None and w.mix is None and w.kept.size > cavity._FIXED_ORDER_WIDTH
+    assert cavity._sweep_weights(f, cfg, MIXED).kept.size > cavity._FIXED_ORDER_WIDTH
     assert np.array_equal(reduced_series(f, MIXED, cfg, nudged),
                           _direct_trig_series(monkeypatch, f, MIXED, cfg, nudged))
 
@@ -961,8 +1030,8 @@ def test_fixed_order_sweeps_take_direct_trig(monkeypatch, n, frame):
     f = fock_field(n, n_max=64)
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=64, frame=frame)
     times = _multi_chunk_times(f, cfg)
-    w = cavity._sweep_weights(f, cfg, MIXED, times)
-    assert (w.trig, w.basis, w.mix) == ("direct", None, None)
+    w = cavity._sweep_weights(f, cfg, MIXED)
+    assert _trig(f, cfg, times) == "direct"
     assert w.kept.size <= cavity._FIXED_ORDER_WIDTH
     cells = _libm_cells(monkeypatch)
     reduced_series(f, MIXED, cfg, times)
@@ -974,7 +1043,7 @@ def test_anchored_sweep_calls_libm_on_anchors_and_offsets_only(monkeypatch, name
     f = PRUNED_FIELDS[name]()
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
     times = np.linspace(0.0, 1e4, 3 * _rows(f, cfg) + 77)
-    kept = cavity._sweep_weights(f, cfg, MIXED, times).kept.size
+    kept = cavity._sweep_weights(f, cfg, MIXED).kept.size
     anchors = -(-times.size // cavity._ANCHOR)
     cells = _libm_cells(monkeypatch)
     reduced_series(f, MIXED, cfg, times)
@@ -986,14 +1055,13 @@ _BENT_GRID_SWEEP = """
 import hashlib
 import numpy as np
 from blochdyn import CavityConfig, custom_field, reduced_series
-from blochdyn.cavity import _sweep_weights
+from blochdyn.cavity import _sweep_weights, _uniform
 rng = np.random.default_rng(5)
 f = custom_field(np.exp(2j * np.pi * rng.random(1000)) / np.sqrt(1000))
 cfg = CavityConfig(n_max=999)
 qubit = np.array([[0.62, 0.18 - 0.27j], [0.18 + 0.27j, 0.38]])
 times = np.linspace(0.0, 100.0, 2000) ** 1.2
-w = _sweep_weights(f, cfg, qubit, times)
-print(w.kept.size, w.trig)
+print(_sweep_weights(f, cfg, qubit).kept.size, _uniform(times))
 print(hashlib.sha256(reduced_series(f, qubit, cfg, times).tobytes()).hexdigest())
 """
 
@@ -1013,8 +1081,8 @@ def test_dense_bent_grid_bytes_ignore_the_blas_thread_count():
         r = subprocess.run([sys.executable, "-c", _BENT_GRID_SWEEP], capture_output=True,
                            text=True, env=env, check=True)
         out.append(r.stdout)
-    kept, trig = out[0].splitlines()[0].split()
-    assert int(kept) > 384 and trig == "direct"  # SkylakeX's GEMM_Q is 384
+    kept, uniform = out[0].splitlines()[0].split()
+    assert int(kept) > 384 and uniform == "False"  # direct trig; SkylakeX's GEMM_Q is 384
     assert out[1:] == out[:1] * 3
 
 

@@ -342,3 +342,22 @@ def test_a_wrong_type_object_is_refused_naming_the_parameter(call, name, bad):
         return
     with pytest.raises(ValueError, match=f"^{name} must be a [A-Za-z]+, got {type(bad).__name__}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e307, -1e200j])
+def test_a_kraus_set_whose_sums_overflow_is_refused_not_nan(scale):
+    # every entry is finite, but sum_n E_n' E_n and sum_n n tr(E_n rho E_n')
+    # leave the float range: a ValueError naming the overflow, no NaN, no warning
+    kraus = bd.KrausSet(0.0, np.full((3, 2, 2), scale))
+    with pytest.raises(ValueError, match="^completeness_error overflows"):
+        kraus.completeness_error()
+    with pytest.raises(ValueError, match="^photon_number_expectation overflows"):
+        bd.photon_number_expectation(kraus, np.diag([1.0, 0.0]))
+
+
+def test_a_kraus_set_below_the_overflow_keeps_finite_sums():
+    kraus = bd.KrausSet(0.0, np.full((3, 2, 2), 1e153))
+    # sum_n E_n' E_n = 6e306 [[1, 1], [1, 1]], whose largest eigenvalue is 1.2e307
+    assert kraus.completeness_error() == pytest.approx(1.2e307, rel=1e-15)
+    # tr(E_n |e><e| E_n') = 2e306 for each n = 0, 1, 2
+    assert bd.photon_number_expectation(kraus, np.diag([1.0, 0.0])) == pytest.approx(6e306)
