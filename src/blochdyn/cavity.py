@@ -476,8 +476,8 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     _check_field(field, cfg)
     t = _real(t, "t", 0.0)
     c, n_max = field.amplitudes, cfg.n_max
-    # the lab-frame phase of |e,n_max> is the largest free phase
-    _check_phases(cfg, t, "t", n_max * cfg.omega0 + 0.5 * abs(cfg.omega0 + cfg.detuning))
+    # the lab row phases omega0 (m + 1/2) t, m <= n_max, are the largest free ones
+    _check_phases(cfg, t, "t", (n_max + 0.5) * cfg.omega0)
     om, y, r = cfg._rates
     arg = om * t
     st = np.sin(arg)

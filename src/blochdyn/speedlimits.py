@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (NORM_EPS, HamiltonianSpec, _bloch, _fisher, _flag, _instance, _integer, _perp,
-                    _real, qfi)
+                    _real)
 from .errors import DegenerateOrbit, GroundState, NotReachable
 
 __all__ = [
@@ -57,25 +57,40 @@ def perp_norm(r, ham: HamiltonianSpec) -> float:
     return _perp(_instance(ham, HamiltonianSpec, "ham").axis.tolist(), _bloch(r)[1])[1]
 
 
-# The three times as functions of s = |n x r|, c = n . r, target = 1 - 2*delta
-# and omega0, as floats; _exact_time takes an array s too (the scan). Callers
-# keep their own domain checks (s > 0 and target <= s, F > 0, c + 1 > 0). Only
-# arcsin stays numpy, on floats: math.asin rounds apart from it.
+# Each time helper takes floats s = |n x r|, c = n . r, omega0 and target =
+# 1 - 2*delta, and returns the time: 0 where target is 0 (only at delta = 1/2),
+# None where the bound does not exist. Each rule is one expression: the orbit
+# moves (_moves), reaches a radius (_reaches: a level's target, or |n x r_ref|
+# on the fast ring), and stays off the ground state (in _ml_time). Only arcsin
+# stays numpy, on floats: math.asin rounds apart from it.
+
+
+def _moves(s):  # the degeneracy rule, on a float or the scan's array
+    return s > _DEGENERATE_TOL
+
+
+def _reaches(s, target):  # the reach and ring rule, on a float or the scan's array
+    return target <= s + REACH_SLACK
 
 
 def _exact_time(s, target, omega0):
-    q = target / s  # one orbit's float, or the scan's array
-    if isinstance(q, float):
-        return float(np.arcsin(min(q, 1.0))) / omega0
-    return np.arcsin(np.minimum(q, 1.0)) / omega0
+    if not isinstance(s, float):  # the scan's kept radii
+        return np.arcsin(np.minimum(target / s, 1.0)) / omega0
+    if target and _moves(s) and _reaches(s, target):
+        return float(np.arcsin(min(target / s, 1.0))) / omega0
+    return None if target else 0.0
 
 
-def _mt_time(fisher, target):
-    return 2.0 * float(np.arcsin(target)) / math.sqrt(fisher)
+def _mt_time(s, target, omega0):
+    if target and _moves(s):
+        return 2.0 * float(np.arcsin(target)) / math.sqrt(_fisher(s, omega0))
+    return None if target else 0.0
 
 
 def _ml_time(c, target, omega0):
-    return math.pi * (1.0 - math.sqrt(1.0 - target * target)) / (2.0 * omega0 * (c + 1.0))
+    if target and c + 1.0 > _GROUND_TOL:
+        return math.pi * (1.0 - math.sqrt(1.0 - target * target)) / (2.0 * omega0 * (c + 1.0))
+    return None if target else 0.0
 
 
 def tau_exact(r, ham: HamiltonianSpec, delta) -> float:
@@ -88,16 +103,13 @@ def tau_exact(r, ham: HamiltonianSpec, delta) -> float:
     """
     d = check_delta(delta)
     s = perp_norm(r, ham)
-    if d == 0.5:
-        return 0.0
-    target = 1.0 - 2.0 * d
-    if s <= _DEGENERATE_TOL:
-        raise DegenerateOrbit("state commutes with the Hamiltonian; p_err stays 1/2")
-    if target > s + REACH_SLACK:
-        raise NotReachable(
-            f"delta={d:.17g} needs |n x r| >= {target:.17g}, orbit has {s:.17g}"
-        )
-    return _exact_time(s, target, ham.omega0)
+    t = _exact_time(s, 1.0 - 2.0 * d, ham.omega0)
+    if t is None:
+        if not _moves(s):
+            raise DegenerateOrbit("state commutes with the Hamiltonian; p_err stays 1/2")
+        raise NotReachable(f"delta={d:.17g} needs |n x r| >= {1.0 - 2.0 * d:.17g}, "
+                           f"orbit has {s:.17g}")
+    return t
 
 
 def tau_mt(r, ham: HamiltonianSpec, delta) -> float:
@@ -107,12 +119,10 @@ def tau_mt(r, ham: HamiltonianSpec, delta) -> float:
     exact crossing time coincides with the bound for every delta.
     """
     d = check_delta(delta)
-    fisher = qfi(r, ham)
-    if d == 0.5:
-        return 0.0
-    if fisher <= (2.0 * ham.omega0 * _DEGENERATE_TOL) ** 2:
+    t = _mt_time(perp_norm(r, ham), 1.0 - 2.0 * d, ham.omega0)
+    if t is None:
         raise DegenerateOrbit("zero quantum Fisher information on this orbit")
-    return _mt_time(fisher, 1.0 - 2.0 * d)
+    return t
 
 
 def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
@@ -129,13 +139,10 @@ def tau_ml(r, ham: HamiltonianSpec, delta, symmetrized: bool = False) -> float:
     if not _instance(ham, HamiltonianSpec, "ham").identity_shift:
         raise ValueError("the mean-energy bound requires identity_shift=True")
     c = float(ham.axis.dot(_bloch(r)[0]))
-    if d == 0.5:
-        return 0.0
-    if symmetrized:
-        c = abs(c)
-    if c + 1.0 <= _GROUND_TOL:
+    t = _ml_time(abs(c) if symmetrized else c, 1.0 - 2.0 * d, ham.omega0)
+    if t is None:
         raise GroundState("state sits at the bottom of the spectrum")
-    return _ml_time(c, 1.0 - 2.0 * d, ham.omega0)
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +166,8 @@ class ReachabilityReport:
 def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> ReachabilityReport:
     """Reachability report; never raises for in-range inputs.
 
-    The smallest error on the orbit is min_perr = 1/2 - |n x r| / 2,
+    Each time comes from the helper its tau_* function reads, so where
+    that function raises, tau_exact is None and a bound is inf. The smallest error on the orbit is min_perr = 1/2 - |n x r| / 2,
     attained at omega0 * t = pi/2. The mean-energy bound is evaluated
     for the identity-shifted spectrum regardless of the flag on ``ham``
     (the shift does not change its value).
@@ -167,25 +175,13 @@ def classify(r, ham: HamiltonianSpec, delta, ml_symmetrized: bool = False) -> Re
     d, ml_symmetrized = check_delta(delta), _flag(ml_symmetrized, "ml_symmetrized")
     vec, r3 = _bloch(r)
     s = _perp(_instance(ham, HamiltonianSpec, "ham").axis.tolist(), r3)[1]
-    fisher = _fisher(s, ham.omega0)
-    target = 1.0 - 2.0 * d
-    # tau_exact's rules: 0 at delta = 1/2, else degenerate or too far is unreachable
-    reachable = d == 0.5 or (s > _DEGENERATE_TOL and target <= s + REACH_SLACK)
-    min_perr = max(0.0, 0.5 - 0.5 * s)
-
-    if d == 0.5:
-        t_exact: float | None = 0.0
-        t_mt = 0.0
-        t_ml = 0.0
-    else:
-        t_exact = _exact_time(s, target, ham.omega0) if reachable else None
-        t_mt = _mt_time(fisher, target) if s > _DEGENERATE_TOL else math.inf
-        c = float(ham.axis.dot(vec))
-        if ml_symmetrized:
-            c = abs(c)
-        t_ml = _ml_time(c, target, ham.omega0) if c + 1.0 > _GROUND_TOL else math.inf
-
-    return ReachabilityReport(bool(reachable), t_exact, t_mt, t_ml, fisher, s, min_perr)
+    target, omega0, c = 1.0 - 2.0 * d, ham.omega0, float(ham.axis.dot(vec))
+    t_exact = _exact_time(s, target, omega0)
+    t_mt = _mt_time(s, target, omega0)
+    t_ml = _ml_time(abs(c) if ml_symmetrized else c, target, omega0)
+    return ReachabilityReport(t_exact is not None, t_exact, math.inf if t_mt is None else t_mt,
+                              math.inf if t_ml is None else t_ml, _fisher(s, omega0), s,
+                              max(0.0, 0.5 - 0.5 * s))
 
 
 def faster_set_contains(r_ref, sigma, ham: HamiltonianSpec) -> bool:
@@ -193,9 +189,11 @@ def faster_set_contains(r_ref, sigma, ham: HamiltonianSpec) -> bool:
 
     Membership only depends on the orbit radius: the set is the ring
     |n x r| >= |n x r_ref|, which contains mixed states whenever the
-    reference is not a pure equator state.
+    reference is not a pure equator state. A radius within REACH_SLACK
+    below the reference's counts as on the ring, as in tau_exact and
+    scan_ring, so a degenerate r_ref's set holds every state.
     """
-    return perp_norm(sigma, ham) >= perp_norm(r_ref, ham)
+    return _reaches(perp_norm(sigma, ham), perp_norm(r_ref, ham))
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +239,7 @@ def _ring_slabs(ham: HamiltonianSpec, theta_psi, grid):
             run = np.s_[lo:lo + step, None, None]
             s = _perp(ham.axis, (ticks[run], ticks[:, None], ticks))[1]
             keep = (((sq[run] + sq[:, None]) + sq <= (1.0 + NORM_EPS) ** 2)
-                    & (s >= sin_ref - REACH_SLACK) & (s > _DEGENERATE_TOL))
+                    & _reaches(s, sin_ref) & _moves(s))
             ix, iy, iz = (np.broadcast_to(i, keep.shape)[keep]
                           for i in (index[run], index[:, None], index))
             s = s[keep]
@@ -256,8 +254,9 @@ def scan_ring(ham: HamiltonianSpec, theta_psi: float, grid: int) -> RingScan:
     theta_psi in [0, pi/2] is the polar angle of a reference pure state
     measured from the axis; the implied level is delta = (1 - sin
     theta_psi) / 2, and every sample satisfies tau_exact <= pi / (2 *
-    omega0), with equality on the ring boundary. On-axis degenerate
-    orbits are excluded. Output order is deterministic (lexicographic in
+    omega0), with equality on the ring boundary. A radius within
+    REACH_SLACK below sin(theta_psi) is kept, as faster_set_contains keeps
+    it, and on-axis degenerate orbits are excluded. Output order is deterministic (lexicographic in
     the lattice indices), so results do not depend on how callers
     parallelize downstream work.
 

@@ -1538,8 +1538,8 @@ def test_detuning_and_phase_overflow_are_refused_naming_the_input():
 
 
 def test_single_time_phase_overflow_is_refused_naming_t():
-    # in the lab frame |e,n_max> turns at n_max omega0 + (omega0 + detuning) / 2
-    # = 850 here, faster than any phase of a sweep
+    # in the lab frame the row phases of E_n turn at omega0 (m + 1/2), m <= n_max,
+    # up to (n_max + 1/2) omega0 = 850 here, faster than any phase of a sweep
     fld = fock_field(1, 8)
     lab = CavityConfig(omega0=100.0, n_max=8)
     rot = CavityConfig(omega0=100.0, n_max=8, frame="rotating")
@@ -1559,3 +1559,11 @@ def test_single_time_phase_overflow_is_refused_naming_t():
             assert np.all(np.isfinite(call(rot, 1e306)))
         _, kraus = jc_propagate(fld, EXCITED, lab, 1e305)
         assert kraus.completeness_error() < 1e-12
+        # a negative detuning slows |e,n_max> below the row phase of |n_max + 1/2>
+        # (omega0 = 1, detuning = -1: rates 1 and 1.5), which bounds the time
+        slow, vacuum = CavityConfig(omega0=1.0, detuning=-1.0, n_max=1), fock_field(0, 1)
+        for call in (lambda: jc_propagate(vacuum, EXCITED, slow, 1.5e308),
+                     lambda: kraus_support(vacuum, slow, 1.5e308)):
+            with pytest.raises(ValueError,
+                               match=r"^t = 1\.5e\+308 overflows the largest phase, t \* 1\.5$"):
+                call()

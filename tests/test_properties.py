@@ -9,7 +9,7 @@ gives the same bits for any worker count.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blochdyn import (
     BlochDynError,
@@ -17,6 +17,7 @@ from blochdyn import (
     HamiltonianSpec,
     classify,
     custom_field,
+    faster_set_contains,
     perp_norm,
     perr_series,
     qfi,
@@ -46,20 +47,21 @@ def _or_raise(fn, *args, **kw):
 
 @SETTINGS
 @given(r=bloch, n=axis, w=omega0, d=delta, sym=st.booleans())
+# one ulp above the degenerate radius, where F is still below (2 omega0 1e-12)^2
+@example(r=np.array([1.0000000000000002e-12, 0.0, 0.0]), n=np.array([0.0, 0.0, 1.0]),
+         w=0.24232850640910925, d=0.3, sym=False)
 def test_classify_matches_scalar_functions_bit_for_bit(r, n, w, d, sym):
     ham = HamiltonianSpec.from_axis(n, omega0=w, identity_shift=True)
     rep = classify(r, ham, d, ml_symmetrized=sym)
     assert rep.perp_norm == perp_norm(r, ham)
     assert rep.fisher == qfi(r, ham)
+    # both ways: classify reports None or inf exactly where a tau_* function raises
     exact = _or_raise(tau_exact, r, ham, d)
-    if exact is not None:
-        assert rep.reachable and rep.tau_exact == exact
+    assert (rep.reachable, rep.tau_exact) == (exact is not None, exact)
     mt = _or_raise(tau_mt, r, ham, d)
-    if mt is not None:
-        assert rep.tau_mt == mt
+    assert rep.tau_mt == (np.inf if mt is None else mt)
     ml = _or_raise(tau_ml, r, ham, d, symmetrized=sym)
-    if ml is not None:
-        assert rep.tau_ml == ml
+    assert rep.tau_ml == (np.inf if ml is None else ml)
 
 
 @SETTINGS
@@ -89,9 +91,16 @@ def test_symmetrized_ml_bound_is_even_in_r(r, n, w, d):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=axis, w=omega0, theta=st.floats(0.0, np.pi / 2), grid=st.integers(2, 9))
+# lattice points on the ring in exact arithmetic that round 1 ulp inside it
+@example(n=np.array([0.0, 0.0, 1.0]), w=1.0, theta=np.pi / 6, grid=21)
+@example(n=np.array([0.0, 0.0, 1.0]), w=1.0, theta=np.pi / 2, grid=51)
 def test_scan_points_match_scalar_queries(n, w, theta, grid):
     ham = HamiltonianSpec.from_axis(n, omega0=w)
     scan = scan_ring(ham, theta, grid)
+    # every point is in the fast set of the pure state theta from the axis
+    u = np.cross(ham.axis, np.eye(3)[np.argmin(np.abs(ham.axis))])
+    ref = np.cos(theta) * ham.axis + np.sin(theta) * u / np.linalg.norm(u)
+    assert all(faster_set_contains(ref, p, ham) for p in scan.points)
     # The scan evaluates the same formulas on arrays. numpy rounds two
     # steps of that apart from the scalar path in the last bit, and each
     # path keeps the rounding its CLI output always had: the orbit radius

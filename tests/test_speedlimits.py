@@ -274,16 +274,23 @@ def _outcome(call):
         return type(exc)
 
 
-@pytest.mark.parametrize("delta", [0.5, 0.5 - 1e-13, 0.5 - 5e-13, 0.5 - 1e-12])
-@pytest.mark.parametrize("r", [
-    (0.0, 0.0, 0.5), (1e-13, 0.0, 0.5), (5e-13, 0.0, 0.5), (2e-12, 0.0, 0.5),
-    (5.0, 5.0, 5.0), (np.nan, 0.0, 0.0), "abc",
-], ids=["radius0", "radius1e-13", "radius5e-13", "radius2e-12", "outside", "nan", "text"])
-def test_classify_reports_what_the_tau_functions_return_or_raise(r, delta):
+@pytest.mark.parametrize("delta", [0.5, 0.5 - 1e-13, 0.5 - 5e-13, 0.5 - 1e-12, 0.3])
+@pytest.mark.parametrize("r, ham", [
+    ((0.0, 0.0, 0.5), Z_SHIFT), ((1e-13, 0.0, 0.5), Z_SHIFT), ((5e-13, 0.0, 0.5), Z_SHIFT),
+    ((2e-12, 0.0, 0.5), Z_SHIFT), ((5.0, 5.0, 5.0), Z_SHIFT), ((np.nan, 0.0, 0.0), Z_SHIFT),
+    ("abc", Z_SHIFT),
+    ((1.0000000000000002e-12, 0.0, 0.0),
+     HamiltonianSpec.from_axis((0, 0, 1), 0.24232850640910925, identity_shift=True)),
+], ids=["radius0", "radius1e-13", "radius5e-13", "radius2e-12", "outside", "nan", "text",
+        "radius1e-12+1ulp-omega0.2423"])
+def test_classify_reports_what_the_tau_functions_return_or_raise(r, ham, delta):
     # classify's tau_exact and reachable follow tau_exact, its bounds are inf
-    # where tau_mt and tau_ml raise, and a bad r fails all four alike
-    rep = _outcome(lambda: classify(r, Z_SHIFT, delta))
-    exact, mt, ml = (_outcome(lambda: f(r, Z_SHIFT, delta)) for f in (tau_exact, tau_mt, tau_ml))
+    # where tau_mt and tau_ml raise, and a bad r fails all four alike. One ulp
+    # above the degenerate radius at omega0 0.2423... the Fisher information is
+    # still below (2 omega0 1e-12)^2, so a Fisher threshold would refuse an
+    # orbit that the radius rule keeps
+    rep = _outcome(lambda: classify(r, ham, delta))
+    exact, mt, ml = (_outcome(lambda: f(r, ham, delta)) for f in (tau_exact, tau_mt, tau_ml))
     if isinstance(rep, type):
         assert rep in (NormViolation, ValueError)
         assert exact is mt is ml is rep
@@ -333,6 +340,13 @@ def test_faster_set():
     assert faster_set_contains(ref, (0.95, 0, 0), Z)  # mixed but wider orbit
     assert not faster_set_contains(ref, (0, 0, 0.9), Z)
     assert not faster_set_contains((1, 0, 0), (0, 0, 1), Z)
+    # the ring keeps radii within REACH_SLACK below the reference's, as the scan does
+    slack = speedlimits.REACH_SLACK
+    assert faster_set_contains((0.5, 0, 0), (0.5 - slack / 2, 0, 0), Z)
+    assert not faster_set_contains((0.5, 0, 0), (0.5 - 2 * slack, 0, 0), Z)
+    # a degenerate reference is in no hurry: every state is at least as fast
+    assert faster_set_contains((0, 0, 0.3), (0, 0, -1), Z)
+    assert faster_set_contains((slack / 2, 0, 0), (0, 0, 0), Z)
 
 
 def test_scan_ring_equator_limit():
