@@ -6,11 +6,12 @@ The Jaynes-Cummings generator (hbar = 1)
 
 conserves the excitation number a'a + (sigma_z + 1)/2, so on a Fock space
 truncated at n_max the propagator V(t) factorizes over 2x2 blocks
-span{|e,n>, |g,n+1>} for n = 0 .. n_max-1, plus the uncoupled |g,0> and
-|e,n_max>. Each block is solved in closed form at the generalized Rabi
-frequency Om_n = sqrt(detuning^2 / 4 + g^2 (n+1)); a nonzero detuning
-shifts the qubit splitting to omega0 + detuning while the mode stays at
-omega0.
+span{|e,n>, |g,n+1>} for n = -1 .. n_max, where the two end blocks hold one
+state each, the uncoupled |g,0> (n = -1) and |e,n_max> (n = n_max). Each
+block is solved in closed form at the generalized Rabi frequency
+Om_n = sqrt(detuning^2 / 4 + g_n^2), with g_n = g sqrt(n+1) and g_n = 0 at
+the ends; a nonzero detuning shifts the qubit splitting to
+omega0 + detuning while the mode stays at omega0.
 
 For a pure initial field |psi> = sum_n c_n |n> the reduced qubit state is
 
@@ -22,7 +23,7 @@ untruncated model is the field constructors' job, which reject cutoffs
 whose analytic photon-number tail reaches 1e-10.
 
 Time series (reduced_series, perr_series) skip the Kraus operators. With
-S_n = sin(Om_n t), C_n = cos(Om_n t), y_n = g sqrt(n+1) / Om_n and
+S_n = sin(Om_n t), C_n = cos(Om_n t), y_n = g_n / Om_n and
 r_n = (detuning / 2) / Om_n, block n propagates as
 [[C_n - i r_n S_n, -i y_n S_n], [-i y_n S_n, C_n + i r_n S_n]] times the
 free phase exp(-i omega0 (n + 1/2) t). In every product of two Kraus
@@ -33,10 +34,14 @@ entries that enters rho_S the free phases cancel:
   built from |c_n|^2, c_n conj(c_{n+1}), y_n, r_n and rho_S(0);
 * the coherence rho_eg pairs block m with block m-1, so it is a sum of
   C_m S_{m-1}, S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1} against complex
-  weights, plus two edge terms from the uncoupled |g,0> and |e,n_max>
-  that carry exp(-i detuning t / 2); in the lab frame all of rho_eg then
-  carries the one common phase exp(-i omega0 t) left over from adjacent
-  free phases.
+  weights; in the lab frame all of rho_eg then carries the one common
+  phase exp(-i omega0 t) left over from adjacent free phases.
+
+The end blocks take the same formulas with c_{-1} = c_{n_max+1} = 0, y = 0
+and r = sign(detuning) at Om = |detuning| / 2: their population weights
+vanish, and the pair rows m = 0 and m = n_max carry their C - i r S, which
+is exp(-i detuning t / 2), the phase the uncoupled state puts on rho_eg.
+So no sum takes a detuning phase of its own.
 
 rho_gg's weights are rho_ee's negated, so the populations are one sum D:
 rho_ee = ee0 + D, rho_gg = gg0 - D. The weights are fixed per call, and a
@@ -55,12 +60,10 @@ sum above is bilinear in the anchor values (sA, cA) and the offset values
 (sK, cK): the weights fold into products of anchor values, the offsets
 into the basis cK^2, cK sK, sK^2 (populations) and cK_m cK_{m-1},
 cK_m sK_{m-1}, sK_m cK_{m-1}, sK_m sK_{m-1} (coherence), and each sum is
-one (anchors, basis) x (basis, K) matrix product; the edge terms, bilinear
-alike in the end blocks' values, are one more. Each phase, exp(-i detuning
-t / 2) and the lab frame's exp(-i omega0 t), is its anchor's times its
-offset's. libm runs once per call on the offsets Om_n k h, k < K, and once
-per anchor row. No sweep takes the detuning phase at zero detuning. Both
-this and direct trig round each argument, Om_n t or omega0 t, at about its
+one (anchors, basis) x (basis, K) matrix product. The lab frame's phase
+exp(-i omega0 t) is its anchor's times its offset's. libm runs once per
+call on the offsets Om_n k h, k < K, and once per anchor row. Both this
+and direct trig round each argument, Om_n t or omega0 t, at about its
 size times eps (t_aK + k h against t_j adds as much), so they differ at
 that scale: |Delta rho| up to 0.38 eps t max(omega0, Om_n) on the
 benchmark's dense sweeps, where the lab phase's omega0 t is the larger
@@ -79,7 +82,6 @@ Qubit basis: |e> = |0> is the +z pole of the Bloch ball.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -441,13 +443,17 @@ def _check_field(field: FieldState, cfg: CavityConfig) -> None:
 
 
 def _block_rates(cfg: CavityConfig):
-    # Block n = 0 .. n_max-1 has M_n = [[d/2, g_n], [g_n, -d/2]] with
-    # g_n = g sqrt(n+1) and d the detuning. Returns Om_n = sqrt(d^2/4 + g_n^2),
-    # y_n = g_n / Om_n and r_n = (d/2) / Om_n, read-only.
+    # Block n = -1 .. n_max, at index n + 1, has M_n = [[d/2, g_n], [g_n, -d/2]]
+    # with d the detuning and g_n = g sqrt(n+1), save the uncoupled ends |g,0>
+    # (n = -1) and |e,n_max> (n = n_max), where g_n = 0. Returns
+    # Om_n = sqrt(d^2/4 + g_n^2), y_n = g_n / Om_n and r_n = (d/2) / Om_n,
+    # read-only: the ends turn at |d|/2 with y = 0 and r = sign(d), which is
+    # +0.0 at d = +-0.0, so a zero detuning takes no phase there.
     gn = cfg.g * np.sqrt(np.arange(1.0, cfg.n_max + 1))
     half_d = 0.5 * cfg.detuning
     om = np.hypot(half_d, gn)
-    rates = om, gn / om, half_d / om
+    end = abs(half_d), 0.0, np.sign(half_d)
+    rates = [np.concatenate(([e], x, [e])) for e, x in zip(end, (om, gn / om, half_d / om))]
     for a in rates:
         a.flags.writeable = False
     return rates
@@ -455,10 +461,10 @@ def _block_rates(cfg: CavityConfig):
 
 def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -> None:
     # Up to t_end the dynamics takes sin and cos of Om_n t up to the top
-    # block, whose rate bounds the detuning edge phase too, and in the lab
-    # frame of free phases up to lab_rate * t_end; past the largest float
-    # these are NaN, so refuse such a time.
-    rate = float(cfg._rates[0][-1])
+    # coupled block, whose rate bounds the ends' |detuning| / 2 too, and in
+    # the lab frame of free phases up to lab_rate * t_end; past the largest
+    # float these are NaN, so refuse such a time.
+    rate = float(cfg._rates[0][-2])
     if cfg.frame == "lab":
         rate = max(rate, lab_rate)
     _phase(rate, t_end, name)
@@ -466,35 +472,33 @@ def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -
 
 def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     # E_m(t) for m = 0 .. n_max at one time t in the rotating frame, shape
-    # (n_max+1, 2, 2), a view of a (2, 2, n_max+1) array: block n,
+    # (n_max+1, 2, 2), a view of a (2, 2, n_max+1) array: block n = -1 .. n_max,
     # [[u, v], [v, conj(u)]] with u = cos(Om t) - i r sin(Om t) and
-    # v = -i y sin(Om t), meets a = c_n and b = c_{n+1} as <e|E_n|e> = a u,
-    # <e|E_n|g> = b v, <g|E_{n+1}|e> = a v and <g|E_{n+1}|g> = b conj(u);
-    # |g,0> and |e,n_max> are uncoupled and turn at +-detuning / 2. The lab
-    # frame's E_m is diag(ph_m, ph_{m-1}) times it (see jc_propagate), a
-    # diagonal unitary that leaves every norm as it is.
+    # v = -i y sin(Om t), meets a = c_n and b = c_{n+1} (c_{-1} = c_{n_max+1}
+    # = 0) as <e|E_n|e> = a u, <e|E_n|g> = b v, <g|E_{n+1}|e> = a v and
+    # <g|E_{n+1}|g> = b conj(u): row e of E_m comes from block m, row g from
+    # block m - 1. The lab frame's E_m is diag(ph_m, ph_{m-1}) times it (see
+    # jc_propagate), a diagonal unitary that leaves every norm as it is.
     _check_field(field, cfg)
     t = _real(t, "t", 0.0)
-    c, n_max = field.amplitudes, cfg.n_max
+    n_max = cfg.n_max
     # the lab row phases omega0 (m + 1/2) t, m <= n_max, are the largest free ones
     _check_phases(cfg, t, "t", (n_max + 0.5) * cfg.omega0)
     om, y, r = cfg._rates
     arg = om * t
     st = np.sin(arg)
-    uc = np.empty(n_max, dtype=complex)  # conj(u), written part by part
+    uc = np.empty(n_max + 2, dtype=complex)  # conj(u), written part by part
     np.cos(arg, out=uc.real)
     np.multiply(r, st, out=uc.imag)
     v = -1j * y * st
-    a, b = c[:n_max], c[1:]
-    ops = np.zeros((2, 2, n_max + 1), dtype=complex)  # <i|E_m|k> at [i, k, m]
+    c = np.zeros(n_max + 3, dtype=complex)  # c_n at index n + 1, n = -1 .. n_max+1
+    c[1:-1] = field.amplitudes
+    ops = np.empty((2, 2, n_max + 1), dtype=complex)  # <i|E_m|k> at [i, k, m]
     e00, e01, e10, e11 = ops.reshape(4, -1)
-    np.multiply(a, uc.conj(), out=e00[:n_max])
-    np.multiply(b, v, out=e01[:n_max])
-    np.multiply(a, v, out=e10[1:])
-    np.multiply(b, uc, out=e11[1:])
-    ph = cmath.exp(0.5j * cfg.detuning * t)
-    e00[n_max] = c[n_max] * ph.conjugate()
-    e11[0] = c[0] * ph
+    np.multiply(c[1:-1], uc[1:].conj(), out=e00)
+    np.multiply(c[2:], v[1:], out=e01)
+    np.multiply(c[:-2], v[:-1], out=e10)
+    np.multiply(c[1:-1], uc[:-1], out=e11)
     return ops.transpose(2, 0, 1)
 
 
@@ -524,23 +528,21 @@ class _SweepWeights:
     sums the rows t, one row alone included, and _anchored_basis builds the
     matrix path's per-grid side from them.
 
-    Only the kept blocks enter a sweep, listed ascending in kept; every
-    array below runs over them. rho_gg's weights are diag_ss and diag_sc
-    negated. pairs holds the (re, im) columns of rho_eg against C_m S_{m-1},
-    S_m C_{m-1}, C_m C_{m-1} and S_m S_{m-1} for kept neighbours (row j for
-    kept[j] and kept[j+1]; zero when the two are not adjacent blocks);
-    edges the complex coefficients of C_0 and S_0 (from |g,0>) and of
-    C_{n_max-1} and S_{n_max-1} (from |e,n_max>), zero when that block is
-    dropped.
+    Only the kept blocks n = -1 .. n_max enter a sweep, listed ascending in
+    kept; every array below runs over them. rho_gg's weights are diag_ss and
+    diag_sc negated, both zero at the end blocks. pairs holds the (re, im)
+    columns of rho_eg against C_m S_{m-1}, S_m C_{m-1}, C_m C_{m-1} and
+    S_m S_{m-1} for kept neighbours (row j for kept[j] and kept[j+1]; zero
+    when the two are not adjacent blocks).
 
     A block's mass is the summed |re| + |im| of every weight that reads its
     S_n or C_n: its diag_ss and diag_sc weights, twice (rho_ee's and
-    rho_gg's), each pair row it is one of the two blocks of, and its edge.
+    rho_gg's), and each pair row it is one of the two blocks of.
     Blocks are dropped lightest first while their summed mass, dropped,
     stays at most _DROP_MASS; as |S_n| and |C_n| are at most 1, no ee, gg
     or eg value moves by more than dropped (up to the rounding of that
     sum). Zero-mass blocks are always dropped: a Fock field keeps at most
-    two.
+    two, Fock 0 and Fock n_max an end block and its neighbour.
     """
 
     om: np.ndarray  # (kept,) Om_n
@@ -549,8 +551,7 @@ class _SweepWeights:
     diag_ss: np.ndarray  # (kept,): rho_ee against S_n^2
     diag_sc: np.ndarray  # (kept,): rho_ee against S_n C_n
     pairs: tuple  # four (kept-1, 2) arrays
-    edges: tuple  # four complex scalars
-    kept: np.ndarray  # (kept,) block indices n, ascending
+    kept: np.ndarray  # (kept,) block indices n in -1 .. n_max, ascending
     dropped: float  # summed mass of the dropped blocks
 
 
@@ -560,11 +561,14 @@ def _uniform(t: np.ndarray) -> bool:
 
 
 def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
-    c = field.amplitudes
+    # block n = -1 .. n_max at index n + 1 of every array, c_n at index n + 1
+    # with the ends' c_{-1} = c_{n_max+1} = 0
+    c = np.zeros(cfg.n_max + 3, dtype=complex)
+    c[1:-1] = field.amplitudes
     a2 = np.abs(c) ** 2
     om, y, r = cfg._rates
     p, q, b = rho0[0, 0].real, rho0[1, 1].real, rho0[0, 1]
-    norm = float(np.sum(a2))
+    norm = float(np.sum(a2[1:-1]))
 
     # rho_ee's populations: |u_n|^2 = 1 - y_n^2 S_n^2, |v_n|^2 = y_n^2 S_n^2,
     # u_n conj(v_n) = y_n (r_n S_n^2 + i S_n C_n)
@@ -574,7 +578,7 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
     diag_ss = q * hi2 - p * lo2 + 2.0 * r * bw.real
     diag_sc = -2.0 * bw.imag
 
-    # coherence, adjacent blocks m and m-1 for m = 1 .. n_max-1
+    # coherence, adjacent blocks m and m-1 for m = 0 .. n_max
     cm, cl, ch = c[1:-1], c[:-2], c[2:]  # c_m, c_{m-1}, c_{m+1}
     am = a2[1:-1]
     ym, yl, rm, rl = y[1:], y[:-1], r[1:], r[:-1]
@@ -591,35 +595,20 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
         ),
     )
 
-    # edges: q B_0 conj(D_0) + b A_0 conj(D_0) on block 0 and
-    # p A_top conj(C_top) + b A_top conj(D_top) on block n_max-1
-    b0, bt = b * a2[0], b * a2[-1]
-    edges = (
-        b0,
-        -1j * (q * c[1] * np.conj(c[0]) * y[0] + b0 * r[0]),
-        bt,
-        1j * (p * c[-1] * np.conj(c[-2]) * y[-1] - bt * r[-1]),
-    )
-
     mass = 2.0 * (np.abs(diag_ss) + np.abs(diag_sc))  # read by rho_ee and rho_gg
     pair_mass = sum(np.abs(w).sum(axis=1) for w in pairs)  # row m reads m and m-1
     mass[1:] += pair_mass
     mass[:-1] += pair_mass
-    mass[0] += sum(abs(e.real) + abs(e.imag) for e in edges[:2])
-    mass[-1] += sum(abs(e.real) + abs(e.imag) for e in edges[2:])
     order = np.argsort(mass, kind="stable")
     running = np.cumsum(mass[order])  # sequential, so nondecreasing
     n_drop = int(np.searchsorted(running, _DROP_MASS, side="right"))
-    kept = np.sort(order[n_drop:])
+    kept = np.sort(order[n_drop:])  # indices n + 1
     dropped = float(running[n_drop - 1]) if n_drop else 0.0
 
     adjacent = (np.diff(kept) == 1)[:, None]
     pairs = tuple(np.where(adjacent, w[kept[1:] - 1], 0.0) for w in pairs)
-    ends = kept[[0, -1]].tolist() if kept.size else [-1, -1]
-    edges = (edges[:2] if ends[0] == 0 else (0j, 0j)) + (
-        edges[2:] if ends[1] == cfg.n_max - 1 else (0j, 0j))
     return _SweepWeights(om[kept], p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs,
-                         edges, kept, dropped)
+                         kept - 1, dropped)
 
 
 def _anchored_basis(w: _SweepWeights, cfg: CavityConfig, times: np.ndarray):
@@ -632,25 +621,17 @@ def _anchored_basis(w: _SweepWeights, cfg: CavityConfig, times: np.ndarray):
     per call (zero for k >= n). basis holds the offset side of the sums:
     (3 kept, K) rows cK^2, cK sK, sK^2 of each block, (4 (kept-1), K) rows
     cK_m cK_{m-1}, cK_m sK_{m-1}, sK_m cK_{m-1}, sK_m sK_{m-1} of each kept
-    neighbour pair, the (8, K) re and im of cK, sK of the end blocks times
-    exp(-i detuning k h / 2), for the edge terms (None if no edge weight),
-    and exp(-i omega0 k h) (None in the rotating frame). mix folds diag_ss,
-    diag_sc and pairs into (kept, 3, 4) and (kept-1, 8, 4) weights against
-    the products of anchor values (see _anchor_mix), which _anchored_sums
-    turns into each chunk's anchor side.
+    neighbour pair, and exp(-i omega0 k h) (None in the rotating frame).
+    mix folds diag_ss, diag_sc and pairs into (kept, 3, 4) and (kept-1, 8, 4)
+    weights against the products of anchor values (see _anchor_mix), which
+    _anchored_sums turns into each chunk's anchor side.
     """
     # k h as the grid spells it, t_k - t_0 (no larger than the last time)
     tk = times[:_ANCHOR] - times[0]
     trig = _cos_sin(w.om, tk, _ANCHOR)  # cK, sK
-    edge_basis = None
-    if any(w.edges):
-        edge = trig[[0, -1]].reshape(4, _ANCHOR).astype(complex)
-        if cfg.detuning:
-            edge[:, :tk.size] *= np.exp(-0.5j * cfg.detuning * tk)
-        edge_basis = np.concatenate([edge.real, edge.imag])
     lab = np.exp(-1j * cfg.omega0 * tk) if cfg.frame == "lab" else None
     basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
-             _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), edge_basis, lab)
+             _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), lab)
     return basis, _anchor_mix(w.diag_ss, w.diag_sc, w.pairs)
 
 
@@ -731,24 +712,14 @@ def _anchored_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, basis, mi
     # The population sum and rho_eg at the rows t of a uniform grid, t[0] an
     # anchor row: libm's sA, cA at the anchors t[a K], folded with the
     # weights, meet the offset basis (see _anchored_basis); zero anchors pad
-    # the anchor side to a multiple of _GEMM_ALIGN. The edge side is four
-    # complex columns times the anchor's detuning phase, as a real product.
-    # The last chunk may end inside an anchor's rows.
-    diag_basis, pair_basis, edge_basis, lab = basis
+    # the anchor side to a multiple of _GEMM_ALIGN. The last chunk may end
+    # inside an anchor's rows.
+    diag_basis, pair_basis, lab = basis
     diag_mix, pair_mix = mix
     anchors = t[::_ANCHOR]
     trig = _cos_sin(w.om, anchors, -(-anchors.size // _GEMM_ALIGN) * _GEMM_ALIGN)  # cA, sA
     pop = _fold(diag_mix, _products(trig, trig), diag_basis, t.size)[0]
     coh = _fold(pair_mix, _products(trig[1:], trig[:-1]), pair_basis, t.size)
-    if edge_basis is not None:
-        (ca0, sa0), (cat, sat) = trig[0], trig[-1]
-        c0, s0, ct, st = w.edges
-        side = np.stack([c0 * ca0 + s0 * sa0, s0 * ca0 - c0 * sa0,
-                         ct * cat + st * sat, st * cat - ct * sat], axis=1)  # (anchors, 4)
-        if cfg.detuning:
-            side[:anchors.size] *= np.exp(-0.5j * cfg.detuning * anchors)[:, None]
-        side = np.block([[side.real, -side.imag], [side.imag, side.real]])  # re, im rows
-        coh += _sliced_matmul(side, edge_basis).reshape(2, -1)[:, :t.size]
     eg = np.empty(t.size, dtype=complex)
     eg.real, eg.imag = coh
     if lab is not None:
@@ -769,11 +740,7 @@ def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray):
         for part, col in zip(coh, weight.T):  # re, im
             part += _contract_fixed(adj, col)
         del adj  # freed before the next product is made
-    c0, s0, ct, st = w.edges
-    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
-    if cfg.detuning:
-        edge = edge * np.exp(-0.5j * cfg.detuning * t)
-    eg = coh[0] + 1j * coh[1] + edge
+    eg = coh[0] + 1j * coh[1]
     if cfg.frame == "lab":
         eg *= np.exp(-1j * cfg.omega0 * t)
     return pop, eg

@@ -191,9 +191,12 @@ def faster_set_contains(r_ref, sigma, ham: HamiltonianSpec) -> bool:
     |n x r| >= |n x r_ref|, which contains mixed states whenever the
     reference is not a pure equator state. A radius within REACH_SLACK
     below the reference's counts as on the ring, as in tau_exact and
-    scan_ring, so a degenerate r_ref's set holds every state.
+    scan_ring, so a degenerate r_ref's set holds every state. sigma's own
+    orbit must move unless r_ref's does not: a degenerate sigma has no
+    crossing time to compare.
     """
-    return _reaches(perp_norm(sigma, ham), perp_norm(r_ref, ham))
+    s, s_ref = perp_norm(sigma, ham), perp_norm(r_ref, ham)
+    return _reaches(s, s_ref) and (_moves(s) or not _moves(s_ref))
 
 
 @dataclass(frozen=True, eq=False)

@@ -632,16 +632,17 @@ def test_multi_chunk_series_matches_dense_oracle(name, frame, detuning):
 @pytest.mark.parametrize("detuning", [0.0, 0.03, -0.03])
 @pytest.mark.parametrize("steps", [2 * 8192 + 900, 100])  # three blocks; under one anchor
 def test_matrix_path_edge_phases_match_dense_oracle(frame, detuning, steps):
-    # weight on block 0 and on the top block: both edge terms are kept, so
-    # the edge product and the anchor x offset phases all enter rho_eg
+    # weight on c_0 and c_n_max: both uncoupled end blocks, n = -1 (|g,0>)
+    # and n = n_max (|e,n_max>), are kept, so their detuning phases enter
+    # rho_eg through the pair products, with the lab frame's anchor x offset
     f = _edge_field(n_max=64)
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
     times = np.linspace(0.0, 160.0, steps)
     assert _trig(f, cfg, times) == "anchored"
     w = cavity._sweep_weights(f, cfg, MIXED)
     basis, _ = cavity._anchored_basis(w, cfg, times)
-    assert all(w.edges) and basis[2] is not None
-    assert (basis[3] is not None) == (frame == "lab")
+    assert w.kept[0] == -1 and w.kept[-1] == f.n_max
+    assert (basis[2] is not None) == (frame == "lab")
     rho = reduced_series(f, MIXED, cfg, times)
     rows = np.linspace(0, steps - 1, 16).astype(int).tolist()
     rows += [i for i in (127, 128, 8191, 8192, 8193, 2 * 8192) if i < steps]
@@ -659,16 +660,17 @@ def test_matrix_path_edge_phases_match_dense_oracle(frame, detuning, steps):
                                         (lambda: _edge_field(n_max=64), "anchored")])
 def test_zero_detuning_takes_no_phase_exp(monkeypatch, make, trig):
     # exp(-i detuning t / 2) is 1 at detuning 0 (or -0.0): neither sweep path
-    # computes it, so a rotating-frame sweep calls no exp at all
+    # computes it, so a rotating-frame sweep calls no exp at all. Nor at a
+    # nonzero detuning: the uncoupled ends' phases are their own cos and sin
     f = make()
     times = np.linspace(0.0, 160.0, 9000)
     cfgs = [CavityConfig(omega0=1.3, g=0.07, detuning=d, n_max=64, frame="rotating")
-            for d in (0.0, -0.0)]
-    assert _trig(f, cfgs[0], times) == trig
+            for d in (0.0, -0.0, 0.03)]
+    assert _trig(f, cfgs[0], times) == _trig(f, cfgs[2], times) == trig
     calls = []
     real = np.exp
     monkeypatch.setattr(np, "exp", lambda x, *a, **k: calls.append(x) or real(x, *a, **k))
-    plus, minus = (reduced_series(f, MIXED, cfg, times) for cfg in cfgs)
+    plus, minus, _ = (reduced_series(f, MIXED, cfg, times) for cfg in cfgs)
     assert not calls
     assert plus.tobytes() == minus.tobytes()
 
@@ -678,26 +680,24 @@ def _full_width_weights(monkeypatch, f, cfg, rho0):
     with monkeypatch.context() as m:
         m.setattr(cavity, "_DROP_MASS", -1.0)
         w = cavity._sweep_weights(f, cfg, rho0)
-    assert w.kept.tolist() == list(range(cfg.n_max)) and w.dropped == 0.0
+    assert w.kept.tolist() == list(range(-1, cfg.n_max + 1)) and w.dropped == 0.0
     return w
 
 
 def _block_mass(w):
     # summed |re| + |im| of every weight of a full-width sweep that reads
-    # each block: its diag weights for rho_ee and, negated, for rho_gg,
-    # each pair row it is in, its edge
+    # each block, n = -1 .. n_max at index n + 1: its diag weights for rho_ee
+    # and, negated, for rho_gg, and each pair row it is in
     mass = 2.0 * (np.abs(w.diag_ss) + np.abs(w.diag_sc))
     for pair in w.pairs:
         row = np.abs(pair).sum(axis=1)  # pair row m reads blocks m and m-1
         mass[1:] += row
         mass[:-1] += row
-    mass[0] += sum(abs(e.real) + abs(e.imag) for e in w.edges[:2])
-    mass[-1] += sum(abs(e.real) + abs(e.imag) for e in w.edges[2:])
     return mass
 
 
 def _nonzero_weight_blocks(w):
-    return np.flatnonzero(_block_mass(w)).tolist()
+    return (np.flatnonzero(_block_mass(w)) - 1).tolist()
 
 
 def _run_chunk(monkeypatch, w, cfg, t):
@@ -717,9 +717,8 @@ def _fold(terms):
 
 def _fold_reference(w, cfg, t, i):
     # the sweep's values at row i, its real sums folded from Python floats
-    # block by block; the phase factors are numpy's complex products, which
-    # may fuse a multiply and an add, and are exactly 1 in the rotating frame
-    # at zero detuning
+    # block by block; the lab phase is numpy's complex product, which may
+    # fuse a multiply and an add
     arg = np.multiply.outer(w.om, t)
     S, C = np.sin(arg)[:, i].tolist(), np.cos(arg)[:, i].tolist()
     k = range(len(S))
@@ -732,9 +731,7 @@ def _fold_reference(w, cfg, t, i):
     for (hi, lo), weight in zip(((C, S), (S, C), (C, C), (S, S)), w.pairs):
         for j in range(2):
             coh[j] = coh[j] + _fold((hi[n] * lo[n - 1], weight[n - 1, j]) for n in k[1:])
-    c0, s0, ct, st = w.edges
-    edge = C[0] * c0 + S[0] * s0 + C[-1] * ct + S[-1] * st
-    eg = complex(coh[0], coh[1]) + edge * np.exp(-0.5j * cfg.detuning * t[i])
+    eg = complex(coh[0], coh[1])
     if cfg.frame == "lab":
         eg *= np.exp(-1j * cfg.omega0 * t[i])
     return w.ee0 + ee_gg[0], eg, w.gg0 + ee_gg[1]
@@ -765,9 +762,9 @@ def test_fixed_order_path_is_a_left_to_right_fold(monkeypatch, name, frame, detu
                                                   grid):
     # the Fock fields take direct trig on any grid; the wider ones are kept
     # off the matrix path, so the fold runs over more than two blocks (up to
-    # 17: a row alone in its chunk is folded like any other)
+    # 18: a row alone in its chunk is folded like any other)
     f = FOLD_FIELDS[name]()
-    monkeypatch.setattr(cavity, "_FIXED_ORDER_WIDTH", f.n_max)
+    monkeypatch.setattr(cavity, "_FIXED_ORDER_WIDTH", f.n_max + 2)
     cfg = CavityConfig(omega0=1.3, g=0.07, detuning=detuning, n_max=f.n_max, frame=frame)
     t, rows = FOLD_GRIDS[grid]
     rho0 = EXCITED if qubit == "excited" else MIXED
@@ -825,8 +822,9 @@ def test_pruned_sweep_is_within_its_dropped_mass_of_the_full_width_sweep(
 @pytest.mark.parametrize("frame", ["lab", "rotating"])
 def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, frame):
     # c_0, c_1, c_10, c_11 and the top two amplitudes at 1e-12 leave blocks 0,
-    # 10 and n_max-1 with masses near 1e-12, dropped under a 1e-9 bound:
-    # kept blocks 9 and 11 become neighbours, and both edges go
+    # 10 and n_max-1 with masses near 1e-12 and the end blocks -1 and n_max
+    # near 1e-24, dropped under a 1e-9 bound: kept blocks 9 and 11 become
+    # neighbours, and both ends go
     rng = np.random.default_rng(3)
     amps = rng.normal(size=25) + 1j * rng.normal(size=25)
     amps[[0, 1, 10, 11, 23, 24]] *= 1e-12
@@ -836,27 +834,27 @@ def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, fr
     monkeypatch.setattr(cavity, "_DROP_MASS", 1e-9)
     w = cavity._sweep_weights(f, cfg, MIXED)
     assert w.kept.tolist() == [n for n in range(1, 23) if n != 10]
-    mass = _block_mass(full)
-    assert w.dropped == pytest.approx(mass[[0, 10, 23]].sum(), rel=1e-15)
+    mass = _block_mass(full)[1:]  # at index n; the end block -1 is mass[-1]
+    assert w.dropped == pytest.approx(mass[[-1, 0, 10, 23, 24]].sum(), rel=1e-15)
     assert w.dropped <= 1e-9 < w.dropped + mass[w.kept].min()  # drops all it may
-    assert np.array_equal(w.om, full.om[w.kept])
-    assert np.array_equal(w.diag_ss, full.diag_ss[w.kept])
-    assert np.array_equal(w.diag_sc, full.diag_sc[w.kept])
+    assert np.array_equal(w.om, full.om[w.kept + 1])  # full arrays at index n + 1
+    assert np.array_equal(w.diag_ss, full.diag_ss[w.kept + 1])
+    assert np.array_equal(w.diag_sc, full.diag_sc[w.kept + 1])
     gap = w.kept.tolist().index(9)  # pair row of kept neighbours 9 and 11
-    for pair, every in zip(w.pairs, full.pairs):
+    for pair, every in zip(w.pairs, full.pairs):  # full pair row m at index m
         assert np.array_equal(np.delete(pair, gap, axis=0),
-                              np.delete(every[w.kept[1:] - 1], gap, axis=0))
-        assert not pair[gap].any() and every[10].any()
-    assert w.edges == (0j,) * 4 and all(full.edges)
+                              np.delete(every[w.kept[1:]], gap, axis=0))
+        assert not pair[gap].any() and every[11].any()
+    assert 0.0 < mass[-1] and 0.0 < mass[24]  # the ends carry weight, and go
 
 
 @pytest.mark.parametrize("make, qubit, kept", [
     (lambda: fock_field(7, n_max=40), EXCITED, [7]),  # from |e>, q = 0 leaves block 6 unread
     (lambda: fock_field(7, n_max=40), MIXED, [6, 7]),
-    (lambda: fock_field(0, n_max=40), MIXED, [0]),
-    (lambda: fock_field(40, n_max=40), MIXED, [39]),
+    (lambda: fock_field(0, n_max=40), MIXED, [-1, 0]),  # |g,0> is block -1
+    (lambda: fock_field(40, n_max=40), MIXED, [39, 40]),  # |e,n_max> is block n_max
     (lambda: e0_field(1.0, n_max=16), EXCITED, [0, 4, 8, 12]),
-    (lambda: e0_field(1.0, n_max=16), MIXED, [0, 3, 4, 7, 8, 11, 12, 15]),
+    (lambda: e0_field(1.0, n_max=16), MIXED, [-1, 0, 3, 4, 7, 8, 11, 12, 15, 16]),
 ], ids=["fock_excited", "fock_mixed", "vacuum", "fock_top", "e0_excited", "e0_mixed"])
 def test_kept_blocks_are_the_nonzero_weight_blocks_of_sparse_fields(monkeypatch, make, qubit, kept):
     f = make()
@@ -867,12 +865,13 @@ def test_kept_blocks_are_the_nonzero_weight_blocks_of_sparse_fields(monkeypatch,
     assert w.dropped == 0.0
 
 
-@pytest.mark.parametrize("n, kept", [(7, [6, 7]), (0, [0]), (40, [39])],
+@pytest.mark.parametrize("n, kept", [(7, [6, 7]), (0, [-1, 0]), (40, [39, 40])],
                          ids=["pair", "edge_g0", "edge_top"])
 def test_blocks_read_only_by_the_coherence_are_kept(monkeypatch, n, kept):
     # g / detuning far below 1e-162 underflows every y_n^2 and with it the
     # population weights of a Fock field, so only the rho_eg terms read
-    # blocks: the pair row m = n, or the |g,0> or |e,n_max> edge
+    # blocks: the pair row m = n, which for n = 0 pairs block 0 with the
+    # |g,0> block -1 and for n = n_max the |e,n_max> block with n_max - 1
     f = fock_field(n, n_max=40)
     cfg = CavityConfig(omega0=1.3, g=1e-80, detuning=1e100, n_max=40)
     w = cavity._sweep_weights(f, cfg, MIXED)
@@ -880,6 +879,7 @@ def test_blocks_read_only_by_the_coherence_are_kept(monkeypatch, n, kept):
     assert not w.diag_ss.any() and not w.diag_sc.any()
     assert w.kept.tolist() == kept == _nonzero_weight_blocks(full)
     assert w.dropped == 0.0 and w.kept.size <= cavity._FIXED_ORDER_WIDTH
+    assert _trig(f, cfg, np.linspace(0.0, 160.0, 512)) == "direct"  # on a uniform grid too
     t = np.linspace(0.0, 160.0, 512) ** 1.2  # not uniform: direct trig for the full width too
     for pruned, every in zip(_run_chunk(monkeypatch, w, cfg, t),
                              _run_chunk(monkeypatch, full, cfg, t)):

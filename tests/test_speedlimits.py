@@ -347,6 +347,12 @@ def test_faster_set():
     # a degenerate reference is in no hurry: every state is at least as fast
     assert faster_set_contains((0, 0, 0.3), (0, 0, -1), Z)
     assert faster_set_contains((slack / 2, 0, 0), (0, 0, 0), Z)
+    # a degenerate sigma never beats a moving reference, even within the slack
+    ref, sigma = (1.5e-12, 0, 0), (0.6e-12, 0, 0)
+    assert tau_exact(ref, Z, 0.4999999999999995) > 0.0
+    with pytest.raises(DegenerateOrbit):
+        tau_exact(sigma, Z, 0.4999999999999995)
+    assert not faster_set_contains(ref, sigma, Z)
 
 
 def test_scan_ring_equator_limit():
