@@ -459,6 +459,13 @@ def _block_rates(cfg: CavityConfig):
     return rates
 
 
+def _padded(field: FieldState) -> np.ndarray:
+    # c_n at index n + 1 for n = -1 .. n_max + 1, c_{-1} = c_{n_max+1} = 0
+    c = np.zeros(field.n_max + 3, dtype=complex)
+    c[1:-1] = field.amplitudes
+    return c
+
+
 def _check_phases(cfg: CavityConfig, t_end: float, name: str, lab_rate: float) -> None:
     # Up to t_end the dynamics takes sin and cos of Om_n t up to the top
     # coupled block, whose rate bounds the ends' |detuning| / 2 too, and in
@@ -491,8 +498,7 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     np.cos(arg, out=uc.real)
     np.multiply(r, st, out=uc.imag)
     v = -1j * y * st
-    c = np.zeros(n_max + 3, dtype=complex)  # c_n at index n + 1, n = -1 .. n_max+1
-    c[1:-1] = field.amplitudes
+    c = _padded(field)
     ops = np.empty((2, 2, n_max + 1), dtype=complex)  # <i|E_m|k> at [i, k, m]
     e00, e01, e10, e11 = ops.reshape(4, -1)
     np.multiply(c[1:-1], uc[1:].conj(), out=e00)
@@ -561,10 +567,8 @@ def _uniform(t: np.ndarray) -> bool:
 
 
 def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
-    # block n = -1 .. n_max at index n + 1 of every array, c_n at index n + 1
-    # with the ends' c_{-1} = c_{n_max+1} = 0
-    c = np.zeros(cfg.n_max + 3, dtype=complex)
-    c[1:-1] = field.amplitudes
+    # block n = -1 .. n_max at index n + 1 of every array, as c_n in _padded
+    c = _padded(field)
     a2 = np.abs(c) ** 2
     om, y, r = cfg._rates
     p, q, b = rho0[0, 0].real, rho0[1, 1].real, rho0[0, 1]

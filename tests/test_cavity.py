@@ -834,9 +834,9 @@ def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, fr
     monkeypatch.setattr(cavity, "_DROP_MASS", 1e-9)
     w = cavity._sweep_weights(f, cfg, MIXED)
     assert w.kept.tolist() == [n for n in range(1, 23) if n != 10]
-    mass = _block_mass(full)[1:]  # at index n; the end block -1 is mass[-1]
-    assert w.dropped == pytest.approx(mass[[-1, 0, 10, 23, 24]].sum(), rel=1e-15)
-    assert w.dropped <= 1e-9 < w.dropped + mass[w.kept].min()  # drops all it may
+    mass = _block_mass(full)  # block n at index n + 1, as every full array
+    assert w.dropped == pytest.approx(mass[[0, 1, 11, 24, 25]].sum(), rel=1e-15, abs=0)
+    assert w.dropped <= 1e-9 < w.dropped + mass[w.kept + 1].min()  # drops all it may
     assert np.array_equal(w.om, full.om[w.kept + 1])  # full arrays at index n + 1
     assert np.array_equal(w.diag_ss, full.diag_ss[w.kept + 1])
     assert np.array_equal(w.diag_sc, full.diag_sc[w.kept + 1])
@@ -845,7 +845,7 @@ def test_compact_weights_are_the_full_weights_at_the_kept_blocks(monkeypatch, fr
         assert np.array_equal(np.delete(pair, gap, axis=0),
                               np.delete(every[w.kept[1:]], gap, axis=0))
         assert not pair[gap].any() and every[11].any()
-    assert 0.0 < mass[-1] and 0.0 < mass[24]  # the ends carry weight, and go
+    assert 0.0 < mass[0] and 0.0 < mass[-1]  # the ends -1 and 24 carry weight, and go
 
 
 @pytest.mark.parametrize("make, qubit, kept", [
