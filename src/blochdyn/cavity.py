@@ -72,6 +72,13 @@ argument; 4 eps (1 + max |Om_n t|) tested at omega0 = 1.3, g = 0.07, and
 t up to 1e4 (coherent, n_max = 60), where omega0 t is 65 times the largest
 Om_n t. Sparse sweeps and other grids call libm on every cell.
 
+Per call a sweep makes its weights, the matrix path's offsets and mix (and
+offset basis where several chunks read it), its output rows and the check's
+two scratch rows; per chunk, the trig and the sums into its output slices,
+and each depth slice's anchor side (and one-chunk offset rows). Results
+built here (perr_series' series, jc_propagate's KrausSet) skip checks their
+caller has proved; the ones a user builds are checked in full.
+
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
 by the local unitary exp(-i omega0 t sigma_z / 2), so they share
@@ -117,10 +124,10 @@ __all__ = [
 
 # Largest Fock cutoff CavityConfig accepts. A sweep that keeps every block
 # then holds an offset basis of 7 * 128 floats per block, 72 MB per call,
-# over a uniform grid (a 3000-step sweep peaked at 134 MB RSS, interpreter
-# included), and four real (n_max, 512) arrays of 41 MB each over other
-# grids: cos and sin, a trig product and its weighted copy (a 3000-step
-# sweep peaked at 196 MB).
+# over a uniform grid of several chunks (3000 steps peaked at 127 MB RSS,
+# interpreter included; 1000 steps, one chunk, at 63 MB), and four real
+# (n_max, 512) arrays of 41 MB each over other grids: cos and sin, a trig
+# product and its weighted copy (3000 steps peaked at 195 MB).
 N_MAX_LIMIT = 10_000
 _PHYS_TOL = 1e-8
 # A sweep drops its lightest blocks while their summed |weight| stays at
@@ -383,6 +390,13 @@ class KrausSet:
         return _spectral_norms(self.operators)
 
 
+def _trusted(cls, **fields):
+    # a result built here from values its caller has proved: no re-checks
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _entries(ops: np.ndarray) -> np.ndarray:
     # (4, n) rows a, b, c, d of an (n, 2, 2) stack of operators [[a, b], [c, d]]:
     # a view, which for _kraus_ops' (2, 2, n) array is that array itself
@@ -509,21 +523,18 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
 
 
 def _check_physical(ee, eg, gg) -> None:
-    tr_dev = np.abs(ee + gg - 1.0)
-    # smallest eigenvalue of [[ee, eg], [conj(eg), gg]]
-    lo = 0.5 * (ee + gg - np.sqrt((ee - gg) ** 2 + 4.0 * np.abs(eg) ** 2))
-    worst, low = tr_dev.max(initial=0.0), lo.min(initial=0.0)
+    # |ee + gg - 1| and the smallest eigenvalue 0.5 (ee + gg - sqrt((ee - gg)^2 + 4 |eg|^2))
+    a, b = np.empty((2, ee.size))
+    worst = np.abs(np.subtract(np.add(ee, gg, out=a), 1.0, out=b), out=b).max(initial=0.0)
+    np.multiply(np.square(np.abs(eg, out=b), out=b), 4.0, out=b)
+    np.sqrt(np.add(np.square(np.subtract(ee, gg, out=a), out=a), b, out=a), out=a)
+    low = np.multiply(np.subtract(np.add(ee, gg, out=b), a, out=b), 0.5, out=b).min(initial=0.0)
     # written so that a NaN anywhere fails the test
     if not (worst <= _PHYS_TOL and low >= -_PHYS_TOL):
         raise NonphysicalOutput(
             f"reduced state broke physicality: |tr-1| up to {worst:.3e}, "
             f"min eigenvalue {low:.3e}"
         )
-
-
-def _re_im(z) -> np.ndarray:
-    # complex weights as (re, im) columns, so real trig arrays meet real weights
-    return np.column_stack([z.real, z.imag])
 
 
 @dataclass(frozen=True, eq=False)
@@ -556,7 +567,7 @@ class _SweepWeights:
     gg0: float  # q sum |c_n|^2
     diag_ss: np.ndarray  # (kept,): rho_ee against S_n^2
     diag_sc: np.ndarray  # (kept,): rho_ee against S_n C_n
-    pairs: tuple  # four (kept-1, 2) arrays
+    pairs: np.ndarray  # (4, kept-1, 2)
     kept: np.ndarray  # (kept,) block indices n in -1 .. n_max, ascending
     dropped: float  # summed mass of the dropped blocks
 
@@ -589,18 +600,17 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
     p_ml = p * cm * np.conj(cl)  # p c_m conj(c_{m-1})
     q_hm = q * ch * np.conj(cm)  # q c_{m+1} conj(c_m)
     b_m = b * am  # b |c_m|^2
-    pairs = (
-        _re_im(1j * (p_ml * yl - b_m * rl)),  # C_m S_{m-1}
-        _re_im(-1j * (q_hm * ym + b_m * rm)),  # S_m C_{m-1}
-        _re_im(b_m),  # C_m C_{m-1}
-        _re_im(  # S_m S_{m-1}
-            p_ml * rm * yl - q_hm * ym * rl - b_m * rm * rl
-            + np.conj(b) * ch * np.conj(cl) * ym * yl
-        ),
-    )
+    pairs = np.array([  # complex, then read as (re, im) columns
+        1j * (p_ml * yl - b_m * rl),  # C_m S_{m-1}
+        -1j * (q_hm * ym + b_m * rm),  # S_m C_{m-1}
+        b_m,  # C_m C_{m-1}
+        p_ml * rm * yl - q_hm * ym * rl - b_m * rm * rl  # S_m S_{m-1}
+        + np.conj(b) * ch * np.conj(cl) * ym * yl,
+    ]).view(float).reshape(4, -1, 2)
 
     mass = 2.0 * (np.abs(diag_ss) + np.abs(diag_sc))  # read by rho_ee and rho_gg
-    pair_mass = sum(np.abs(w).sum(axis=1) for w in pairs)  # row m reads m and m-1
+    # row m reads m and m-1: |re| + |im| of each, the four added in order
+    pair_mass = np.add(*np.abs(pairs).transpose(2, 0, 1)).sum(axis=0)
     mass[1:] += pair_mass
     mass[:-1] += pair_mass
     order = np.argsort(mass, kind="stable")
@@ -609,42 +619,53 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
     kept = np.sort(order[n_drop:])  # indices n + 1
     dropped = float(running[n_drop - 1]) if n_drop else 0.0
 
-    adjacent = (np.diff(kept) == 1)[:, None]
-    pairs = tuple(np.where(adjacent, w[kept[1:] - 1], 0.0) for w in pairs)
+    pairs = np.where((np.diff(kept) == 1)[:, None], pairs[:, kept[1:] - 1], 0.0)
     return _SweepWeights(om[kept], p * norm, q * norm, diag_ss[kept], diag_sc[kept], pairs,
                          kept - 1, dropped)
 
 
 def _anchored_basis(w: _SweepWeights, cfg: CavityConfig, times: np.ndarray):
-    """The matrix path's per-grid side of the sums: (basis, mix).
+    """The matrix path's per-grid side of the sums: ((off, whole, lab), mix).
 
     times is bit for bit np.linspace(t[0], t[-1], n), n >= 2, with spacing
     h. Row j = a K + k (K = _ANCHOR) is there the angle sum of its anchor
     row a K (libm at that t_j itself) and offset k, with sK = sin(Om_n k h)
     and cK = cos(Om_n k h), k h read as t_k - t_0, for k < min(n, K), once
-    per call (zero for k >= n). basis holds the offset side of the sums:
-    (3 kept, K) rows cK^2, cK sK, sK^2 of each block, (4 (kept-1), K) rows
-    cK_m cK_{m-1}, cK_m sK_{m-1}, sK_m cK_{m-1}, sK_m sK_{m-1} of each kept
-    neighbour pair, and exp(-i omega0 k h) (None in the rotating frame).
-    mix folds diag_ss, diag_sc and pairs into (kept, 3, 4) and (kept-1, 8, 4)
-    weights against the products of anchor values (see _anchor_mix), which
-    _anchored_sums turns into each chunk's anchor side.
+    per call (zero for k >= n): off, (kept, 2, K). Where more than one
+    chunk reads them, whole holds the offset basis made from them
+    (_offset_rows of every block and pair) and off is None; else whole is
+    (None, None) and each depth slice makes its own rows. lab: exp(-i omega0
+    k h), None in the rotating frame. mix folds diag_ss, diag_sc and pairs
+    into (kept, 3, 4) and (kept-1, 8, 4) anchor-product weights (_anchor_mix).
     """
     # k h as the grid spells it, t_k - t_0 (no larger than the last time)
     tk = times[:_ANCHOR] - times[0]
-    trig = _cos_sin(w.om, tk, _ANCHOR)  # cK, sK
+    off, n, whole = _cos_sin(w.om, tk, _ANCHOR), w.om.size, (None, None)
+    if times.size > _chunk_rows(n, *_ANCHORED_ROWS):
+        off, whole = None, (_offset_rows(off, 0, n, 0), _offset_rows(off, 0, n - 1, 1))
     lab = np.exp(-1j * cfg.omega0 * tk) if cfg.frame == "lab" else None
-    basis = (_products(trig, trig)[:, [0, 1, 3]].reshape(-1, _ANCHOR),
-             _products(trig[1:], trig[:-1]).reshape(-1, _ANCHOR), lab)
-    return basis, _anchor_mix(w.diag_ss, w.diag_sc, w.pairs)
+    return (off, whole, lab), _anchor_mix(w.diag_ss, w.diag_sc, w.pairs)
+
+
+def _offset_rows(off: np.ndarray, n0: int, n1: int, pair: int) -> np.ndarray:
+    # The offset basis rows (n, b) of blocks n0 .. n1-1: the four products of
+    # pair row n's blocks n + 1 and n (pair 1), or cK^2, cK sK, sK^2 (pair 0).
+    if pair:
+        return _products(off[n0 + 1:n1 + 1], off[n0:n1]).reshape(-1, _ANCHOR)
+    x, rows = off[n0:n1], np.empty((n1 - n0, 3, _ANCHOR))
+    np.multiply(x[:, :1], x, out=rows[:, :2])  # cK^2, cK sK
+    np.multiply(x[:, 1], x[:, 1], out=rows[:, 2])
+    return rows.reshape(-1, _ANCHOR)
 
 
 def _cos_sin(om: np.ndarray, t: np.ndarray, cols: int) -> np.ndarray:
-    # (kept, 2, cols) cos and sin of Om_n t, zero past t.size
-    arg = np.multiply.outer(om, t)
-    out = np.zeros((om.size, 2, cols))
+    # (kept, 2, cols) cos and sin of Om_n t, zero past t.size; sin in place
+    out = np.empty((om.size, 2, cols))
+    if t.size < cols:
+        out[:, :, t.size:] = 0.0
+    arg = np.multiply(om[:, None], t, out=out[:, 1, :t.size])
     np.cos(arg, out=out[:, 0, :t.size])
-    np.sin(arg, out=out[:, 1, :t.size])
+    np.sin(arg, out=arg)
     return out
 
 
@@ -653,23 +674,21 @@ def _products(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (hi[:, :, None] * lo[:, None]).reshape(hi.shape[0], 4, -1)
 
 
-def _anchor_mix(ss: np.ndarray, sc: np.ndarray, pairs: tuple) -> tuple:
+def _anchor_mix(ss: np.ndarray, sc: np.ndarray, pairs: np.ndarray) -> tuple:
     # The weights against the anchor products cA cA', cA sA', sA cA', sA sA'
     # (' the lower block of a pair), as (n, (basis row, column), 4) arrays,
     # the columns rho_ee's (populations) or (re, im) (pairs).
     # With S = sA cK + cA sK and C = cA cK - sA sK, ss S^2 + sc S C is
     # (ss sA^2 + sc sA cA) cK^2 + (2 ss sA cA + sc (cA^2 - sA^2)) cK sK
-    # + (ss cA^2 - sc sA cA) sK^2, and the four pair products expand alike
-    # over cK cK', cK sK', sK cK', sK sK'.
-    z = np.zeros_like(ss)
-    w1, w2, w3, w4 = pairs  # C S', S C', C C', S S'
-    diag = ((z, sc, z, ss), (sc, ss, ss, -sc), (ss, -sc, z, z))
-    pair = ((w3, w1, w2, w4), (w1, -w3, w4, -w2), (w2, w4, -w3, -w1), (w4, -w2, -w1, w3))
-    out = []
-    for rows in (diag, pair):
-        m = np.stack([np.stack(row, axis=-1) for row in rows], axis=1)  # (n, basis, 2, 4)
-        out.append(m.reshape(m.shape[0], -1, 4))
-    return tuple(out)
+    # + (ss cA^2 - sc sA cA) sK^2, and the four pair products expand alike over
+    # cK cK', cK sK', sK cK', sK sK'. Each is one gather from every weight and -weight.
+    diag = np.stack([np.zeros_like(ss), ss, sc, -sc], axis=-1)  # 0, ss, sc, -sc
+    diag = diag[:, [[0, 2, 0, 1], [2, 1, 1, 3], [1, 3, 0, 0]]]
+    # w1..w4 (C S', S C', C C', S S') and -w1..-w4 at 0..7, per (re, im) column
+    signed = np.concatenate((pairs, -pairs)).transpose(1, 2, 0)
+    table = [[2, 0, 1, 3], [0, 6, 3, 5], [1, 3, 6, 4], [3, 5, 4, 2]]
+    pair = signed[:, [[0], [1]], np.array(table)[:, None]]  # (n, basis, 2, 4)
+    return diag, pair.reshape(pair.shape[0], -1, 4)
 
 
 def _chunk_rows(kept: int, lo: int, hi: int, cells: int) -> int:
@@ -694,48 +713,53 @@ def _contract_fixed(prod: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def _sliced_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a @ b with its depth cut into _GEMM_DEPTH slices, added in order, so
-    # the matrix path's bits do not depend on the BLAS thread count
-    out = a[:, :_GEMM_DEPTH] @ b[:_GEMM_DEPTH]
-    for lo in range(_GEMM_DEPTH, b.shape[0], _GEMM_DEPTH):
-        out += a[:, lo:lo + _GEMM_DEPTH] @ b[lo:lo + _GEMM_DEPTH]
+def _sliced_matmul(parts, depth: int) -> np.ndarray:
+    # A @ B, its depth cut into _GEMM_DEPTH slices added in order (no BLAS thread
+    # count moves a bit); parts(r0, r1) makes A's columns and B's rows r0:r1.
+    out, part = np.matmul(*parts(0, min(_GEMM_DEPTH, depth))), None
+    for lo in range(_GEMM_DEPTH, depth, _GEMM_DEPTH):
+        part = np.matmul(*parts(lo, min(lo + _GEMM_DEPTH, depth)), out=part)
+        out += part
     return out
 
 
-def _fold(mix: np.ndarray, prods: np.ndarray, basis: np.ndarray, rows: int) -> np.ndarray:
-    # (columns, rows) sums over blocks n and basis rows b of the anchor side
-    # mix_n @ prods_n, laid out ((n, b), (column, anchor)), times the offset
-    # basis ((n, b), K): a matrix product whose (columns anchors, K) result
-    # is the grid's rows in order.
-    side = np.matmul(mix, prods).reshape(basis.shape[0], -1).T
-    return _sliced_matmul(side, basis).reshape(-1, prods.shape[-1] * _ANCHOR)[:, :rows]
+def _fold(mix: np.ndarray, anchor: np.ndarray, pair: int, off, whole, rows: int):
+    # (columns, rows): the anchor side mix_n @ (products of n's, or n + 1's and
+    # n's, anchor values), laid out ((n, b), (column, anchor)), times the offset
+    # basis ((n, b), K), whole or made from a slice's blocks, in grid order.
+    per = 4 if pair else 3  # basis rows per block
+
+    def parts(r0, r1):
+        n0, n1 = r0 // per, -(-r1 // per)
+        side = np.matmul(mix[n0:n1], _products(anchor[n0 + pair:n1 + pair], anchor[n0:n1]))
+        basis = _offset_rows(off, n0, n1, pair) if whole is None else whole[n0 * per:]
+        cut = slice(r0 - n0 * per, r1 - n0 * per)
+        return side.reshape((n1 - n0) * per, -1)[cut].T, basis[cut]
+
+    out = _sliced_matmul(parts, per * mix.shape[0])
+    return out.reshape(-1, anchor.shape[-1] * _ANCHOR)[:, :rows]
 
 
-def _anchored_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, basis, mix):
-    # The population sum and rho_eg at the rows t of a uniform grid, t[0] an
-    # anchor row: libm's sA, cA at the anchors t[a K], folded with the
+def _anchored_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, eg, basis, mix):
+    # The population sum and rho_eg (into eg) at the rows t of a uniform grid,
+    # t[0] an anchor row: libm's sA, cA at the anchors t[a K], folded with the
     # weights, meet the offset basis (see _anchored_basis); zero anchors pad
     # the anchor side to a multiple of _GEMM_ALIGN. The last chunk may end
     # inside an anchor's rows.
-    diag_basis, pair_basis, lab = basis
-    diag_mix, pair_mix = mix
+    off, (diag, pair), lab = basis
     anchors = t[::_ANCHOR]
     trig = _cos_sin(w.om, anchors, -(-anchors.size // _GEMM_ALIGN) * _GEMM_ALIGN)  # cA, sA
-    pop = _fold(diag_mix, _products(trig, trig), diag_basis, t.size)[0]
-    coh = _fold(pair_mix, _products(trig[1:], trig[:-1]), pair_basis, t.size)
-    eg = np.empty(t.size, dtype=complex)
-    eg.real, eg.imag = coh
+    pop = _fold(mix[0], trig, 0, off, diag, t.size)[0]
+    eg.real, eg.imag = _fold(mix[1], trig, 1, off, pair, t.size)
     if lab is not None:
         eg *= (np.exp(-1j * cfg.omega0 * anchors)[:, None] * lab).ravel()[:t.size]
     return pop, eg
 
 
-def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray):
-    # libm on every (kept, rows) cell, then each trig product contracted
-    # with its weights. The phase products stay per chunk: numpy's complex
-    # product may round a row differently at another position in an array,
-    # so one pass over the whole grid would move last bits.
+def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, eg=None):
+    # libm on every (kept, rows) cell, then each trig product contracted with its
+    # weights, rho_eg into eg (new if None). The lab phase stays per chunk: numpy's
+    # complex product may round a row differently at another position in an array.
     C, S = _cos_sin(w.om, t, t.size).transpose(1, 0, 2)
     pop = _contract_fixed(S * S, w.diag_ss) + _contract_fixed(S * C, w.diag_sc)
     coh = np.zeros((2, t.size))
@@ -744,41 +768,42 @@ def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray):
         for part, col in zip(coh, weight.T):  # re, im
             part += _contract_fixed(adj, col)
         del adj  # freed before the next product is made
-    eg = coh[0] + 1j * coh[1]
+    eg = np.empty(t.size, dtype=complex) if eg is None else eg
+    eg.real, eg.imag = coh
     if cfg.frame == "lab":
         eg *= np.exp(-1j * cfg.omega0 * t)
     return pop, eg
 
 
-def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray):
+def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray, uniform: bool):
     """(ee, eg, gg): rho_ee, rho_eg and rho_gg at the checked times tgrid.
 
     The weights, the dropped blocks and the two ways to sum are the module
     docstring's. The path is decided here, once: more than
-    _FIXED_ORDER_WIDTH kept blocks over a uniform grid (_uniform) take the
-    matrix path, _anchored_sums with the side _anchored_basis builds for
-    this grid, and every other sweep direct trig, _direct_sums. The chunk
-    rows (_chunk_rows) read the path and the kept width alone, and the
-    matrix path cuts its depth into slices added in order, so neither the
-    grid length nor the BLAS thread count moves a bit.
+    _FIXED_ORDER_WIDTH kept blocks over a uniform grid (uniform, as the
+    caller proved it) take the matrix path, _anchored_sums with the side
+    _anchored_basis builds for this grid, and every other sweep direct trig,
+    _direct_sums. The chunk rows (_chunk_rows) read the path and the kept
+    width alone, and the matrix path cuts its depth into slices added in
+    order, so neither the grid length nor the BLAS thread count moves a bit.
+    Work per call and per chunk: see the module docstring.
     """
     w = _sweep_weights(field, cfg, rho0)
-    ee, gg = np.empty((2, tgrid.size))
-    eg = np.empty(tgrid.size, dtype=complex)
+    ee, gg, eg = np.empty(tgrid.size), np.empty(tgrid.size), np.empty(tgrid.size, complex)
     kept = w.kept.size
     if not kept:  # every weight dropped: the constant state
         ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
     else:
-        if kept > _FIXED_ORDER_WIDTH and _uniform(tgrid):
+        if kept > _FIXED_ORDER_WIDTH and uniform:
             sums, side, rule = _anchored_sums, _anchored_basis(w, cfg, tgrid), _ANCHORED_ROWS
         else:
             sums, side, rule = _direct_sums, (), _DIRECT_ROWS
         rows = _chunk_rows(kept, *rule)
         for lo in range(0, tgrid.size, rows):
             sl = slice(lo, lo + rows)
-            pop, eg[sl] = sums(w, cfg, tgrid[sl], *side)
-            ee[sl] = w.ee0 + pop
-            gg[sl] = w.gg0 - pop
+            pop, _ = sums(w, cfg, tgrid[sl], eg[sl], *side)
+            np.add(w.ee0, pop, out=ee[sl])
+            np.subtract(w.gg0, pop, out=gg[sl])
     _check_physical(ee, eg, gg)
     return ee, eg, gg
 
@@ -795,7 +820,7 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times):
         raise ValueError("times must be finite and nonnegative")
     _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)", cfg.omega0)
 
-    ee, eg, gg = _sweep(field, rho0, cfg, tgrid)
+    ee, eg, gg = _sweep(field, rho0, cfg, tgrid, _uniform(tgrid))
     return np.stack([ee, eg, eg.conj(), gg], axis=1).reshape(-1, 2, 2)
 
 
@@ -829,7 +854,8 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
         check_density(rho_t, _PHYS_TOL)
     except ValueError as exc:
         raise NonphysicalOutput(f"reduced state broke physicality: {exc}") from None
-    return rho_t, KrausSet(t=t, operators=ops)
+    # _kraus_ops checked t; a NaN or inf entry reaches rho_t (checked above)
+    return rho_t, _trusted(KrausSet, t=t, operators=ops)
 
 
 def kraus_support(field: FieldState, cfg: CavityConfig, t: float, tol: float = 1e-12):
@@ -913,20 +939,19 @@ def perr_series(
     _check_phases(cfg, t_max, "t_max", cfg.omega0)
     times = np.linspace(0.0, t_max, _integer(steps, "steps", 2))
     _integer(workers, "workers", 1)
-    ee, eg, gg = _sweep(field, bloch_to_density(r0), cfg, times)
+    ee, eg, gg = _sweep(field, bloch_to_density(r0), cfg, times, True)
 
-    dx = 2.0 * eg.real - r0[0]
-    dy = -2.0 * eg.imag - r0[1]
-    dz = (ee - gg) - r0[2]
-    pe = np.clip(0.5 - 0.25 * np.sqrt(dx * dx + dy * dy + dz * dz), 0.0, 0.5)
-    return DistinguishabilitySeries(
-        times=times,
-        p_err=pe,
-        config=cfg,
-        qubit_r=r0,
-        field_label=field.label,
-        field_alpha=field.alpha,
-    )
+    # p_err in place: dx in gg, dy in eg's real part once dx is read, dz in ee
+    dz = np.subtract(np.subtract(ee, gg, out=ee), r0[2], out=ee)
+    pe = np.subtract(np.multiply(eg.real, 2.0, out=gg), r0[0], out=gg)
+    dy = np.subtract(np.multiply(eg.imag, -2.0, out=eg.real), r0[1], out=eg.real)
+    pe = np.add(np.square(pe, out=pe), np.square(dy, out=dy), out=pe)
+    pe += np.square(dz, out=dz)
+    pe = np.subtract(0.5, np.multiply(np.sqrt(pe, out=pe), 0.25, out=pe), out=pe)
+    np.clip(pe, 0.0, 0.5, out=pe)
+    # the series' checks hold: times is a checked linspace, pe clipped from checked states
+    return _trusted(DistinguishabilitySeries, times=times, p_err=pe, config=cfg, qubit_r=r0,
+                    field_label=field.label, field_alpha=field.alpha)
 
 
 def nonunitary_tau(series: DistinguishabilitySeries, delta, atol: float = 1e-9):
@@ -941,10 +966,10 @@ def nonunitary_tau(series: DistinguishabilitySeries, delta, atol: float = 1e-9):
     """
     _instance(series, DistinguishabilitySeries, "series")
     d, atol = check_delta(delta), _real(atol, "atol", 0.0)
-    hits = np.flatnonzero(series.p_err <= d + atol)
-    if hits.size == 0:
+    hit = series.p_err <= d + atol
+    if not hit.any():
         return None
-    i = int(hits[0])
+    i = int(hit.argmax())  # the first hit
     if i == 0:
         return float(series.times[0])
     t0, t1 = float(series.times[i - 1]), float(series.times[i])

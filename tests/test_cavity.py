@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -642,7 +643,7 @@ def test_matrix_path_edge_phases_match_dense_oracle(frame, detuning, steps):
     w = cavity._sweep_weights(f, cfg, MIXED)
     basis, _ = cavity._anchored_basis(w, cfg, times)
     assert w.kept[0] == -1 and w.kept[-1] == f.n_max
-    assert (basis[2] is not None) == (frame == "lab")
+    assert (basis[-1] is not None) == (frame == "lab")  # the lab phase
     rho = reduced_series(f, MIXED, cfg, times)
     rows = np.linspace(0, steps - 1, 16).astype(int).tolist()
     rows += [i for i in (127, 128, 8191, 8192, 8193, 2 * 8192) if i < steps]
@@ -704,7 +705,7 @@ def _run_chunk(monkeypatch, w, cfg, t):
     # (ee, eg, gg) of a sweep over t with the weights w
     with monkeypatch.context() as m:
         m.setattr(cavity, "_sweep_weights", lambda *args: w)
-        return cavity._sweep(None, None, cfg, t)
+        return cavity._sweep(None, None, cfg, t, cavity._uniform(t))
 
 
 def _fold(terms):
@@ -1093,8 +1094,62 @@ def test_sliced_matmul_adds_its_depth_slices_in_order():
         want = a[:, :cavity._GEMM_DEPTH] @ b[:cavity._GEMM_DEPTH]
         for lo in range(cavity._GEMM_DEPTH, depth, cavity._GEMM_DEPTH):
             want = want + a[:, lo:lo + cavity._GEMM_DEPTH] @ b[lo:lo + cavity._GEMM_DEPTH]
-        assert np.array_equal(cavity._sliced_matmul(a, b), want)
+        made = []  # the depth slices asked for, in order
+
+        def parts(r0, r1, a=a, b=b):
+            made.append((r0, r1))
+            return a[:, r0:r1], b[r0:r1]
+
+        assert np.array_equal(cavity._sliced_matmul(parts, depth), want)
+        assert made == [(lo, min(lo + cavity._GEMM_DEPTH, depth))
+                        for lo in range(0, depth, cavity._GEMM_DEPTH)]
         npt.assert_allclose(want, a @ b, rtol=1e-12, atol=1e-12)
+
+
+def _fold_made_whole(mix, hi, lo, basis, rows):
+    # the matrix path's sums with the whole anchor side made as one product
+    # and the whole offset basis, its depth slices added in order
+    depth = cavity._GEMM_DEPTH
+    side = np.matmul(mix, cavity._products(hi, lo)).reshape(basis.shape[0], -1).T
+    out = side[:, :depth] @ basis[:depth]
+    for r0 in range(depth, basis.shape[0], depth):
+        out = out + side[:, r0:r0 + depth] @ basis[r0:r0 + depth]
+    return out.reshape(-1, hi.shape[-1] * cavity._ANCHOR)[:, :rows]
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_FIELDS))
+@pytest.mark.parametrize("steps", [8192, 3 * 8192 + 77])  # one chunk, then four
+def test_sides_made_per_slice_hold_the_whole_sides_bits(name, steps):
+    # a one-chunk grid makes each depth slice's offset rows as the slice
+    # reads them, a longer grid the whole offset basis once per call; either
+    # way, with each slice's anchor side made from its blocks alone, the
+    # sums hold the bits of the whole anchor side made as one product
+    f = PRUNED_FIELDS[name]()
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=f.n_max)
+    w = cavity._sweep_weights(f, cfg, MIXED)
+    times = np.linspace(0.0, 160.0, steps)
+    rows = _rows(f, cfg)
+    assert rows == 8192 and _trig(f, cfg, times) == "anchored"
+    (kept_off, whole, _), (diag_mix, pair_mix) = cavity._anchored_basis(w, cfg, times)
+    k = cavity._ANCHOR
+    off = cavity._cos_sin(w.om, times[:k] - times[0], k)
+    diag = cavity._products(off, off)[:, [0, 1, 3]].reshape(-1, k)
+    pair = cavity._products(off[1:], off[:-1]).reshape(-1, k)
+    if steps <= rows:
+        assert whole == (None, None) and kept_off.tobytes() == off.tobytes()
+    else:
+        assert kept_off is None
+        assert whole[0].tobytes() == diag.tobytes() and whole[1].tobytes() == pair.tobytes()
+    for lo in range(0, steps, rows):
+        t = times[lo:lo + rows]
+        anchors = t[::k]
+        align = cavity._GEMM_ALIGN
+        trig = cavity._cos_sin(w.om, anchors, -(-anchors.size // align) * align)
+        want = (_fold_made_whole(diag_mix, trig, trig, diag, t.size).tobytes(),
+                _fold_made_whole(pair_mix, trig[1:], trig[:-1], pair, t.size).tobytes())
+        for made in ((None, None), (diag, pair)):  # per slice, then whole
+            assert cavity._fold(diag_mix, trig, 0, off, made[0], t.size).tobytes() == want[0]
+            assert cavity._fold(pair_mix, trig, 1, off, made[1], t.size).tobytes() == want[1]
 
 
 def test_offsets_stop_at_the_last_time(monkeypatch):
@@ -1341,9 +1396,34 @@ def test_kraus_set_checks_its_inputs():
     ):
         with pytest.raises(ValueError, match=match):
             cavity.KrausSet(1.0, bad)
-    for t in (-1.0, math.nan, math.inf, None, "soon", 10**400):
+    for t in (-1.0, -5e-324, math.nan, math.inf, None, "soon", 10**400):
         with pytest.raises(ValueError, match=r"^t must be"):
             cavity.KrausSet(t, ops)
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_jc_propagate_set_is_the_publicly_built_set(frame):
+    # jc_propagate builds its KrausSet without re-checks; the public
+    # constructor, given the same values, builds the same set and still
+    # refuses each value corrupted in turn
+    f = coherent_field(1.5 + 0.5j, n_max=20)
+    cfg = CavityConfig(omega0=1.3, g=0.07, detuning=0.03, n_max=20, frame=frame)
+    ks = jc_propagate(f, MIXED, cfg, 7.25)[1]
+    public = cavity.KrausSet(ks.t, ks.operators)
+    assert type(ks.t) is float and ks.t == public.t == 7.25
+    assert ks.operators.dtype == public.operators.dtype == complex
+    assert ks.operators.shape == public.operators.shape == (21, 2, 2)
+    assert ks.operators.tobytes() == public.operators.tobytes()
+    assert ks.completeness_error() == public.completeness_error()
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        ops = ks.operators.copy()
+        ops[3, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"^operators must be finite"):
+            cavity.KrausSet(ks.t, ops)
+    with pytest.raises(ValueError, match=r"^operators must be an \(n, 2, 2\) array"):
+        cavity.KrausSet(ks.t, ks.operators[:, :, :1])
+    with pytest.raises(ValueError, match=r"^t must be"):
+        cavity.KrausSet(-ks.t, ks.operators)
 
 
 # ---------------------------------------------------------------- p_err series
@@ -1454,6 +1534,59 @@ def test_perr_series_is_the_clipped_distance_of_reduced_series(name):
         series = perr_series(f, r, cfg, t_max=160.0, steps=steps)
         assert np.array_equal(series.times, times)
         assert np.array_equal(series.p_err, expect)
+
+
+@pytest.mark.parametrize("name", ["fock", "coherent_dense"])
+def test_perr_series_is_the_publicly_built_series(name):
+    # perr_series builds its series without re-checks; the public
+    # constructor, given the same values, builds the same series and still
+    # refuses each value corrupted in turn
+    make, cfg, _, r = SHARED_CORE_CASES[name]
+    f = make()
+    s = perr_series(f, r, cfg, t_max=160.0, steps=3000)
+    public = DistinguishabilitySeries(s.times, s.p_err, s.config, s.qubit_r, s.field_label,
+                                      s.field_alpha)
+    for a, b in ((s.times, public.times), (s.p_err, public.p_err), (s.qubit_r, public.qubit_r)):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert s.times.shape == (3000,) and s.p_err.flags.c_contiguous
+    assert s.config is public.config is cfg
+    assert (s.field_label, s.field_alpha) == (public.field_label, public.field_alpha)
+    assert (s.field_label, s.field_alpha) == (f.label, f.alpha)
+    assert list(s.samples) == list(public.samples)
+    for times, p in (
+        (np.where(np.arange(3000) == 17, np.nan, s.times), s.p_err),
+        (s.times[::-1], s.p_err),
+        (s.times, np.where(np.arange(3000) == 17, np.nextafter(0.5, 1.0), s.p_err)),
+        (s.times, np.where(np.arange(3000) == 17, -5e-324, s.p_err)),
+        (s.times, np.where(np.arange(3000) == 17, np.nan, s.p_err)),
+        (s.times[:-1], s.p_err),
+    ):
+        with pytest.raises(ValueError):
+            DistinguishabilitySeries(times, p, s.config, s.qubit_r, s.field_label,
+                                     s.field_alpha)
+
+
+@pytest.mark.parametrize("make, trig, bound", [
+    (lambda: coherent_field(3.0, n_max=100), "anchored", 2.22e6),
+    (lambda: fock_field(5, n_max=40), "direct", 1.67e6),
+])
+def test_perr_series_holds_no_full_grid_temporaries(make, trig, bound):
+    # 20000 steps: the series' times and p_err and the sweep's rho_ee,
+    # rho_gg and rho_eg rows take 0.8 MB; the rest of the traced peak is
+    # per-chunk and per-call work and _check_physical's two scratch rows.
+    # The bounds are 1.25 times the peaks measured (1.77 and 1.33 MB).
+    f = make()
+    cfg = CavityConfig(n_max=f.n_max)
+    assert _trig(f, cfg, np.linspace(0.0, 160.0, 20000)) == trig
+    perr_series(f, (0.3, -0.4, 0.5), cfg, t_max=160.0, steps=20000)
+    tracemalloc.start()
+    try:
+        perr_series(f, (0.3, -0.4, 0.5), cfg, t_max=160.0, steps=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_perr_series_validation():
