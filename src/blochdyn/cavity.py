@@ -72,12 +72,13 @@ argument; 4 eps (1 + max |Om_n t|) tested at omega0 = 1.3, g = 0.07, and
 t up to 1e4 (coherent, n_max = 60), where omega0 t is 65 times the largest
 Om_n t. Sparse sweeps and other grids call libm on every cell.
 
-Per call a sweep makes its weights, the matrix path's offsets and mix (and
-offset basis where several chunks read it), its output rows and the check's
-two scratch rows; per chunk, the trig and the sums into its output slices,
-and each depth slice's anchor side (and one-chunk offset rows). Results
-built here (perr_series' series, jc_propagate's KrausSet) skip checks their
-caller has proved; the ones a user builds are checked in full.
+Per call _sweep picks the path and the chunk rows and makes the weights,
+the matrix path's offsets and mix (and offset basis where several chunks
+read it), its output rows and the check's two scratch rows; per chunk, the
+trig and the sums into its output slices, and each depth slice's anchor side
+(and one-chunk offset rows). Results built here (fields, through _built;
+perr_series' series; jc_propagate's KrausSet) skip checks their caller has
+proved; the ones a user builds are checked in full.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -264,17 +265,11 @@ def coherent_tail(alpha: complex, n_max: int) -> float:
     return mass if upper else max(0.0, 1.0 - mass)
 
 
-def _check_tail(tail: float, detail: str) -> None:
-    if tail >= TAIL_LIMIT:
-        raise TruncationTooSmall(tail, detail)
-
-
 def coherent_field(alpha, n_max: int = 100) -> FieldState:
     """Coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!), truncated, renormalized."""
     alpha, n_max = _complex(alpha, "alpha"), _cutoff(n_max)
-    _check_tail(coherent_tail(alpha, n_max), f"coherent alpha={alpha}")
-    amps = _coherent_amplitudes(alpha, n_max)
-    return FieldState("coherent", amps / _norm(amps), alpha)
+    tail = coherent_tail(alpha, n_max)
+    return _built("coherent", _coherent_amplitudes(alpha, n_max), alpha, tail)
 
 
 def _phase_sum_field(label, alpha, n_max, k, residue, total) -> FieldState:
@@ -283,8 +278,7 @@ def _phase_sum_field(label, alpha, n_max, k, residue, total) -> FieldState:
     n = np.arange(n_max + 1)
     amps = np.where(n % k == residue, k * _coherent_amplitudes(alpha, n_max), 0.0 + 0.0j)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)) / total)
-    _check_tail(tail, f"{label} alpha={alpha}")
-    return FieldState(label, amps / _norm(amps), alpha)
+    return _built(label, amps, alpha, tail)
 
 
 def cat_field(alpha, n_max: int = 100, parity: str = "even") -> FieldState:
@@ -325,31 +319,47 @@ def fock_field(n, n_max: int = 100) -> FieldState:
         raise TruncationTooSmall(1.0, f"Fock index {k} above cutoff {n_max}")
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[k] = 1.0
-    return FieldState("fock", amps, complex(k))
+    return _built("fock", amps, complex(k))
 
 
 def custom_field(amplitudes) -> FieldState:
     """Wrap raw Fock amplitudes (normalized within 1e-10) as a field state."""
     amps = FieldState("custom", amplitudes).amplitudes  # validated, then renormalized
-    return FieldState("custom", amps / _norm(amps), None)
+    return _built("custom", amps, None)
+
+
+def _built(label: str, amps: np.ndarray, alpha, tail: float = 0.0) -> FieldState:
+    # every built field ends here: tail checked, amplitudes normalized once;
+    # FieldState's checks (finite, 1-d, n_max >= 1) hold by construction
+    if tail >= TAIL_LIMIT:
+        raise TruncationTooSmall(tail, f"{label} alpha={alpha}")
+    return _trusted(FieldState, label=label, amplitudes=amps / _norm(amps), alpha=alpha)
+
+
+def _fock_label(alpha, n_max) -> FieldState:
+    alpha = _complex(alpha, "alpha")
+    if alpha.imag != 0.0:
+        raise ValueError("the fock label needs an integer occupation in alpha")
+    return fock_field(alpha.real, n_max)
+
+
+# make_field's labels and their builders (alpha, n_max), in the CLI's --field
+# order, the first its default field
+_FIELD_BUILDERS = {
+    "coherent": coherent_field,
+    "cat_even": lambda alpha, n_max: cat_field(alpha, n_max, "even"),
+    "cat_odd": lambda alpha, n_max: cat_field(alpha, n_max, "odd"),
+    "e0": e0_field,
+    "fock": _fock_label,
+}
 
 
 def make_field(label: str, alpha=0j, n_max: int = 100) -> FieldState:
     """Dispatch on a field label. For "fock", alpha is the occupation index."""
-    if label == "coherent":
-        return coherent_field(alpha, n_max)
-    if label == "cat_even":
-        return cat_field(alpha, n_max, "even")
-    if label == "cat_odd":
-        return cat_field(alpha, n_max, "odd")
-    if label == "e0":
-        return e0_field(alpha, n_max)
-    if label == "fock":
-        alpha = _complex(alpha, "alpha")
-        if alpha.imag != 0.0:
-            raise ValueError("the fock label needs an integer occupation in alpha")
-        return fock_field(alpha.real, n_max)
-    raise ValueError(f"unknown field label {label!r} (custom states: custom_field)")
+    build = _FIELD_BUILDERS.get(label) if isinstance(label, str) else None
+    if build is None:
+        raise ValueError(f"unknown field label {label!r} (custom states: custom_field)")
+    return build(alpha, n_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,15 +634,15 @@ def _sweep_weights(field: FieldState, cfg: CavityConfig, rho0) -> _SweepWeights:
                          kept - 1, dropped)
 
 
-def _anchored_basis(w: _SweepWeights, cfg: CavityConfig, times: np.ndarray):
+def _anchored_basis(w: _SweepWeights, cfg: CavityConfig, times: np.ndarray, shared: bool):
     """The matrix path's per-grid side of the sums: ((off, whole, lab), mix).
 
     times is bit for bit np.linspace(t[0], t[-1], n), n >= 2, with spacing
     h. Row j = a K + k (K = _ANCHOR) is there the angle sum of its anchor
     row a K (libm at that t_j itself) and offset k, with sK = sin(Om_n k h)
     and cK = cos(Om_n k h), k h read as t_k - t_0, for k < min(n, K), once
-    per call (zero for k >= n): off, (kept, 2, K). Where more than one
-    chunk reads them, whole holds the offset basis made from them
+    per call (zero for k >= n): off, (kept, 2, K). Where shared (_sweep
+    counts more than one chunk), whole holds the offset basis made from them
     (_offset_rows of every block and pair) and off is None; else whole is
     (None, None) and each depth slice makes its own rows. lab: exp(-i omega0
     k h), None in the rotating frame. mix folds diag_ss, diag_sc and pairs
@@ -641,7 +651,7 @@ def _anchored_basis(w: _SweepWeights, cfg: CavityConfig, times: np.ndarray):
     # k h as the grid spells it, t_k - t_0 (no larger than the last time)
     tk = times[:_ANCHOR] - times[0]
     off, n, whole = _cos_sin(w.om, tk, _ANCHOR), w.om.size, (None, None)
-    if times.size > _chunk_rows(n, *_ANCHORED_ROWS):
+    if shared:
         off, whole = None, (_offset_rows(off, 0, n, 0), _offset_rows(off, 0, n - 1, 1))
     lab = np.exp(-1j * cfg.omega0 * tk) if cfg.frame == "lab" else None
     return (off, whole, lab), _anchor_mix(w.diag_ss, w.diag_sc, w.pairs)
@@ -779,13 +789,14 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray, unifor
     """(ee, eg, gg): rho_ee, rho_eg and rho_gg at the checked times tgrid.
 
     The weights, the dropped blocks and the two ways to sum are the module
-    docstring's. The path is decided here, once: more than
-    _FIXED_ORDER_WIDTH kept blocks over a uniform grid (uniform, as the
+    docstring's. The path and the chunk rows are decided here, once: more
+    than _FIXED_ORDER_WIDTH kept blocks over a uniform grid (uniform, as the
     caller proved it) take the matrix path, _anchored_sums with the side
-    _anchored_basis builds for this grid, and every other sweep direct trig,
-    _direct_sums. The chunk rows (_chunk_rows) read the path and the kept
-    width alone, and the matrix path cuts its depth into slices added in
-    order, so neither the grid length nor the BLAS thread count moves a bit.
+    _anchored_basis builds for this grid (told whether several chunks read
+    its offset basis), and every other sweep direct trig, _direct_sums. The
+    chunk rows (_chunk_rows) read the path and the kept width alone, and the
+    matrix path cuts its depth into slices added in order, so neither the
+    grid length nor the BLAS thread count moves a bit.
     Work per call and per chunk: see the module docstring.
     """
     w = _sweep_weights(field, cfg, rho0)
@@ -794,11 +805,11 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray, unifor
     if not kept:  # every weight dropped: the constant state
         ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
     else:
-        if kept > _FIXED_ORDER_WIDTH and uniform:
-            sums, side, rule = _anchored_sums, _anchored_basis(w, cfg, tgrid), _ANCHORED_ROWS
-        else:
-            sums, side, rule = _direct_sums, (), _DIRECT_ROWS
-        rows = _chunk_rows(kept, *rule)
+        anchored = kept > _FIXED_ORDER_WIDTH and uniform
+        rows = _chunk_rows(kept, *(_ANCHORED_ROWS if anchored else _DIRECT_ROWS))
+        sums, side = _direct_sums, ()
+        if anchored:
+            sums, side = _anchored_sums, _anchored_basis(w, cfg, tgrid, tgrid.size > rows)
         for lo in range(0, tgrid.size, rows):
             sl = slice(lo, lo + rows)
             pop, _ = sums(w, cfg, tgrid[sl], eg[sl], *side)

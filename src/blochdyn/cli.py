@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .bloch import HamiltonianSpec, _real, as_bloch, evolve_bloch, p_err_bloch
 from .brachistochrone import brach_hamiltonian
-from .cavity import CavityConfig, make_field, nonunitary_tau, perr_series
+from .cavity import _FIELD_BUILDERS, CavityConfig, make_field, nonunitary_tau, perr_series
 from .errors import BlochDynError
 from .speedlimits import _ring_slabs, classify
 
@@ -41,11 +41,12 @@ _SIG = 15  # significant digits of a CSV cell
 _G15_BYTES = "\0e+-0123456789"  # the constant bytes of a %.15g cell, NUL first
 _WIDE = np.longdouble  # precision of the CSV formatter's scaling (see _format_cells)
 
-# CavityConfig and perr_series own their defaults; field and qubit are the CLI's
+# CavityConfig and perr_series own their defaults; field and qubit are the
+# CLI's, save the default label, make_field's first (cavity._FIELD_BUILDERS)
 _CAVITY_DEFAULTS = {
     **{f.name: f.default for f in fields(CavityConfig)},
     **{k: inspect.signature(perr_series).parameters[k].default for k in ("t_max", "steps")},
-    "field": {"label": "coherent", "alpha_re": 3.0, "alpha_im": 0.0},
+    "field": {"label": next(iter(_FIELD_BUILDERS)), "alpha_re": 3.0, "alpha_im": 0.0},
     "qubit": {"rx": 0.0, "ry": 0.0, "rz": 1.0},
 }
 
@@ -272,38 +273,32 @@ def cmd_brach(args) -> int:
 
 
 def _resolve_cavity_params(args) -> dict:
+    loaded = {}
     if args.scenario is not None:
         with open(args.scenario) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("scenario file must hold a JSON object")
-    else:
-        loaded = {}
-    for key in ("field", "qubit"):
-        if not isinstance(loaded.get(key, {}), dict):
-            raise ValueError(f"scenario {key} must be a JSON object")
+    # each flag under the scenario keys it sets, None where not given
+    flags = {key: getattr(args, key) for key in _CAVITY_DEFAULTS}
+    alpha = (None, None) if args.alpha is None else (args.alpha.real, args.alpha.imag)
+    flags["field"] = {"label": args.field, "alpha_re": alpha[0], "alpha_im": alpha[1]}
+    flags["qubit"] = dict(zip(("rx", "ry", "rz"), args.qubit or (None, None, None)))
+    return _pick(flags, loaded, _CAVITY_DEFAULTS)
 
+
+def _pick(flags: dict, scenario: dict, defaults: dict) -> dict:
+    # one precedence rule, per key and per key of field and qubit: the flag if
+    # given, else the scenario value, else the default; other keys are ignored
     p = {}
-    for key, default in _CAVITY_DEFAULTS.items():
-        if key in ("field", "qubit"):
-            continue
-        flag = getattr(args, key)
-        p[key] = flag if flag is not None else loaded.get(key, default)
-
-    # like unknown top-level keys, unknown field and qubit keys are ignored
-    fld = dict(_CAVITY_DEFAULTS["field"])
-    fld.update((k, v) for k, v in loaded.get("field", {}).items() if k in fld)
-    if args.field is not None:
-        fld["label"] = args.field
-    if args.alpha is not None:
-        fld["alpha_re"], fld["alpha_im"] = args.alpha.real, args.alpha.imag
-    p["field"] = fld
-
-    qb = dict(_CAVITY_DEFAULTS["qubit"])
-    qb.update((k, v) for k, v in loaded.get("qubit", {}).items() if k in qb)
-    if args.qubit is not None:
-        qb["rx"], qb["ry"], qb["rz"] = args.qubit
-    p["qubit"] = qb
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            nested = scenario.get(key, {})
+            if not isinstance(nested, dict):
+                raise ValueError(f"scenario {key} must be a JSON object")
+            p[key] = _pick(flags[key], nested, default)
+        else:
+            p[key] = flags[key] if flags[key] is not None else scenario.get(key, default)
     return p
 
 
@@ -404,8 +399,7 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("cavity", help="qubit-mode sweep: p_err series and crossing times")
     c.add_argument("--scenario", default=None, metavar="FILE",
                    help="JSON descriptor; explicit flags override its entries")
-    c.add_argument("--field", default=None,
-                   choices=["coherent", "cat_even", "cat_odd", "e0", "fock"])
+    c.add_argument("--field", default=None, choices=list(_FIELD_BUILDERS))
     c.add_argument("--alpha", type=_alpha, default=None,
                    help="field amplitude re[,im]; Fock occupation for --field fock")
     c.add_argument("--qubit", type=_vec3, default=None, help="initial Bloch vector")

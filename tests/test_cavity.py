@@ -146,6 +146,48 @@ def test_make_field_dispatch():
         make_field("fock", 2.5, 10)
     with pytest.raises(ValueError):
         make_field("squeezed", 1.0, 10)
+    with pytest.raises(ValueError, match=r"unknown field label \['coherent'\]"):
+        make_field(["coherent"], 1.0, 20)  # not a label, nor a hashable one
+
+
+BUILT_FIELDS = {
+    "coherent": lambda: coherent_field(1.5 + 0.5j, 30),
+    "cat_even": lambda: cat_field(2.0, 40),
+    "cat_odd": lambda: cat_field(2.0, 40, "odd"),
+    "e0": lambda: e0_field(3.0, 60),
+    "fock": lambda: fock_field(3, 10),
+    "custom": lambda: _edge_field(),  # defined with the series tests below
+    "make_field": lambda: make_field("fock", 0, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_FIELDS))
+def test_field_checks_run_once_on_user_amplitudes_only(monkeypatch, name):
+    # a built field skips FieldState's checks and is normalized once; only
+    # custom_field checks, once, the amplitudes its caller gave
+    from blochdyn import FieldState
+
+    checks, norms = [], []
+    check, norm = FieldState.__post_init__, cavity._norm
+    monkeypatch.setattr(FieldState, "__post_init__", lambda f: checks.append(1) or check(f))
+    monkeypatch.setattr(cavity, "_norm", lambda a: norms.append(1) or norm(a))
+    BUILT_FIELDS[name]()
+    assert (len(checks), len(norms)) == ((1, 2) if name == "custom" else (0, 1))
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_FIELDS))
+def test_built_fields_equal_publicly_built_ones(name):
+    from blochdyn import FieldState
+
+    f = BUILT_FIELDS[name]()
+    public = FieldState(f.label, f.amplitudes.copy(), f.alpha)
+    assert vars(public).keys() == vars(f).keys()
+    assert (type(f.label), f.label, type(f.alpha), f.alpha) == (
+        type(public.label), public.label, type(public.alpha), public.alpha)
+    a, b = f.amplitudes, public.amplitudes
+    assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable) == (
+        b.dtype, b.shape, b.flags.c_contiguous, b.flags.writeable)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_field_state_rejects_bad_amplitudes():
@@ -590,11 +632,16 @@ def test_chunk_bounds_ignore_grid_length(monkeypatch, name, trig):
         return times ** 1.5 if name == "coherent_bent_grid" else times
 
     rows = _rows(f, cfg, grid(3))
+    counted = []  # _chunk_rows calls: the sweep counts its chunks once
+    chunk_rows = cavity._chunk_rows
+    monkeypatch.setattr(cavity, "_chunk_rows", lambda *a: counted.append(a) or chunk_rows(*a))
     for steps in (rows - 1, 3 * rows + 5):
         times = grid(steps)
         seen.clear()
+        counted.clear()
         reduced_series(f, MIXED, cfg, times)
         assert seen == [(f"_{trig}_sums", t0) for t0 in times[:steps:rows].tolist()]
+        assert len(counted) == 1
 
 
 MULTI_CHUNK_FIELDS = {
@@ -641,7 +688,7 @@ def test_matrix_path_edge_phases_match_dense_oracle(frame, detuning, steps):
     times = np.linspace(0.0, 160.0, steps)
     assert _trig(f, cfg, times) == "anchored"
     w = cavity._sweep_weights(f, cfg, MIXED)
-    basis, _ = cavity._anchored_basis(w, cfg, times)
+    basis, _ = cavity._anchored_basis(w, cfg, times, steps > _rows(f, cfg))
     assert w.kept[0] == -1 and w.kept[-1] == f.n_max
     assert (basis[-1] is not None) == (frame == "lab")  # the lab phase
     rho = reduced_series(f, MIXED, cfg, times)
@@ -1130,7 +1177,8 @@ def test_sides_made_per_slice_hold_the_whole_sides_bits(name, steps):
     times = np.linspace(0.0, 160.0, steps)
     rows = _rows(f, cfg)
     assert rows == 8192 and _trig(f, cfg, times) == "anchored"
-    (kept_off, whole, _), (diag_mix, pair_mix) = cavity._anchored_basis(w, cfg, times)
+    (kept_off, whole, _), (diag_mix, pair_mix) = cavity._anchored_basis(w, cfg, times,
+                                                                        steps > rows)
     k = cavity._ANCHOR
     off = cavity._cos_sin(w.om, times[:k] - times[0], k)
     diag = cavity._products(off, off)[:, [0, 1, 3]].reshape(-1, k)

@@ -264,6 +264,44 @@ def test_cavity_scenario_drops_unknown_field_and_qubit_keys(tmp_path, capsys):
     assert set(params["qubit"]) == {"rx", "ry", "rz"}
 
 
+@pytest.mark.parametrize("scenario, flags, field, qubit", [
+    ({"field": {"label": "cat_even", "alpha_re": 1.0, "alpha_im": 0.5}}, ["--alpha", "2"],
+     {"label": "cat_even", "alpha_re": 2.0, "alpha_im": 0.0}, {"rx": 0.0, "ry": 0.0, "rz": 1.0}),
+    ({"field": {"label": "coherent", "alpha_re": 2}}, ["--field", "fock"],
+     {"label": "fock", "alpha_re": 2, "alpha_im": 0.0}, {"rx": 0.0, "ry": 0.0, "rz": 1.0}),
+    ({"qubit": {"rz": -1}}, [],
+     {"label": "coherent", "alpha_re": 3.0, "alpha_im": 0.0}, {"rx": 0.0, "ry": 0.0, "rz": -1}),
+    ({"qubit": {"rx": 0.0, "ry": 0.6, "rz": 0.8}}, ["--qubit", "0.6,0,-0.8"],
+     {"label": "coherent", "alpha_re": 3.0, "alpha_im": 0.0}, {"rx": 0.6, "ry": 0.0, "rz": -0.8}),
+], ids=["alpha_keeps_label", "field_keeps_alpha", "partial_qubit", "qubit_flag_wins"])
+def test_cavity_flags_override_field_and_qubit_key_by_key(tmp_path, capsys, scenario, flags,
+                                                           field, qubit):
+    # per key of field and qubit: the flag, else the file's value, else the default
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"n_max": 40, "steps": 200, **scenario}))
+    dest = tmp_path / "series.csv"
+    code, out, err = run_cli(capsys, ["cavity", "--scenario", str(path), *flags,
+                                      "--out", str(dest)])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    params = summary["scenario"]["params"]
+    assert (params["field"], params["qubit"]) == (field, qubit)
+    for echoed, want in ((params["field"], field), (params["qubit"], qubit)):  # ints stay ints
+        assert {k: type(v) for k, v in echoed.items()} == {k: type(v) for k, v in want.items()}
+    assert_echo_replays(tmp_path, capsys, dest, summary)
+
+
+def test_cavity_field_choices_are_make_field_labels():
+    from blochdyn import cavity
+
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    (field,) = [a for a in sub.choices["cavity"]._actions if a.dest == "field"]
+    assert field.choices == list(cavity._FIELD_BUILDERS)
+    assert field.choices == ["coherent", "cat_even", "cat_odd", "e0", "fock"]
+    for label in field.choices:
+        assert make_field(label, 1, 20).label == label
+
+
 def test_cavity_bad_level_exits_1_before_any_output(capsys):
     code, out, err = run_cli(capsys, ["cavity", "--field", "fock", "--alpha", "1", "--n-max", "8",
                                       "--steps", "64", "--delta", "0.1", "--delta", "nan"])
