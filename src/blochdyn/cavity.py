@@ -72,13 +72,16 @@ argument; 4 eps (1 + max |Om_n t|) tested at omega0 = 1.3, g = 0.07, and
 t up to 1e4 (coherent, n_max = 60), where omega0 t is 65 times the largest
 Om_n t. Sparse sweeps and other grids call libm on every cell.
 
-Per call _sweep picks the path and the chunk rows and makes the weights,
+Per call _sweep picks the path and the chunk rows and makes the weights and
 the matrix path's offsets and mix (and offset basis where several chunks
-read it), its output rows and the check's two scratch rows; per chunk, the
-trig and the sums into its output slices, and each depth slice's anchor side
-(and one-chunk offset rows). Results built here (fields, through _built;
-perr_series' series; jc_propagate's KrausSet) skip checks their caller has
-proved; the ones a user builds are checked in full.
+read it); per chunk, the trig, the sums in new rows that it hands out, their
+physicality margins, and each depth slice's anchor side (and one-chunk
+offset rows). It makes no array of the grid's length: reduced_series and
+perr_series write each chunk into their one result.
+
+Results built here (fields, through _built; perr_series' series;
+jc_propagate's KrausSet) skip checks their caller has proved; the ones a
+user builds are checked in full.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -532,19 +535,13 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     return ops.transpose(2, 0, 1)
 
 
-def _check_physical(ee, eg, gg) -> None:
-    # |ee + gg - 1| and the smallest eigenvalue 0.5 (ee + gg - sqrt((ee - gg)^2 + 4 |eg|^2))
-    a, b = np.empty((2, ee.size))
-    worst = np.abs(np.subtract(np.add(ee, gg, out=a), 1.0, out=b), out=b).max(initial=0.0)
-    np.multiply(np.square(np.abs(eg, out=b), out=b), 4.0, out=b)
-    np.sqrt(np.add(np.square(np.subtract(ee, gg, out=a), out=a), b, out=a), out=a)
-    low = np.multiply(np.subtract(np.add(ee, gg, out=b), a, out=b), 0.5, out=b).min(initial=0.0)
-    # written so that a NaN anywhere fails the test
-    if not (worst <= _PHYS_TOL and low >= -_PHYS_TOL):
-        raise NonphysicalOutput(
-            f"reduced state broke physicality: |tr-1| up to {worst:.3e}, "
-            f"min eigenvalue {low:.3e}"
-        )
+def _margins(ee, eg, gg):
+    # a chunk's worst |ee + gg - 1| and smallest eigenvalue
+    # 0.5 (ee + gg - sqrt((ee - gg)^2 + 4 |eg|^2)), 0.0 over no rows; a NaN
+    # anywhere is NaN in one of them
+    tr = ee + gg
+    low = 0.5 * (tr - np.sqrt(np.square(ee - gg) + np.square(np.abs(eg)) * 4.0))
+    return np.abs(tr - 1.0).max(initial=0.0), low.min(initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -750,9 +747,9 @@ def _fold(mix: np.ndarray, anchor: np.ndarray, pair: int, off, whole, rows: int)
     return out.reshape(-1, anchor.shape[-1] * _ANCHOR)[:, :rows]
 
 
-def _anchored_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, eg, basis, mix):
-    # The population sum and rho_eg (into eg) at the rows t of a uniform grid,
-    # t[0] an anchor row: libm's sA, cA at the anchors t[a K], folded with the
+def _anchored_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, basis, mix):
+    # The population sum and rho_eg at the rows t of a uniform grid, t[0] an
+    # anchor row: libm's sA, cA at the anchors t[a K], folded with the
     # weights, meet the offset basis (see _anchored_basis); zero anchors pad
     # the anchor side to a multiple of _GEMM_ALIGN. The last chunk may end
     # inside an anchor's rows.
@@ -760,16 +757,18 @@ def _anchored_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, eg, basis
     anchors = t[::_ANCHOR]
     trig = _cos_sin(w.om, anchors, -(-anchors.size // _GEMM_ALIGN) * _GEMM_ALIGN)  # cA, sA
     pop = _fold(mix[0], trig, 0, off, diag, t.size)[0]
+    eg = np.empty(t.size, dtype=complex)
     eg.real, eg.imag = _fold(mix[1], trig, 1, off, pair, t.size)
     if lab is not None:
         eg *= (np.exp(-1j * cfg.omega0 * anchors)[:, None] * lab).ravel()[:t.size]
     return pop, eg
 
 
-def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, eg=None):
-    # libm on every (kept, rows) cell, then each trig product contracted with its
-    # weights, rho_eg into eg (new if None). The lab phase stays per chunk: numpy's
-    # complex product may round a row differently at another position in an array.
+def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray):
+    # The population sum and rho_eg at the rows t: libm on every (kept, rows)
+    # cell, then each trig product contracted with its weights. The lab phase
+    # stays per chunk: numpy's complex product may round a row differently at
+    # another position in an array.
     C, S = _cos_sin(w.om, t, t.size).transpose(1, 0, 2)
     pop = _contract_fixed(S * S, w.diag_ss) + _contract_fixed(S * C, w.diag_sc)
     coh = np.zeros((2, t.size))
@@ -778,7 +777,7 @@ def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, eg=None):
         for part, col in zip(coh, weight.T):  # re, im
             part += _contract_fixed(adj, col)
         del adj  # freed before the next product is made
-    eg = np.empty(t.size, dtype=complex) if eg is None else eg
+    eg = np.empty(t.size, dtype=complex)
     eg.real, eg.imag = coh
     if cfg.frame == "lab":
         eg *= np.exp(-1j * cfg.omega0 * t)
@@ -786,7 +785,8 @@ def _direct_sums(w: _SweepWeights, cfg: CavityConfig, t: np.ndarray, eg=None):
 
 
 def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray, uniform: bool):
-    """(ee, eg, gg): rho_ee, rho_eg and rho_gg at the checked times tgrid.
+    """Yield (sl, ee, eg, gg): rho_ee, rho_eg and rho_gg at the checked
+    times tgrid[sl], one chunk sl after the other, each in new arrays.
 
     The weights, the dropped blocks and the two ways to sum are the module
     docstring's. The path and the chunk rows are decided here, once: more
@@ -796,27 +796,34 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray, unifor
     its offset basis), and every other sweep direct trig, _direct_sums. The
     chunk rows (_chunk_rows) read the path and the kept width alone, and the
     matrix path cuts its depth into slices added in order, so neither the
-    grid length nor the BLAS thread count moves a bit.
-    Work per call and per chunk: see the module docstring.
+    grid length nor the BLAS thread count moves a bit. Each chunk's margins
+    (_margins) join the grid's, and after the last chunk a worst |tr - 1| or
+    smallest eigenvalue past _PHYS_TOL, or a NaN in any chunk, raises
+    NonphysicalOutput. Work per call and per chunk: see the module docstring.
     """
     w = _sweep_weights(field, cfg, rho0)
-    ee, gg, eg = np.empty(tgrid.size), np.empty(tgrid.size), np.empty(tgrid.size, complex)
     kept = w.kept.size
-    if not kept:  # every weight dropped: the constant state
-        ee[:], gg[:], eg[:] = w.ee0, w.gg0, 0.0
-    else:
-        anchored = kept > _FIXED_ORDER_WIDTH and uniform
-        rows = _chunk_rows(kept, *(_ANCHORED_ROWS if anchored else _DIRECT_ROWS))
-        sums, side = _direct_sums, ()
-        if anchored:
-            sums, side = _anchored_sums, _anchored_basis(w, cfg, tgrid, tgrid.size > rows)
-        for lo in range(0, tgrid.size, rows):
-            sl = slice(lo, lo + rows)
-            pop, _ = sums(w, cfg, tgrid[sl], eg[sl], *side)
-            np.add(w.ee0, pop, out=ee[sl])
-            np.subtract(w.gg0, pop, out=gg[sl])
-    _check_physical(ee, eg, gg)
-    return ee, eg, gg
+    anchored = kept > _FIXED_ORDER_WIDTH and uniform
+    rows = _chunk_rows(kept, *(_ANCHORED_ROWS if anchored else _DIRECT_ROWS))
+    sums, side = _direct_sums, ()
+    if anchored:
+        sums, side = _anchored_sums, _anchored_basis(w, cfg, tgrid, tgrid.size > rows)
+    worst = low = 0.0
+    for lo in range(0, tgrid.size, rows):
+        sl = slice(lo, lo + rows)
+        if kept:
+            pop, eg = sums(w, cfg, tgrid[sl], *side)
+            ee, gg = w.ee0 + pop, w.gg0 - pop
+        else:  # every weight dropped: the constant state, its zeros' signs kept
+            ee, gg, eg = (np.full(tgrid[sl].size, x) for x in (w.ee0, w.gg0, 0j))
+        chunk_worst, chunk_low = _margins(ee, eg, gg)
+        worst, low = np.maximum(worst, chunk_worst), np.minimum(low, chunk_low)  # NaN stays
+        yield sl, ee, eg, gg
+    if not (worst <= _PHYS_TOL and low >= -_PHYS_TOL):  # a NaN fails too
+        raise NonphysicalOutput(
+            f"reduced state broke physicality: |tr-1| up to {worst:.3e}, "
+            f"min eigenvalue {low:.3e}"
+        )
 
 
 def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times):
@@ -831,8 +838,11 @@ def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times):
         raise ValueError("times must be finite and nonnegative")
     _check_phases(cfg, float(tgrid.max(initial=0.0)), "max(times)", cfg.omega0)
 
-    ee, eg, gg = _sweep(field, rho0, cfg, tgrid, _uniform(tgrid))
-    return np.stack([ee, eg, eg.conj(), gg], axis=1).reshape(-1, 2, 2)
+    rho = np.empty((tgrid.size, 4), dtype=complex)  # rows ee, eg, ge, gg
+    for sl, ee, eg, gg in _sweep(field, rho0, cfg, tgrid, _uniform(tgrid)):
+        rho[sl, 0], rho[sl, 1], rho[sl, 3] = ee, eg, gg
+        np.conjugate(eg, out=rho[sl, 2])
+    return rho.reshape(-1, 2, 2)
 
 
 def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
@@ -861,7 +871,7 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
     eg = p * m02 + b * m03 + c * m12 + q * m13
     gg = p * m22 + b * m23 + c * m32 + q * m33
     rho_t = np.array([[ee.real, eg], [eg.conjugate(), gg.real]])
-    try:  # _check_physical's tests, in closed form on floats: no reduction of 0-d arrays
+    try:  # the sweep's margins (_margins), in closed form on floats: no reduction of 0-d arrays
         check_density(rho_t, _PHYS_TOL)
     except ValueError as exc:
         raise NonphysicalOutput(f"reduced state broke physicality: {exc}") from None
@@ -950,16 +960,12 @@ def perr_series(
     _check_phases(cfg, t_max, "t_max", cfg.omega0)
     times = np.linspace(0.0, t_max, _integer(steps, "steps", 2))
     _integer(workers, "workers", 1)
-    ee, eg, gg = _sweep(field, bloch_to_density(r0), cfg, times, True)
-
-    # p_err in place: dx in gg, dy in eg's real part once dx is read, dz in ee
-    dz = np.subtract(np.subtract(ee, gg, out=ee), r0[2], out=ee)
-    pe = np.subtract(np.multiply(eg.real, 2.0, out=gg), r0[0], out=gg)
-    dy = np.subtract(np.multiply(eg.imag, -2.0, out=eg.real), r0[1], out=eg.real)
-    pe = np.add(np.square(pe, out=pe), np.square(dy, out=dy), out=pe)
-    pe += np.square(dz, out=dz)
-    pe = np.subtract(0.5, np.multiply(np.sqrt(pe, out=pe), 0.25, out=pe), out=pe)
-    np.clip(pe, 0.0, 0.5, out=pe)
+    pe = np.empty(times.size)
+    for sl, ee, eg, gg in _sweep(field, bloch_to_density(r0), cfg, times, True):
+        dx = eg.real * 2.0 - r0[0]
+        dy = eg.imag * -2.0 - r0[1]
+        dz = (ee - gg) - r0[2]
+        np.clip(0.5 - np.sqrt((dx * dx + dy * dy) + dz * dz) * 0.25, 0.0, 0.5, out=pe[sl])
     # the series' checks hold: times is a checked linspace, pe clipped from checked states
     return _trusted(DistinguishabilitySeries, times=times, p_err=pe, config=cfg, qubit_r=r0,
                     field_label=field.label, field_alpha=field.alpha)

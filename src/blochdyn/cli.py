@@ -336,13 +336,14 @@ def cmd_cavity(args) -> int:
         p["t_max"] = float(series.times[-1])  # the grid ends on perr_series' default
 
     w = cfg.omega0
-    taus, levels = {}, {}
+    raw, levels = {}, {}
     for d in args.delta or []:  # a bad level fails here, before any output
         t = nonunitary_tau(series, d)
         key = "%g" % d
         if levels.setdefault(key, d) != d:  # a repeated level is fine
             raise ValueError(f"--delta {levels[key]!r} and {d!r} share the summary key {key!r}")
-        taus[key] = None if t is None else t * w
+        raw[key] = t
+    taus = {k: None if t is None else t * w for k, t in raw.items()}
     _write_csv(args.out, "t_omega0,p_err", [[series.times * w, series.p_err]])
 
     i_min = int(np.argmin(series.p_err))
@@ -355,9 +356,7 @@ def cmd_cavity(args) -> int:
     }
     if w != 1.0:
         summary["argmin_t_raw"] = float(series.times[i_min])
-        summary["tau_raw"] = {
-            k: (None if v is None else v / w) for k, v in taus.items()
-        }
+        summary["tau_raw"] = raw  # nonunitary_tau's own times
     # keep stdout pure CSV when the series itself goes there
     _emit_json(summary, stream=sys.stderr if args.out == "-" else sys.stdout)
     return 0

@@ -474,13 +474,66 @@ def test_tolerances_and_worker_counts_are_checked_naming_them():
     assert kraus_support(f, cfg, 1.0, tol=0).tolist() == list(range(21))
 
 
-def test_physicality_check_fails_on_nan():
+def test_physicality_check_fails_on_nan(monkeypatch):
     half = np.array([0.5, 0.5])
-    cavity._check_physical(half, np.zeros(2, complex), half)
+    assert cavity._margins(half, np.zeros(2, complex), half) == (0.0, 0.0)
+    assert np.isnan(cavity._margins(np.array([0.5, np.nan]), np.zeros(2, complex), half)).any()
+    assert np.isnan(cavity._margins(half, np.array([0.0, np.nan + 0j]), half)).any()
+    _injected_series(monkeypatch, {})
     with pytest.raises(NonphysicalOutput):
-        cavity._check_physical(np.array([0.5, np.nan]), np.zeros(2, complex), half)
+        _injected_series(monkeypatch, {1: (np.nan, 0j)})
     with pytest.raises(NonphysicalOutput):
-        cavity._check_physical(half, np.array([0.0, np.nan + 0j]), half)
+        _injected_series(monkeypatch, {1: (0.0, complex(0.0, np.nan))})
+
+
+def _injected_series(monkeypatch, rows):
+    # reduced_series from diag(3/4, 1/4) over a Fock field, three chunks of
+    # direct trig whose sums are zero but at the grid rows given, {row: (pop, eg)}
+    f, cfg = fock_field(5, n_max=40), CavityConfig(n_max=40, frame="rotating")
+    rho0 = np.diag([0.75, 0.25])
+    times = np.linspace(0.0, 160.0, 2 * _rows(f, cfg, qubit=rho0) + 900)
+
+    def sums(w, cfg, t):
+        lo = int(np.searchsorted(times, t[0]))
+        pop, eg = np.zeros(t.size), np.zeros(t.size, complex)
+        for i, (p, e) in rows.items():
+            if lo <= i < lo + t.size:
+                pop[i - lo], eg[i - lo] = p, e
+        return pop, eg
+
+    with monkeypatch.context() as m:
+        m.setattr(cavity, "_direct_sums", sums)
+        return reduced_series(f, rho0, cfg, times)
+
+
+INJECTED_ROWS = 2 * 4096 + 900  # three chunks of 4096 rows (asserted below)
+
+
+@pytest.mark.parametrize("row", [0, 4095, 4096 + 17, 2 * 4096, INJECTED_ROWS - 1],
+                         ids=["first", "first_end", "middle", "last_start", "last"])
+@pytest.mark.parametrize("where", ["pop", "eg"])
+def test_physicality_check_fails_on_nan_in_any_chunk(monkeypatch, row, where):
+    rho = _injected_series(monkeypatch, {})
+    assert rho.shape[0] == INJECTED_ROWS
+    assert np.all(rho[:, 0, 0] == 0.75) and np.all(rho[:, 1, 1] == 0.25) and not rho[:, 0, 1].any()
+    bad = (np.nan, 0j) if where == "pop" else (0.0, complex(np.nan, 0.0))
+    with pytest.raises(NonphysicalOutput, match=r"broke physicality: .*nan"):
+        _injected_series(monkeypatch, {row: bad})
+
+
+# 2^53 in the populations rounds ee to 2^53 and gg to -2^53: |tr - 1| = 1 and
+# the smallest eigenvalue -2^53; an eg of 0.6 or 1e16 keeps the trace and
+# moves the eigenvalue to 0.5 (1 - sqrt(1/4 + 4 eg^2)), -0.15 or -1e16
+@pytest.mark.parametrize("rows, message", [
+    ({10: (0.0, 0.6), 2 * 4096 + 10: (2.0**53, 0j)}, "up to 1.000e+00, min eigenvalue -9.007e+15"),
+    ({10: (2.0**53, 0j), 2 * 4096 + 10: (0.0, 0.6)}, "up to 1.000e+00, min eigenvalue -9.007e+15"),
+    ({10: (2.0**53, 0j), 2 * 4096 + 10: (0.0, 1e16)}, "up to 1.000e+00, min eigenvalue -1.000e+16"),
+    ({10: (0.0, 0.6)}, "up to 0.000e+00, min eigenvalue -1.500e-01"),
+], ids=["worse_last", "worse_first", "trace_first_eigenvalue_last", "one_chunk"])
+def test_physicality_message_reports_the_whole_grids_worst(monkeypatch, rows, message):
+    with pytest.raises(NonphysicalOutput) as exc:
+        _injected_series(monkeypatch, rows)
+    assert str(exc.value) == f"reduced state broke physicality: |tr-1| {message}"
 
 
 @pytest.mark.parametrize("scale", [2.0, np.nan], ids=["norm_4", "nan"])
@@ -749,10 +802,11 @@ def _nonzero_weight_blocks(w):
 
 
 def _run_chunk(monkeypatch, w, cfg, t):
-    # (ee, eg, gg) of a sweep over t with the weights w
+    # (ee, eg, gg) of a sweep over t with the weights w, its chunks joined
     with monkeypatch.context() as m:
         m.setattr(cavity, "_sweep_weights", lambda *args: w)
-        return cavity._sweep(None, None, cfg, t, cavity._uniform(t))
+        chunks = list(cavity._sweep(None, None, cfg, t, cavity._uniform(t)))
+    return tuple(np.concatenate([chunk[k] for chunk in chunks]) for k in (1, 2, 3))
 
 
 def _fold(terms):
@@ -1620,21 +1674,39 @@ def test_perr_series_is_the_publicly_built_series(name):
     (lambda: fock_field(5, n_max=40), "direct", 1.67e6),
 ])
 def test_perr_series_holds_no_full_grid_temporaries(make, trig, bound):
-    # 20000 steps: the series' times and p_err and the sweep's rho_ee,
-    # rho_gg and rho_eg rows take 0.8 MB; the rest of the traced peak is
-    # per-chunk and per-call work and _check_physical's two scratch rows.
-    # The bounds are 1.25 times the peaks measured (1.77 and 1.33 MB).
+    # 20000 steps: the series' times and p_err take 0.32 MB; the rest of the
+    # traced peak is per-chunk and per-call work, as the sweep hands out its
+    # rows chunk by chunk. The bounds are 1.25 times the peaks measured when
+    # the sweep still held full-grid rows (1.77 and 1.33 MB). From 20000 to
+    # 200000 steps nothing but the results grows with the grid: perr_series'
+    # times and p_err, 16 B a row, bounded at 20, and reduced_series' (n, 2, 2)
+    # states (its times made outside), 64 B a row, bounded at 80.
     f = make()
     cfg = CavityConfig(n_max=f.n_max)
     assert _trig(f, cfg, np.linspace(0.0, 160.0, 20000)) == trig
-    perr_series(f, (0.3, -0.4, 0.5), cfg, t_max=160.0, steps=20000)
+
+    def perr(steps):
+        return lambda: perr_series(f, (0.3, -0.4, 0.5), cfg, t_max=160.0, steps=steps)
+
+    def reduced(steps):
+        times = np.linspace(0.0, 160.0, steps)
+        return lambda: reduced_series(f, MIXED, cfg, times)
+
+    assert _traced_peak(perr(20000)) <= bound
+    for sweep, per_row in ((perr, 20), (reduced, 80)):
+        growth = _traced_peak(sweep(200000)) - _traced_peak(sweep(20000))
+        assert growth <= per_row * 180000
+
+
+def _traced_peak(call):
+    # the traced peak of a second call, the first having warmed any caches
+    call()
     tracemalloc.start()
     try:
-        perr_series(f, (0.3, -0.4, 0.5), cfg, t_max=160.0, steps=20000)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound
 
 
 def test_perr_series_validation():

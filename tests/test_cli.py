@@ -10,7 +10,8 @@ import numpy.testing as npt
 import pytest
 
 import blochdyn
-from blochdyn import CavityConfig, HamiltonianSpec, __version__, make_field, perr_series
+from blochdyn import (CavityConfig, HamiltonianSpec, __version__, make_field, nonunitary_tau,
+                      perr_series)
 from blochdyn import cli, speedlimits
 from blochdyn.cli import main
 from oracles import csv_text, whole_lattice_ring, windowed_amplitude
@@ -194,6 +195,29 @@ def test_cavity_echoed_params_replay_the_run(tmp_path, capsys, argv):
     summary = json.loads(out)
     assert summary["scenario"]["params"]["omega0"] != 1.0 and "argmin_t_raw" in summary
     assert_echo_replays(tmp_path, capsys, dest, summary)
+
+
+def test_cavity_raw_crossing_times_are_nonunitary_taus_own(capsys):
+    # at omega0 = 1.3 the round trip (t * omega0) / omega0 moves some of
+    # these crossings by one ulp; tau_raw is the time nonunitary_tau returns
+    # and tau_omega0 that time times omega0
+    levels = [round(0.05 + 0.01 * k, 2) for k in range(41)]
+    code, out, err = run_cli(capsys, [
+        "cavity", "--field", "coherent", "--alpha", "2", "--omega0", "1.3", "--n-max", "40",
+        "--qubit", "0.6,0,0.8", "--steps", "2000", "--out", os.devnull,
+        *[arg for d in levels for arg in ("--delta", repr(d))]])
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    cfg = CavityConfig(omega0=1.3, n_max=40)
+    series = perr_series(make_field("coherent", 2.0, 40), (0.6, 0.0, 0.8), cfg, steps=2000)
+    crossed = 0
+    for d in levels:
+        t = nonunitary_tau(series, d)
+        key = "%g" % d
+        assert summary["tau_raw"][key] == t
+        assert summary["tau_omega0"][key] == (None if t is None else t * 1.3)
+        crossed += t is not None
+    assert crossed == len(levels)
 
 
 def test_cavity_vacuum_series_matches_closed_form(capsys):
