@@ -442,7 +442,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"blochdyn: error: {exc}", file=sys.stderr)
         return 1
-    except (BlochDynError, ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (BlochDynError, ValueError, OSError, MemoryError) as exc:
         print(f"blochdyn: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,8 @@
 """Print one sha1 per cavity sweep case, to diff the sweep's bytes between two checkouts.
 
-Not a test (pytest does not collect it). It runs 2304 cases through the
-public API: 16 fields (Fock, coherent, e0, odd cat and random custom, n_max
-2 to 100), both frames, detuning 0 and 0.03 and 4 qubits, each through
+Not a test (pytest does not collect it). It runs 2448 cases through the
+public API: 17 fields (Fock, coherent, e0, odd cat and random custom, n_max
+2 to 600), both frames, detuning 0 and 0.03 and 4 qubits, each through
 reduced_series over 8 grids (uniform 500, 4097, 9001 and 17000 rows, bent
 3 and 5000 rows, one row, empty) and perr_series at 6000 steps. Run it on
 each checkout and compare:
@@ -15,6 +15,7 @@ imported module's path goes to stderr, so stdout holds the digests alone.
 """
 
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,9 @@ from blochdyn.cavity import cat_field, coherent_field, custom_field, e0_field, f
 def _custom(n_max, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
-    return custom_field(amps / np.linalg.norm(amps))
+    # math.hypot, not np.linalg.norm: a BLAS dot would make the input's bits
+    # depend on the OpenBLAS kernel
+    return custom_field(amps / math.hypot(*amps.real, *amps.imag))
 
 
 FIELDS = {
@@ -47,6 +50,7 @@ FIELDS = {
     "custom_2": lambda: _custom(2, 1),
     "custom_24": lambda: _custom(24, 2),
     "custom_100": lambda: _custom(100, 3),
+    "custom_600": lambda: _custom(600, 4),  # matrix-path chunks of 4096 rows
 }
 QUBITS = {
     "excited": (0.0, 0.0, 1.0),

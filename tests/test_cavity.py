@@ -1168,24 +1168,73 @@ print(hashlib.sha256(reduced_series(f, qubit, cfg, times).tobytes()).hexdigest()
 """
 
 
+def _run_under(kernel, threads, script, *args):
+    # stdout of script in a fresh interpreter under one OpenBLAS kernel (None:
+    # the one OpenBLAS picks) and thread count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=str(Path(cavity.__file__).parents[1]))
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
 def test_dense_bent_grid_bytes_ignore_the_blas_thread_count():
     # every block of a random-phase field kept over a non-uniform grid, 999
     # blocks deep, past every kernel's GEMM_Q: direct trig adds them in a
     # fixed order with no BLAS call, and the amplitudes are normalized with
     # none, so the bits are the same under one and two OpenBLAS threads and
     # under the Haswell and Prescott kernels
-    out = []
-    for kernel, threads in ((None, "1"), (None, "2"), ("Haswell", "2"), ("Prescott", "2")):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(cavity.__file__).parents[1]))
-        if kernel:
-            env["OPENBLAS_CORETYPE"] = kernel
-        r = subprocess.run([sys.executable, "-c", _BENT_GRID_SWEEP], capture_output=True,
-                           text=True, env=env, check=True)
-        out.append(r.stdout)
+    out = [_run_under(kernel, threads, _BENT_GRID_SWEEP)
+           for kernel, threads in ((None, "1"), (None, "2"), ("Haswell", "2"), ("Prescott", "2"))]
     kept, uniform = out[0].splitlines()[0].split()
     assert int(kept) > 384 and uniform == "False"  # direct trig; SkylakeX's GEMM_Q is 384
     assert out[1:] == out[:1] * 3
+
+
+_MATRIX_PATH_SWEEPS = """
+import contextlib, hashlib, io, sys
+from pathlib import Path
+import numpy as np
+from blochdyn import CavityConfig, custom_field, reduced_series
+from blochdyn.cavity import _ANCHORED_ROWS, _chunk_rows, _sweep_weights, _uniform
+from blochdyn.cli import main
+runs = (
+    "--field coherent --alpha 8 --n-max 200 --steps 20000 --delta 0.3",
+    "--field coherent --alpha 1.5 --qubit 0.6,0,0.8 --n-max 40 --frame rotating"
+    " --detuning 0.03 --steps 20000",
+)
+for i, run in enumerate(runs):
+    csv = Path(sys.argv[1], f"run{i}.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["cavity", *run.split(), "--out", str(csv)]) == 0
+    print(hashlib.sha256(csv.read_bytes()).hexdigest())
+rng = np.random.default_rng(5)
+f = custom_field(np.exp(2j * np.pi * rng.random(1000)) / np.sqrt(1000))
+qubit = np.array([[0.62, 0.18 - 0.27j], [0.18 + 0.27j, 0.38]])
+times = np.linspace(0.0, 100.0, 5001)
+for frame in ("lab", "rotating"):
+    cfg = CavityConfig(n_max=999, detuning=0.02, frame=frame)
+    kept = _sweep_weights(f, cfg, qubit).kept.size
+    print(kept, _uniform(times), _chunk_rows(kept, *_ANCHORED_ROWS))
+    print(hashlib.sha256(reduced_series(f, qubit, cfg, times).tobytes()).hexdigest())
+"""
+
+
+def test_dense_matrix_path_bytes_ignore_the_blas_thread_count(tmp_path):
+    # the matrix path under one and two OpenBLAS threads, under the kernel
+    # OpenBLAS picks and under Prescott: the CLI's dense sweep over three
+    # kept blocks or more, a detuned rotating-frame one whose qubit weights
+    # the end block n = -1 (its detuning phase enters the pair products), and
+    # the uniform-grid twin of the bent-grid sweep above, 1001 blocks run in
+    # chunks of 4096 rows. The products are cut and padded so that the thread
+    # count moves no bit; the kernel may, so kernels are not compared
+    out = {(kernel, threads): _run_under(kernel, threads, _MATRIX_PATH_SWEEPS, str(tmp_path))
+           for kernel in (None, "Prescott") for threads in ("1", "2")}
+    for line in out[None, "1"].splitlines()[2::2]:
+        assert line.split() == ["1001", "True", "4096"]  # every block kept; 4096-row chunks
+    assert out[None, "1"] == out[None, "2"]
+    assert out["Prescott", "1"] == out["Prescott", "2"]
 
 
 def test_sliced_matmul_adds_its_depth_slices_in_order():

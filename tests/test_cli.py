@@ -369,6 +369,12 @@ def test_cavity_bad_scenario_file(tmp_path, capsys):
     assert "JSON object" in err
     code, _, err = run_cli(capsys, ["cavity", "--scenario", str(tmp_path / "nope")])
     assert code == 1
+    # a JSONDecodeError is a ValueError, so it takes the same one-line exit
+    path.write_text('{"n_max": 40,')
+    code, out, err = run_cli(capsys, ["cavity", "--scenario", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("blochdyn: error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", [
