@@ -59,9 +59,15 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
 
 
+# what float() and complex() read but no number is: text, and a flag
+_NOT_NUMBERS = (str, bytes, bytearray, bool, np.bool_)
+
+
 def _real(value, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     """value as a finite float in [lo, hi], else a ValueError naming it; no numpy call."""
     try:
+        if isinstance(value, _NOT_NUMBERS):
+            raise TypeError
         x = float(value)
     except OverflowError:  # an integer no float holds
         raise ValueError(f"{name} must be finite, got {len(str(value))} digits") from None
@@ -90,6 +96,8 @@ def _flag(value, name: str) -> bool:
 
 def _complex(value, name: str) -> complex:
     """value as a complex with a finite |value|^2, else a ValueError naming it."""
+    if isinstance(value, _NOT_NUMBERS):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     arr = _as_float(value, name, complex)
     if arr.ndim:
         raise ValueError(f"{name} must be a number, got an array of shape {arr.shape}")
@@ -229,11 +237,24 @@ def check_density(rho, tol: float = NORM_EPS) -> np.ndarray:
     tr = a + d
     if not abs(tr - 1.0) <= tol:
         raise ValueError(f"density matrix must have unit trace, got {tr}")
-    # smallest eigenvalue in closed form, from the lower triangle as eigvalsh reads it
-    low = 0.5 * (a.real + d.real - math.hypot(a.real - d.real, 2.0 * c.real, 2.0 * c.imag))
-    if not low >= -tol:
+    # the smallest eigenvalue from the lower triangle, as eigvalsh reads it
+    if not _margins(a.real, c, d.real)[1] >= -tol:
         raise ValueError("density matrix must be positive semidefinite")
     return mat
+
+
+def _margins(ee, eg, gg):
+    """|ee + gg - 1| and the smallest eigenvalue 0.5 (ee + gg - sqrt((ee - gg)^2 + 4 |eg|^2))
+    of [[ee, eg], [conj(eg), gg]], elementwise on floats or arrays; the one physicality rule.
+
+    No x ** 2 and no abs() of a complex, which raise OverflowError on floats (abs() also
+    after a libm range error): a square past the float range gives an eigenvalue of -inf
+    and a NaN stays NaN, which every caller's test refuses. The root is math.sqrt on a
+    float, as np.sqrt on an array, both correctly rounded; float ** 0.5 is libm's pow.
+    """
+    tr, d, x, y = ee + gg, ee - gg, eg.real, eg.imag
+    q = d * d + (x * x + y * y) * 4.0
+    return abs(tr - 1.0), 0.5 * (tr - (math.sqrt(q) if isinstance(q, float) else np.sqrt(q)))
 
 
 def density_to_bloch(rho) -> np.ndarray:

@@ -79,9 +79,12 @@ physicality margins, and each depth slice's anchor side (and one-chunk
 offset rows). It makes no array of the grid's length: reduced_series and
 perr_series write each chunk into their one result.
 
-Results built here (fields, through _built; perr_series' series;
-jc_propagate's KrausSet) skip checks their caller has proved; the ones a
-user builds are checked in full.
+Every reduced state meets one physicality rule, bloch._margins: |tr - 1|
+and the smallest eigenvalue, row by row in a sweep and on Python floats in
+jc_propagate, within _PHYS_TOL, else _check_physical raises
+NonphysicalOutput with one message. Results built here (fields, through
+_built; perr_series' series; jc_propagate's KrausSet) skip checks their
+caller has proved; the ones a user builds are checked in full.
 
 Frames: "lab" keeps the full phases of H; "rotating" removes the free
 evolution omega0 * (a'a + sigma_z / 2). The two reduced states are related
@@ -98,8 +101,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (RATE_LIMIT, _as_float, _complex, _instance, _integer, _phase, _rate, _real,
-                    as_bloch, bloch_to_density, check_density)
+from .bloch import (RATE_LIMIT, _as_float, _complex, _instance, _integer, _margins, _phase, _rate,
+                    _real, as_bloch, bloch_to_density, check_density)
 from .errors import TAIL_LIMIT, NonphysicalOutput, TruncationTooSmall
 from .speedlimits import check_delta
 
@@ -535,13 +538,14 @@ def _kraus_ops(field: FieldState, cfg: CavityConfig, t) -> np.ndarray:
     return ops.transpose(2, 0, 1)
 
 
-def _margins(ee, eg, gg):
-    # a chunk's worst |ee + gg - 1| and smallest eigenvalue
-    # 0.5 (ee + gg - sqrt((ee - gg)^2 + 4 |eg|^2)), 0.0 over no rows; a NaN
-    # anywhere is NaN in one of them
-    tr = ee + gg
-    low = 0.5 * (tr - np.sqrt(np.square(ee - gg) + np.square(np.abs(eg)) * 4.0))
-    return np.abs(tr - 1.0).max(initial=0.0), low.min(initial=0.0)
+def _check_physical(worst, low) -> None:
+    # the one refusal of reduced states: a worst |tr - 1| or smallest
+    # eigenvalue (bloch._margins) past _PHYS_TOL; a NaN fails too
+    if not (worst <= _PHYS_TOL and low >= -_PHYS_TOL):
+        raise NonphysicalOutput(
+            f"reduced state broke physicality: |tr-1| up to {worst:.3e}, "
+            f"min eigenvalue {low:.3e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -796,10 +800,11 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray, unifor
     its offset basis), and every other sweep direct trig, _direct_sums. The
     chunk rows (_chunk_rows) read the path and the kept width alone, and the
     matrix path cuts its depth into slices added in order, so neither the
-    grid length nor the BLAS thread count moves a bit. Each chunk's margins
-    (_margins) join the grid's, and after the last chunk a worst |tr - 1| or
-    smallest eigenvalue past _PHYS_TOL, or a NaN in any chunk, raises
-    NonphysicalOutput. Work per call and per chunk: see the module docstring.
+    grid length nor the BLAS thread count moves a bit. Each chunk's worst
+    margins (bloch._margins of its rows) join the grid's, and after the last
+    chunk _check_physical refuses a worst |tr - 1| or smallest eigenvalue
+    past _PHYS_TOL, or a NaN in any chunk. Work per call and per chunk: see
+    the module docstring.
     """
     w = _sweep_weights(field, cfg, rho0)
     kept = w.kept.size
@@ -816,14 +821,10 @@ def _sweep(field: FieldState, rho0, cfg: CavityConfig, tgrid: np.ndarray, unifor
             ee, gg = w.ee0 + pop, w.gg0 - pop
         else:  # every weight dropped: the constant state, its zeros' signs kept
             ee, gg, eg = (np.full(tgrid[sl].size, x) for x in (w.ee0, w.gg0, 0j))
-        chunk_worst, chunk_low = _margins(ee, eg, gg)
-        worst, low = np.maximum(worst, chunk_worst), np.minimum(low, chunk_low)  # NaN stays
+        dev, eig = _margins(ee, eg, gg)  # 0.0 over no rows; NaN stays
+        worst, low = np.maximum(worst, dev.max(initial=0.0)), np.minimum(low, eig.min(initial=0.0))
         yield sl, ee, eg, gg
-    if not (worst <= _PHYS_TOL and low >= -_PHYS_TOL):  # a NaN fails too
-        raise NonphysicalOutput(
-            f"reduced state broke physicality: |tr-1| up to {worst:.3e}, "
-            f"min eigenvalue {low:.3e}"
-        )
+    _check_physical(worst, low)
 
 
 def reduced_series(field: FieldState, qubit, cfg: CavityConfig, times):
@@ -870,12 +871,9 @@ def jc_propagate(field: FieldState, qubit, cfg: CavityConfig, t: float):
     ee = p * m00 + b * m01 + c * m10 + q * m11
     eg = p * m02 + b * m03 + c * m12 + q * m13
     gg = p * m22 + b * m23 + c * m32 + q * m33
+    _check_physical(*_margins(ee.real, eg, gg.real))  # the sweep's rule, on floats
+    # _kraus_ops checked t; a NaN or inf entry reaches ee or gg (checked above)
     rho_t = np.array([[ee.real, eg], [eg.conjugate(), gg.real]])
-    try:  # the sweep's margins (_margins), in closed form on floats: no reduction of 0-d arrays
-        check_density(rho_t, _PHYS_TOL)
-    except ValueError as exc:
-        raise NonphysicalOutput(f"reduced state broke physicality: {exc}") from None
-    # _kraus_ops checked t; a NaN or inf entry reaches rho_t (checked above)
     return rho_t, _trusted(KrausSet, t=t, operators=ops)
 
 

@@ -1,11 +1,13 @@
-"""Print one sha1 per cavity sweep case, to diff the sweep's bytes between two checkouts.
+"""Print one sha1 per cavity case, to diff the cavity's bytes between two checkouts.
 
-Not a test (pytest does not collect it). It runs 2448 cases through the
+Not a test (pytest does not collect it). It runs 4080 cases through the
 public API: 17 fields (Fock, coherent, e0, odd cat and random custom, n_max
-2 to 600), both frames, detuning 0 and 0.03 and 4 qubits, each through
+2 to 600), both frames and detuning 0 and 0.03, each through kraus_support
+and KrausSet.completeness_error at 4 times, and with 4 qubits through
 reduced_series over 8 grids (uniform 500, 4097, 9001 and 17000 rows, bent
-3 and 5000 rows, one row, empty) and perr_series at 6000 steps. Run it on
-each checkout and compare:
+3 and 5000 rows, one row, empty), perr_series at 6000 steps and
+jc_propagate (its state and its operators) at the 4 times. Run it on each
+checkout and compare:
 
     PYTHONPATH=<checkout>/src python tests/sweep_digest.py > digest.txt
 
@@ -20,7 +22,7 @@ import sys
 
 import numpy as np
 
-from blochdyn import CavityConfig, perr_series, reduced_series
+from blochdyn import CavityConfig, jc_propagate, kraus_support, perr_series, reduced_series
 from blochdyn.bloch import bloch_to_density
 from blochdyn.cavity import cat_field, coherent_field, custom_field, e0_field, fock_field
 
@@ -68,6 +70,7 @@ GRIDS = {
     "one_row": lambda: np.array([37.5]),
     "empty": lambda: np.zeros(0),
 }
+TIMES = (0.0, 1.3, 37.5, 160.0)  # single times, for the Kraus family
 
 
 def _sha1(*arrays) -> str:
@@ -88,6 +91,11 @@ def main() -> None:
             for detuning in (0.0, 0.03):
                 cfg = CavityConfig(omega0=1.0, g=0.05, detuning=detuning, n_max=f.n_max,
                                    frame=frame)
+                case = f"{fname} {frame} {detuning}"
+                for t in TIMES:
+                    kraus = jc_propagate(f, np.eye(2) / 2, cfg, t)[1]
+                    print(case, f"support{t}", _sha1(kraus_support(f, cfg, t)))
+                    print(case, f"completeness{t}", _sha1(np.float64(kraus.completeness_error())))
                 for qname, r in QUBITS.items():
                     case = f"{fname} {frame} {detuning} {qname}"
                     rho0 = bloch_to_density(r)
@@ -95,6 +103,9 @@ def main() -> None:
                         print(case, gname, _sha1(reduced_series(f, rho0, cfg, times)))
                     s = perr_series(f, r, cfg, t_max=200.0, steps=6000)
                     print(case, "perr6000", _sha1(s.times, s.p_err))
+                    for t in TIMES:
+                        rho_t, kraus = jc_propagate(f, rho0, cfg, t)
+                        print(case, f"jc{t}", _sha1(rho_t, kraus.operators))
 
 
 if __name__ == "__main__":

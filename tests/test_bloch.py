@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from blochdyn import (
     sld,
     unitary,
 )
-from blochdyn.bloch import NORM_EPS, RATE_LIMIT, _cross, _perp
+from blochdyn.bloch import NORM_EPS, RATE_LIMIT, _cross, _margins, _perp
 from oracles import SX, SY, SZ, conj_evolve, dense_p_err, rho_of, sld_fd
 
 
@@ -118,6 +119,39 @@ def test_check_density_psd_verdict_matches_eigvalsh():
     assert got == ref
     assert 0 < sum(got[2000:]) < 500  # both sides of the boundary were reached
 
+
+def test_margins_on_floats_match_a_one_row_array_bit_for_bit():
+    # one rule for jc_propagate and check_density (floats) and the sweeps
+    # (arrays); float ** 0.5, libm's pow, differs from np.sqrt in about one
+    # root in 1200 here, so this sample would catch it
+    rng = np.random.default_rng(12)
+    n = 20000
+    ee = rng.uniform(-0.2, 1.2, n)
+    gg = 1.0 - ee + rng.normal(scale=1e-9, size=n)
+    eg = rng.normal(scale=0.4, size=n) + 1j * rng.normal(scale=0.4, size=n)
+    rows = list(zip(ee.tolist(), eg.tolist(), gg.tolist())) + [
+        (1e200, 0j, -1e200), (0.5, complex(1e300, -1e300), 0.5), (math.inf, 0j, 0.5),
+        (math.inf, 0j, -math.inf), (0.5, complex(math.nan, 0.0), 0.5), (math.nan, 0.3j, 0.5),
+    ]
+    got, ref = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing rows
+        for a, c, d in rows:
+            got.append(_margins(a, c, d))
+            dev, low = _margins(np.array([a]), np.array([c]), np.array([d]))
+            ref.append((dev[0], low[0]))
+    got, ref = np.array(got), np.array(ref)
+    assert got.dtype == float and np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.array_equal(got[~np.isnan(got)].view(np.int64), ref[~np.isnan(ref)].view(np.int64))
+    assert np.isinf(got[n:]).any() and np.isnan(got[n:]).any()
+
+
+def test_margins_raise_nothing_on_a_nan_after_a_math_range_error():
+    # CPython's abs() of a complex NaN raises OverflowError when an earlier libm
+    # call left errno at ERANGE, as math.exp(1000) does
+    with pytest.raises(OverflowError):
+        math.exp(1000)
+    dev, low = _margins(0.5, complex(math.nan, 0.0), 0.5)
+    assert dev == 0.0 and math.isnan(low)
 
 def test_pure_state_bloch_poles_and_equator():
     s = 1 / np.sqrt(2)

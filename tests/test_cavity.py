@@ -34,6 +34,7 @@ from blochdyn import (
     reduced_series,
 )
 from blochdyn import cavity
+from blochdyn.bloch import _margins
 from oracles import coherent_amps_direct, dense_reduced
 
 
@@ -475,10 +476,10 @@ def test_tolerances_and_worker_counts_are_checked_naming_them():
 
 
 def test_physicality_check_fails_on_nan(monkeypatch):
-    half = np.array([0.5, 0.5])
-    assert cavity._margins(half, np.zeros(2, complex), half) == (0.0, 0.0)
-    assert np.isnan(cavity._margins(np.array([0.5, np.nan]), np.zeros(2, complex), half)).any()
-    assert np.isnan(cavity._margins(half, np.array([0.0, np.nan + 0j]), half)).any()
+    half, zero = np.array([0.5, 0.5]), np.zeros(2, complex)
+    assert [m.tolist() for m in _margins(half, zero, half)] == [[0.0, 0.0], [0.5, 0.5]]
+    assert np.isnan(_margins(np.array([0.5, np.nan]), zero, half)).tolist() == [[False, True]] * 2
+    assert np.isnan(_margins(half, np.array([0.0, np.nan + 0j]), half)[1]).tolist() == [False, True]
     _injected_series(monkeypatch, {})
     with pytest.raises(NonphysicalOutput):
         _injected_series(monkeypatch, {1: (np.nan, 0j)})
@@ -536,12 +537,21 @@ def test_physicality_message_reports_the_whole_grids_worst(monkeypatch, rows, me
     assert str(exc.value) == f"reduced state broke physicality: |tr-1| {message}"
 
 
-@pytest.mark.parametrize("scale", [2.0, np.nan], ids=["norm_4", "nan"])
-def test_jc_propagate_refuses_a_broken_amplitude_vector(scale):
+# a norm of 4 makes the trace 4 and every eigenvalue 4 times its own; 1e150 a
+# finite Gram matrix near 1e300 whose squares pass the float range, so the
+# smallest eigenvalue reads -inf
+@pytest.mark.parametrize("scale, message", [
+    (2.0, "up to 3.000e+00, min eigenvalue 6.545e-01"),
+    (1e150, "up to 1.000e+300, min eigenvalue -inf"),
+    (np.nan, "up to nan, min eigenvalue nan"),
+], ids=["norm_4", "scale_1e150", "nan"])
+def test_jc_propagate_refuses_a_broken_amplitude_vector(scale, message):
     f = coherent_field(1.0, n_max=20)
     object.__setattr__(f, "amplitudes", scale * f.amplitudes)  # past FieldState's check
-    with pytest.raises(NonphysicalOutput, match="^reduced state broke physicality: "):
+    with pytest.raises(NonphysicalOutput) as exc:
         jc_propagate(f, MIXED, CavityConfig(n_max=20), 3.0)
+    # the sweep's message, from the sweep's rule
+    assert str(exc.value) == f"reduced state broke physicality: |tr-1| {message}"
 
 
 # ---------------------------------------------------------------- time series

@@ -234,8 +234,14 @@ def test_a_nan_amplitude_is_refused_after_a_math_range_error():
     (lambda: bd.custom_field("x"), "custom amplitudes"),
     (lambda: bd.check_density([[1, 0], [0, "a"]]), "density matrix"),
     (lambda: bd.pure_state_bloch({"up": 1}), "state vector"),
+    # float() and complex() read text and flags, which are no numbers
+    (lambda: bd.CavityConfig(n_max=True), "n_max"),
+    (lambda: bd.fock_field(True, 3), "Fock index"),
+    (lambda: bd.tau_exact((1, 0, 0), Z, "0.3"), "delta"),
+    (lambda: bd.coherent_field("1", 20), "alpha"),
 ], ids=["list_alpha", "dict_alpha", "dict_bloch", "text_bloch", "ragged_bloch",
-        "text_amplitudes", "text_density", "dict_state"])
+        "text_amplitudes", "text_density", "dict_state", "flag_n_max", "flag_fock_index",
+        "text_delta", "text_alpha"])
 def test_a_non_number_is_refused_naming_the_input(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
